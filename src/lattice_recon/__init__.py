@@ -3,7 +3,6 @@ finite index sets in the Fourier, half-period cosine and Chebyshev settings,
 with component-by-component construction of the generating vectors and fast
 FFT/DCT coefficient maps."""
 
-from ._accel import BACKEND, HAVE_NUMBA
 from .approx import (ErrorReport, MissingReference, SizeLimit,
                      StabilityReport, TestFunction, approx_coeffs,
                      basis_matrix, discrete_seminorm, error_decomposition,
@@ -11,9 +10,9 @@ from .approx import (ErrorReport, MissingReference, SizeLimit,
 from .cbc import (CandidateList, CbcResult, CbcStats, CbcTask,
                   EmptyCandidateSet, InvalidTask, RetryLimitExceeded,
                   VerifyResult, cbc_construct, eliminate_step,
-                  eliminate_step_plan_c, is_prime, mixed_strategy_driver,
-                  next_prime, required_n, verify_fourier, verify_nonzero,
-                  verify_plan_a, verify_plan_b, verify_plan_c)
+                  eliminate_step_plan_c, is_prime, next_prime, required_n,
+                  verify_fourier, verify_nonzero, verify_plan_a,
+                  verify_plan_b, verify_plan_c)
 from .indexset import (IndexSet, SetReport, WeightedSetRule, difference_set,
                        is_downward_closed, make_weighted_set, mirror_expand,
                        mirrored, project, properties, random_downward_closed,

@@ -17,13 +17,15 @@ checks of :class:`lattice_recon.lattice.Rank1Lattice` before it is returned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
 from . import kernels
 from .indexset import (IndexSet, difference_set, mirror_expand, mirrored,
-                       project, properties, sum_set, unique_sign_changes)
+                       negated, project, sum_set, unique_sign_changes)
 from .lattice import Rank1Lattice
 
 SPACES = ("fourier", "cosine", "chebyshev")
@@ -156,60 +158,6 @@ class CbcTask:
             raise InvalidTask("mixed switch factor must be nonnegative")
 
 
-def _aux_set(task: CbcTask) -> IndexSet:
-    """The auxiliary index set A of the generic condition h.z != 0 mod n."""
-    L = task.base_set
-    if task.goal == "integration":
-        return L if task.space == "fourier" else mirrored(L)
-    if task.space == "fourier":
-        return difference_set(L)
-    if task.plan == "A":
-        M = mirrored(L)
-        return sum_set(M, M)
-    if task.plan == "B":
-        return sum_set(L, mirrored(L))
-    raise ValueError("plan C has no generic auxiliary set")
-
-
-def required_n(task: CbcTask) -> int:
-    """Smallest prime strictly above the task's CBC existence bound.
-
-    Bounds (kappa = 2 for centrally symmetric auxiliary sets):
-    integration  n > |A \\ {0}| / kappa + 1 and n > max(L);
-    Fourier reconstruction n > (|L (-) L| + 1) / 2 and n > 2 max(L);
-    plan A  n > (|M (+) M| + 1) / 2, plan B  n > |L (+) M|,
-    plan C  n > |L| |M|, each together with n > 2 max(L).
-    """
-    L = task.base_set
-    max_l = L.max_abs()
-    if task.goal == "integration":
-        A = _aux_set(task)
-        size = len(A) - (1 if A.has_zero() else 0)
-        if task.space == "fourier":
-            kappa = 2 if properties(L).centrally_symmetric else 1
-        else:
-            kappa = 2  # mirrored sets are centrally symmetric
-        n = 2
-        while not (n * kappa > size + kappa and n > max_l):
-            n = next_prime(n)
-        return n
-    if task.plan == "C":
-        bound_card = len(L) * len(mirrored(L))
-        n = 2
-        while not (n > bound_card and n > 2 * max_l):
-            n = next_prime(n)
-        return n
-    A = _aux_set(task)
-    n = 2
-    if task.plan == "B":
-        while not (n > len(A) and n > 2 * max_l):
-            n = next_prime(n)
-    else:
-        while not (2 * n > len(A) + 1 and n > 2 * max_l):
-            n = next_prime(n)
-    return n
-
-
 # ---------------------------------------------------------------------------
 # verifiers (lookup algorithms on full projections)
 
@@ -320,6 +268,80 @@ def verify_nonzero(z, n: int, A_s: IndexSet) -> VerifyResult:
     res = _residues(rows, z, n)
     ok, visits = kernels.check_nonzero(res)
     return VerifyResult(bool(ok), int(visits))
+
+
+# ---------------------------------------------------------------------------
+# the condition a task imposes on the lattice
+
+@dataclass(frozen=True)
+class _Condition:
+    """One (space, goal, plan) condition, built once per task.
+
+    ``code`` is the kernel condition code of the step checks, ``aux`` the
+    auxiliary set A of the generic condition h.z != 0 mod n (None for plan
+    C), ``bound`` the integer n must exceed, ``verify(z, n)`` the lookup
+    verifier and ``oracle(lattice)`` the naive check, which returns
+    (ok, c_table or None).
+    """
+
+    code: int
+    aux: IndexSet | None
+    bound: int
+    verify: Callable[[object, int], VerifyResult]
+    oracle: Callable[[Rank1Lattice], tuple]
+
+
+def _dual_oracle(A: IndexSet):
+    return lambda lattice: (lattice.dual_check(A), None)
+
+
+def _condition(task: CbcTask) -> _Condition:
+    """The only place that maps (space, goal, plan) to its condition; the
+    bounds are listed in :func:`required_n`."""
+    L = task.base_set
+    two_max = 2 * L.max_abs()
+    if task.goal == "integration":
+        if task.space == "fourier":
+            A, kappa = L, (2 if negated(L) == L else 1)
+        else:
+            A, kappa = mirrored(L), 2  # mirrored sets are centrally symmetric
+        size = len(A) - (1 if A.has_zero() else 0)
+        return _Condition(kernels.COND_NONZERO, A,
+                          max(size // kappa + 1, L.max_abs()),
+                          partial(verify_nonzero, A_s=A), _dual_oracle(A))
+    if task.plan == "C":
+        # sign orbits of distinct nonnegative indices are disjoint, so
+        # |M(L)| is the sum of 2^|k|_0 over L
+        return _Condition(kernels.COND_PLAN_C, None,
+                          max(len(L) * L.sum_two_pow(), two_max),
+                          partial(verify_plan_c, Ls=L),
+                          lambda lattice: lattice.plan_c_check_naive(L))
+    if task.space == "fourier":
+        A = difference_set(L)
+        code, verify, bound = kernels.COND_DISTINCT, verify_fourier, \
+            (len(A) + 1) // 2
+    elif task.plan == "A":
+        M = mirrored(L)
+        A = sum_set(M, M)
+        code, verify, bound = kernels.COND_DISTINCT, verify_plan_a, \
+            (len(A) + 1) // 2
+    else:
+        A = sum_set(L, mirrored(L))
+        code, verify, bound = kernels.COND_PLAN_B, verify_plan_b, len(A)
+    return _Condition(code, A, max(bound, two_max), partial(verify, Ls=L),
+                      _dual_oracle(A))
+
+
+def required_n(task: CbcTask) -> int:
+    """Smallest prime strictly above the task's CBC existence bound.
+
+    Bounds (kappa = 2 for centrally symmetric auxiliary sets):
+    integration  n > |A \\ {0}| / kappa + 1 and n > max(L);
+    Fourier reconstruction n > (|L (-) L| + 1) / 2 and n > 2 max(L);
+    plan A  n > (|M (+) M| + 1) / 2, plan B  n > |L (+) M|,
+    plan C  n > |L| |M|, each together with n > 2 max(L).
+    """
+    return next_prime(_condition(task).bound)
 
 
 # ---------------------------------------------------------------------------
@@ -475,21 +497,15 @@ class _StepFailed(Exception):
 class _Builder:
     """Holds the projection data of one task; reused across n escalations."""
 
-    def __init__(self, task: CbcTask):
+    def __init__(self, task: CbcTask, cond: _Condition):
         self.task = task
+        self.cond = cond.code
+        self.generic_A = cond.aux
         L = task.base_set
         self.d = L.dimension
-        _as_rows(L.as_array())  # 32-bit guard
-        if task.goal == "integration":
-            self.cond = kernels.COND_NONZERO
-        elif task.space == "fourier":
-            self.cond = kernels.COND_DISTINCT
-        elif task.plan == "A":
-            self.cond = kernels.COND_DISTINCT
-        elif task.plan == "B":
-            self.cond = kernels.COND_PLAN_B
-        else:
-            self.cond = kernels.COND_PLAN_C
+        _as_rows(L.as_array())  # 32-bit guards
+        if cond.aux is not None:
+            _as_rows(cond.aux.as_array())
         # full projections drive the lookup verifiers (and plan C always)
         self.proj = [None] + [project(L, s, "full")
                               for s in range(1, self.d + 1)]
@@ -500,8 +516,8 @@ class _Builder:
         for s in range(1, self.d + 1):
             Ls = self.proj[s]
             if self.cond == kernels.COND_NONZERO:
-                source = Ls if task.space == "fourier" else mirrored(Ls)
-                rows = _as_rows(source.without_zero().as_array())
+                source = self._generic_step_set(s, "full").without_zero()
+                rows = _as_rows(source.as_array())
                 groups = self._dummy
             elif task.space == "fourier":
                 rows = _as_rows(Ls.as_array())
@@ -518,10 +534,6 @@ class _Builder:
                 self.thresholds.append(len(Ls))
             else:
                 self.thresholds.append(Ls.sum_two_pow())
-        self.generic_A = None
-        if not (task.goal == "reconstruction" and task.plan == "C"):
-            self.generic_A = _aux_set(task)
-            _as_rows(self.generic_A.as_array())
 
     # -- step condition check for a fixed candidate vector ---------------
 
@@ -529,16 +541,8 @@ class _Builder:
         rows = self.step_rows[s]
         if rows.shape[0] == 0:
             return True
-        res = _residues(rows, z, n)
-        if self.cond == kernels.COND_NONZERO:
-            return bool(kernels.check_nonzero(res)[0])
-        if self.cond == kernels.COND_DISTINCT:
-            return bool(kernels.check_distinct(res, int(n))[0])
-        if self.cond == kernels.COND_PLAN_B:
-            return bool(kernels.check_plan_b(res, self.step_groups[s],
-                                             int(n))[0])
-        return bool(kernels.check_plan_c(res, self.step_groups[s],
-                                         int(n))[0])
+        return bool(kernels.check_condition(
+            _residues(rows, z, n), self.step_groups[s], int(n), self.cond))
 
     # -- elimination data for one step -----------------------------------
 
@@ -621,21 +625,12 @@ class _Builder:
         return z, steps, switch_step
 
 
-def _validate_full(task: CbcTask, lattice: Rank1Lattice):
-    """Naive-oracle validation of a finished vector; returns
-    (ok, c_table or None)."""
-    L = task.base_set
-    if task.goal == "reconstruction" and task.plan == "C":
-        return lattice.plan_c_check_naive(L)
-    A = _aux_set(task)
-    return lattice.dual_check(A), None
-
-
 def cbc_construct(task: CbcTask) -> CbcResult:
     """Run the CBC construction for a task; escalates n to the next prime
     and restarts whenever a step fails, up to ``task.retry_limit`` tries."""
-    builder = _Builder(task)
-    n = task.n if task.n else required_n(task)
+    cond = _condition(task)
+    builder = _Builder(task, cond)
+    n = task.n if task.n else next_prime(cond.bound)
     stats = CbcStats()
     last_failure = None
     for _ in range(task.retry_limit):
@@ -647,8 +642,7 @@ def cbc_construct(task: CbcTask) -> CbcResult:
             stats.restarts += 1
             n = next_prime(n)
             continue
-        lattice = Rank1Lattice(n, z)
-        ok, c_table = _validate_full(task, lattice)
+        ok, c_table = cond.oracle(Rank1Lattice(n, z))
         if not ok:
             # cannot happen when the step checks are sound; escalate anyway
             last_failure = _StepFailed(builder.d, "oracle validation failed")
@@ -658,14 +652,14 @@ def cbc_construct(task: CbcTask) -> CbcResult:
         stats.steps = steps
         stats.switch_step = switch_step
         if task.reduce_n:
-            n, z, c_table = _reduce_n(task, n, z, c_table)
+            n, z, c_table = _reduce_n(cond, n, z, c_table)
         return CbcResult(tuple(z), n, c_table, stats)
     raise RetryLimitExceeded(
         f"no valid vector after {task.retry_limit} attempts; last failure: "
         f"{last_failure}")
 
 
-def _reduce_n(task: CbcTask, n: int, z, c_table):
+def _reduce_n(cond: _Condition, n: int, z, c_table):
     """Try successively smaller primes for the fixed z, keeping the last
     value that still passes the full oracle validation."""
     best = (n, list(z), c_table)
@@ -677,7 +671,7 @@ def _reduce_n(task: CbcTask, n: int, z, c_table):
         zp = [zj % p for zj in z]
         if any(v == 0 for v in zp):
             break
-        ok, table = _validate_full(task, Rank1Lattice(p, zp))
+        ok, table = cond.oracle(Rank1Lattice(p, zp))
         if not ok:
             break
         best = (p, zp, table)
@@ -691,10 +685,3 @@ def _previous_prime(n: int):
             return candidate
         candidate -= 1
     return None
-
-
-def mixed_strategy_driver(task: CbcTask) -> CbcResult:
-    """Convenience wrapper forcing the mixed strategy."""
-    if task.strategy != "mixed":
-        task = replace(task, strategy="mixed")
-    return cbc_construct(task)

@@ -11,7 +11,6 @@ import argparse
 import csv
 import dataclasses
 import json
-import os
 import sys
 
 import numpy as np
@@ -36,16 +35,6 @@ def _emit(args, payload: dict, text: str) -> None:
         print(json.dumps(payload, sort_keys=True))
     else:
         print(text)
-
-
-def _threads(args) -> int:
-    value = args.threads
-    if value is None:
-        value = os.environ.get("LATTICE_RECON_THREADS", "0")
-    value = int(value)
-    if value < 0:
-        raise UsageError("thread count must be nonnegative")
-    return value
 
 
 # ---------------------------------------------------------------------------
@@ -131,24 +120,9 @@ def cmd_cbc(args) -> int:
 def _verify(task: cbc.CbcTask, lat: latmod.Rank1Lattice):
     """Run the lookup verifier and the naive oracle; returns (fast, oracle,
     c_table)."""
-    L = task.base_set
-    if task.goal == "integration":
-        A = L if task.space == "fourier" else indexset.mirrored(L)
-        return (cbc.verify_nonzero(lat.z, lat.n, A).ok,
-                lat.dual_check(A), None)
-    if task.space == "fourier":
-        return (cbc.verify_fourier(lat.z, lat.n, L).ok,
-                lat.dual_check(indexset.difference_set(L)), None)
-    if task.plan == "A":
-        M = indexset.mirrored(L)
-        return (cbc.verify_plan_a(lat.z, lat.n, L).ok,
-                lat.dual_check(indexset.sum_set(M, M)), None)
-    if task.plan == "B":
-        aux = indexset.sum_set(L, indexset.mirrored(L))
-        return (cbc.verify_plan_b(lat.z, lat.n, L).ok,
-                lat.dual_check(aux), None)
-    fast = cbc.verify_plan_c(lat.z, lat.n, L)
-    oracle_ok, c_table = lat.plan_c_check_naive(L)
+    cond = cbc._condition(task)
+    fast = cond.verify(lat.z, lat.n)
+    oracle_ok, c_table = cond.oracle(lat)
     return fast.ok, oracle_ok, (fast.c_table if fast.ok else c_table)
 
 
@@ -327,10 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="seed for all randomness (default 0)")
     common.add_argument("--json", action="store_true",
                         help="machine-parseable JSON on stdout")
-    common.add_argument("--threads", type=int, default=None,
-                        help="cap internal parallelism (also via "
-                             "LATTICE_RECON_THREADS); output is independent "
-                             "of the value")
     common.add_argument("-v", "--verbose", action="count", default=0)
 
     parser = argparse.ArgumentParser(
@@ -408,7 +378,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _threads(args)
         return args.func(args)
     except (ValueError, FileNotFoundError, json.JSONDecodeError) as exc:
         # covers UsageError, InvalidTask, MissingCTable and the file-format

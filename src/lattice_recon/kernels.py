@@ -1,15 +1,11 @@
 """Hot integer kernels behind the CBC search and the residue verifiers.
 
-Every kernel exists twice: an ``@njit`` loop (``*_loop``) and a vectorized
-numpy twin (``*_numpy``).  The public name is bound to the loop version when
-numba is active (see :mod:`lattice_recon._accel`), otherwise to the numpy
-version.  Both implementations must agree exactly; the test suite runs the
-pairs against each other on random inputs.
+Each kernel has one vectorized numpy implementation.  All residue
+arithmetic is exact 64-bit integer arithmetic with per-term reduction mod n,
+valid as long as every |h_j|, z_j and n fits in 32 bits.
 
-All residue arithmetic is exact 64-bit integer arithmetic with per-term
-reduction mod n, valid as long as every |h_j|, z_j and n fits in 32 bits.
-
-Condition codes shared by the candidate-search kernels:
+Condition codes of :func:`check_condition`, shared by the candidate search
+and the step checks of the construction:
 
 ====  =========================================================
 code  condition on the residues of the prepared rows
@@ -23,8 +19,6 @@ code  condition on the residues of the prepared rows
 
 import numpy as np
 
-from ._accel import HAVE_NUMBA, njit
-
 COND_NONZERO = 0
 COND_DISTINCT = 1
 COND_PLAN_B = 2
@@ -34,18 +28,7 @@ COND_PLAN_C = 3
 # ---------------------------------------------------------------------------
 # dot products mod n
 
-@njit(cache=True)
-def _dot_mod_loop(rows, z, n):
-    out = np.empty(rows.shape[0], dtype=np.int64)
-    for i in range(rows.shape[0]):
-        acc = np.int64(0)
-        for j in range(rows.shape[1]):
-            acc = (acc + (rows[i, j] % n) * z[j]) % n
-        out[i] = acc
-    return out
-
-
-def _dot_mod_numpy(rows, z, n):
+def dot_mod(rows, z, n):
     if rows.shape[0] == 0:
         return np.empty(0, dtype=np.int64)
     terms = np.mod(rows, n) * np.mod(z, n) % n
@@ -56,64 +39,23 @@ def _dot_mod_numpy(rows, z, n):
 # verifier checks on precomputed residues
 #
 # `visits` is the number of residues the canonical scan examines; it equals
-# len(res) on success and is reported as 0 on failure so that the two
-# backends stay bit-identical.
+# len(res) on success and is reported as 0 on failure.
 
-@njit(cache=True)
-def _check_nonzero_loop(res):
-    for i in range(res.shape[0]):
-        if res[i] == 0:
-            return False, 0
-    return True, res.shape[0]
-
-
-def _check_nonzero_numpy(res):
+def check_nonzero(res):
     if np.any(res == 0):
         return False, 0
     return True, int(res.shape[0])
 
 
-@njit(cache=True)
-def _check_distinct_loop(res, n):
-    seen = np.zeros(n, dtype=np.uint8)
-    for i in range(res.shape[0]):
-        a = res[i]
-        if seen[a]:
-            return False, 0
-        seen[a] = 1
-    return True, res.shape[0]
-
-
-def _check_distinct_numpy(res, n):
+def check_distinct(res, n):
     if np.unique(res).shape[0] != res.shape[0]:
         return False, 0
     return True, int(res.shape[0])
 
 
-@njit(cache=True)
-def _check_plan_b_loop(res, group_start, n):
-    # s1 marks plain-index residues, s2 marks every residue (s1 is a subset
-    # of s2).  s1[a] is set before the sign rows are scanned, so a sign row
-    # may not collide with its own plain residue: no self-aliasing.
-    s1 = np.zeros(n, dtype=np.uint8)
-    s2 = np.zeros(n, dtype=np.uint8)
-    for g in range(group_start.shape[0] - 1):
-        lo = group_start[g]
-        hi = group_start[g + 1]
-        a = res[lo]
-        if s2[a]:
-            return False, 0
-        s2[a] = 1
-        s1[a] = 1
-        for r in range(lo + 1, hi):
-            a2 = res[r]
-            if s1[a2]:
-                return False, 0
-            s2[a2] = 1
-    return True, res.shape[0]
-
-
-def _check_plan_b_numpy(res, group_start, n):
+def check_plan_b(res, group_start, n):
+    """Plain residues (the first row of each group) pairwise distinct, and
+    no sign residue equal to any plain residue, its own included."""
     leads = res[group_start[:-1]]
     if np.unique(leads).shape[0] != leads.shape[0]:
         return False, 0
@@ -124,34 +66,9 @@ def _check_plan_b_numpy(res, group_start, n):
     return True, int(res.shape[0])
 
 
-@njit(cache=True)
-def _check_plan_c_loop(res, group_start, n):
-    # Same two bit strings as plan B, but s1[a] is set only after the sign
-    # rows are scanned: a sign residue may equal its own plain residue
-    # (self-aliasing) and c counts how often that happens.
-    ngroups = group_start.shape[0] - 1
-    c = np.ones(ngroups, dtype=np.int64)
-    s1 = np.zeros(n, dtype=np.uint8)
-    s2 = np.zeros(n, dtype=np.uint8)
-    for g in range(ngroups):
-        lo = group_start[g]
-        hi = group_start[g + 1]
-        a = res[lo]
-        if s2[a]:
-            return False, 0, c
-        s2[a] = 1
-        for r in range(lo + 1, hi):
-            a2 = res[r]
-            if a2 == a:
-                c[g] += 1
-            if s1[a2]:
-                return False, 0, c
-            s2[a2] = 1
-        s1[a] = 1
-    return True, res.shape[0], c
-
-
-def _check_plan_c_numpy(res, group_start, n):
+def check_plan_c(res, group_start, n):
+    """Plan B with self-aliasing: a sign residue may equal the plain residue
+    of its own group; c counts, per group, the rows hitting that residue."""
     ngroups = group_start.shape[0] - 1
     c = np.ones(ngroups, dtype=np.int64)
     leads = res[group_start[:-1]]
@@ -174,6 +91,18 @@ def _check_plan_c_numpy(res, group_start, n):
     return True, int(res.shape[0]), c
 
 
+def check_condition(res, group_start, n, cond):
+    """True when the residues satisfy condition ``cond``; ``group_start``
+    is read by the grouped conditions (plans B and C) only."""
+    if cond == COND_NONZERO:
+        return check_nonzero(res)[0]
+    if cond == COND_DISTINCT:
+        return check_distinct(res, n)[0]
+    if cond == COND_PLAN_B:
+        return check_plan_b(res, group_start, n)[0]
+    return check_plan_c(res, group_start, n)[0]
+
+
 # ---------------------------------------------------------------------------
 # brute-force candidate search for one CBC step
 #
@@ -183,88 +112,11 @@ def _check_plan_c_numpy(res, group_start, n):
 # candidate was accepted, in which case n_fail > max_fail means the search
 # was capped rather than exhausted.
 
-@njit(cache=True)
-def _brute_force_step_loop(prefix, last, group_start, n, start, max_fail,
-                           cond):
-    nrows = prefix.shape[0]
-    stamp1 = np.zeros(n, dtype=np.int64)
-    stamp2 = np.zeros(n, dtype=np.int64)
+def brute_force_step(prefix, last, group_start, n, start, max_fail, cond):
     n_fail = 0
     for t in range(n - 1):
         zs = (start - 1 + t) % (n - 1) + 1
-        tick = t + 1
-        ok = True
-        if cond == COND_NONZERO:
-            for i in range(nrows):
-                if (prefix[i] + last[i] * zs) % n == 0:
-                    ok = False
-                    break
-        elif cond == COND_DISTINCT:
-            for i in range(nrows):
-                a = (prefix[i] + last[i] * zs) % n
-                if stamp1[a] == tick:
-                    ok = False
-                    break
-                stamp1[a] = tick
-        elif cond == COND_PLAN_B:
-            for g in range(group_start.shape[0] - 1):
-                lo = group_start[g]
-                hi = group_start[g + 1]
-                a = (prefix[lo] + last[lo] * zs) % n
-                if stamp2[a] == tick:
-                    ok = False
-                    break
-                stamp2[a] = tick
-                stamp1[a] = tick
-                for r in range(lo + 1, hi):
-                    a2 = (prefix[r] + last[r] * zs) % n
-                    if stamp1[a2] == tick:
-                        ok = False
-                        break
-                    stamp2[a2] = tick
-                if not ok:
-                    break
-        else:
-            for g in range(group_start.shape[0] - 1):
-                lo = group_start[g]
-                hi = group_start[g + 1]
-                a = (prefix[lo] + last[lo] * zs) % n
-                if stamp2[a] == tick:
-                    ok = False
-                    break
-                stamp2[a] = tick
-                for r in range(lo + 1, hi):
-                    a2 = (prefix[r] + last[r] * zs) % n
-                    if stamp1[a2] == tick:
-                        ok = False
-                        break
-                    stamp2[a2] = tick
-                if not ok:
-                    break
-                stamp1[a] = tick
-        if ok:
-            return zs, n_fail
-        n_fail += 1
-        if n_fail > max_fail:
-            return -1, n_fail
-    return -1, n_fail
-
-
-def _brute_force_step_numpy(prefix, last, group_start, n, start, max_fail,
-                            cond):
-    n_fail = 0
-    for t in range(n - 1):
-        zs = (start - 1 + t) % (n - 1) + 1
-        res = (prefix + last * zs) % n
-        if cond == COND_NONZERO:
-            ok = _check_nonzero_numpy(res)[0]
-        elif cond == COND_DISTINCT:
-            ok = _check_distinct_numpy(res, n)[0]
-        elif cond == COND_PLAN_B:
-            ok = _check_plan_b_numpy(res, group_start, n)[0]
-        else:
-            ok = _check_plan_c_numpy(res, group_start, n)[0]
-        if ok:
+        if check_condition((prefix + last * zs) % n, group_start, n, cond):
             return zs, n_fail
         n_fail += 1
         if n_fail > max_fail:
@@ -275,20 +127,7 @@ def _brute_force_step_numpy(prefix, last, group_start, n, start, max_fail,
 # ---------------------------------------------------------------------------
 # modular exponentiation (n prime, so inverses come from Fermat)
 
-@njit(cache=True)
-def _mod_pow_scalar(base, exp, n):
-    result = np.int64(1)
-    b = base % n
-    e = exp
-    while e > 0:
-        if e & 1:
-            result = result * b % n
-        b = b * b % n
-        e >>= 1
-    return result
-
-
-def _mod_pow_numpy(base, exp, n):
+def _mod_pow(base, exp, n):
     result = np.ones_like(base)
     b = np.mod(base, n)
     e = exp
@@ -308,24 +147,11 @@ def _mod_pow_numpy(base, exp, n):
 # Rows are passed as prefix dots (mod n) and last components (mod n); the
 # zero row must have been stripped by the caller.
 
-@njit(cache=True)
-def _mark_bad_generic_loop(prefix, last, n, bad):
-    inv_cache = np.zeros(n, dtype=np.int64)
-    for i in range(prefix.shape[0]):
-        l = last[i]
-        p = prefix[i]
-        if l == 0 or p == 0:
-            continue
-        if inv_cache[l] == 0:
-            inv_cache[l] = _mod_pow_scalar(l, n - 2, n)
-        bad[(n - p) * inv_cache[l] % n] = True
-
-
-def _mark_bad_generic_numpy(prefix, last, n, bad):
+def mark_bad_generic(prefix, last, n, bad):
     mask = (last != 0) & (prefix != 0)
     if not mask.any():
         return
-    inv = _mod_pow_numpy(last[mask], n - 2, n)
+    inv = _mod_pow(last[mask], n - 2, n)
     bad[(n - prefix[mask]) * inv % n] = True
 
 
@@ -335,29 +161,8 @@ def _mark_bad_generic_numpy(prefix, last, n, bad):
 # Mirror rows are grouped by their source index; rows of the own group are
 # skipped (self-aliasing is allowed).
 
-@njit(cache=True)
-def _mark_bad_plan_c_loop(lead_prefix, lead_last, mir_prefix, mir_last,
-                          mir_group, n, bad):
-    inv_cache = np.zeros(n, dtype=np.int64)
-    for g in range(lead_prefix.shape[0]):
-        lp = lead_prefix[g]
-        ll = lead_last[g]
-        for r in range(mir_prefix.shape[0]):
-            if mir_group[r] == g:
-                continue
-            beta = (mir_last[r] - ll) % n
-            if beta == 0:
-                continue
-            gamma = (mir_prefix[r] - lp) % n
-            if gamma == 0:
-                continue
-            if inv_cache[beta] == 0:
-                inv_cache[beta] = _mod_pow_scalar(beta, n - 2, n)
-            bad[(n - gamma) * inv_cache[beta] % n] = True
-
-
-def _mark_bad_plan_c_numpy(lead_prefix, lead_last, mir_prefix, mir_last,
-                           mir_group, n, bad):
+def mark_bad_plan_c(lead_prefix, lead_last, mir_prefix, mir_last, mir_group,
+                    n, bad):
     ngroups = lead_prefix.shape[0]
     beta = (mir_last[None, :] - lead_last[:, None]) % n
     gamma = (mir_prefix[None, :] - lead_prefix[:, None]) % n
@@ -365,28 +170,5 @@ def _mark_bad_plan_c_numpy(lead_prefix, lead_last, mir_prefix, mir_last,
     mask &= mir_group[None, :] != np.arange(ngroups, dtype=np.int64)[:, None]
     if not mask.any():
         return
-    inv = _mod_pow_numpy(beta[mask], n - 2, n)
+    inv = _mod_pow(beta[mask], n - 2, n)
     bad[(n - gamma[mask]) * inv % n] = True
-
-
-# ---------------------------------------------------------------------------
-# backend dispatch
-
-if HAVE_NUMBA:
-    dot_mod = _dot_mod_loop
-    check_nonzero = _check_nonzero_loop
-    check_distinct = _check_distinct_loop
-    check_plan_b = _check_plan_b_loop
-    check_plan_c = _check_plan_c_loop
-    brute_force_step = _brute_force_step_loop
-    mark_bad_generic = _mark_bad_generic_loop
-    mark_bad_plan_c = _mark_bad_plan_c_loop
-else:
-    dot_mod = _dot_mod_numpy
-    check_nonzero = _check_nonzero_numpy
-    check_distinct = _check_distinct_numpy
-    check_plan_b = _check_plan_b_numpy
-    check_plan_c = _check_plan_c_numpy
-    brute_force_step = _brute_force_step_numpy
-    mark_bad_generic = _mark_bad_generic_numpy
-    mark_bad_plan_c = _mark_bad_plan_c_numpy

@@ -2,16 +2,18 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import lattice_recon.cbc as cbc_module
 from lattice_recon import (CbcTask, EmptyCandidateSet, IndexSet, InvalidTask,
                            Rank1Lattice, RetryLimitExceeded, cbc_construct,
                            difference_set, eliminate_step,
                            eliminate_step_plan_c, is_prime,
-                           mirrored, mixed_strategy_driver, next_prime,
-                           project, required_n, sum_set, verify_fourier,
+                           mirrored, next_prime, project, properties,
+                           required_n, sum_set, verify_fourier,
                            verify_nonzero, verify_plan_a, verify_plan_b,
                            verify_plan_c)
-from lattice_recon.cbc import CandidateList
+from lattice_recon.cbc import SPACES, CandidateList
 from conftest import random_downward, random_nonneg_set, random_signed_set
 
 
@@ -68,6 +70,81 @@ def test_required_n_other_plans():
     assert required_n(CbcTask("cosine", "reconstruction", L, plan="B")) == 5
     # integration: |M \ 0| = 2 -> 2/2+1 = 2, max = 1 -> prime 3
     assert required_n(CbcTask("cosine", "integration", L)) == 3
+
+
+EVERY_TASK = [(space, "integration", None) for space in SPACES] + [
+    ("fourier", "reconstruction", None)] + [
+    (space, "reconstruction", plan) for space in ("cosine", "chebyshev")
+    for plan in ("A", "B", "C")]
+
+
+def _required_n_walk(task):
+    """required_n by its definition: walk the primes up from 2 until the
+    existence bound of the task holds."""
+    L = task.base_set
+    max_l = L.max_abs()
+    if task.goal == "integration":
+        A = L if task.space == "fourier" else mirrored(L)
+        size = len(A) - (1 if A.has_zero() else 0)
+        kappa = 2 if task.space != "fourier" \
+            or properties(L).centrally_symmetric else 1
+        holds = lambda n: n * kappa > size + kappa and n > max_l
+    elif task.plan == "C":
+        card = len(L) * len(mirrored(L))
+        holds = lambda n: n > card and n > 2 * max_l
+    else:
+        if task.space == "fourier":
+            A = difference_set(L)
+        elif task.plan == "A":
+            A = sum_set(mirrored(L), mirrored(L))
+        else:
+            A = sum_set(L, mirrored(L))
+        if task.plan == "B":
+            holds = lambda n: n > len(A) and n > 2 * max_l
+        else:
+            holds = lambda n: 2 * n > len(A) + 1 and n > 2 * max_l
+    n = 2
+    while not holds(n):
+        n = next_prime(n)
+    return n
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 4),
+       size=st.integers(1, 12), symmetric=st.booleans())
+def test_required_n_closed_form_matches_prime_walk(seed, d, size,
+                                                   symmetric):
+    L = random_downward(np.random.default_rng(seed), d, size)
+    # the union with -L makes the Fourier sets centrally symmetric
+    L_sym = IndexSet(np.concatenate((L.as_array(), -L.as_array())),
+                     dimension=d)
+    for space, goal, plan in EVERY_TASK:
+        base = L_sym if symmetric and space == "fourier" else L
+        task = CbcTask(space, goal, base, plan=plan)
+        assert required_n(task) == _required_n_walk(task)
+
+
+@pytest.mark.parametrize("space,plan", [("fourier", None), ("cosine", "A"),
+                                        ("chebyshev", "B")])
+@pytest.mark.parametrize("reduce_n", (False, True))
+def test_auxiliary_set_built_once_per_construction(space, plan, reduce_n,
+                                                   monkeypatch):
+    L = random_downward(np.random.default_rng(3), 3, 10)
+    task = CbcTask(space, "reconstruction", L, plan=plan)
+    if reduce_n:
+        # a generous n leaves several smaller primes for the reduction
+        task = CbcTask(space, "reconstruction", L, plan=plan,
+                       n=next_prime(8 * required_n(task)), reduce_n=True)
+    builds = []
+    for name in ("sum_set", "difference_set"):
+        original = getattr(cbc_module, name)
+        monkeypatch.setattr(
+            cbc_module, name,
+            lambda *args, _f=original: builds.append(1) or _f(*args))
+    result = cbc_construct(task)
+    assert len(builds) == 1
+    if reduce_n:
+        assert result.n < task.n
 
 
 # ---------------------------------------------------------------------------
@@ -383,14 +460,6 @@ def test_mixed_equals_brute_force_in_d1():
     b = cbc_construct(CbcTask("cosine", "reconstruction", L, plan="B",
                               strategy="brute_force"))
     assert a.z == b.z and a.n == b.n
-
-
-def test_mixed_strategy_driver_wrapper():
-    L = box(2)
-    result = mixed_strategy_driver(
-        CbcTask("fourier", "reconstruction", L, strategy="brute_force"))
-    assert _oracle_ok(CbcTask("fourier", "reconstruction", L),
-                      result.lattice())
 
 
 def test_central_symmetry_halves_eliminations(rng):

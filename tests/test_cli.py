@@ -211,28 +211,12 @@ def test_bundled_config_runs(tmp_path):
                "-o", tmp_path / "out.csv") == 0
 
 
-def test_threads_flag_accepted(tmp_path):
-    out = tmp_path / "t.idx"
-    assert run("indexset", "--rule", "max", "--betas", "1", "--degree", "2",
-               "--dim", "1", "-o", out, "--threads", "4") == 0
-
-
 def test_json_output_mode(tmp_path, capsys):
     out = tmp_path / "j.idx"
     assert run("indexset", "--rule", "max", "--betas", "1", "--degree", "2",
                "--dim", "1", "-o", out, "--json") == 0
     payload = json.loads(capsys.readouterr().out.strip())
     assert payload["indices"] == 3
-
-
-def test_threads_env_var(tmp_path, monkeypatch):
-    monkeypatch.setenv("LATTICE_RECON_THREADS", "3")
-    out = tmp_path / "t.idx"
-    assert run("indexset", "--rule", "max", "--betas", "1", "--degree", "1",
-               "--dim", "1", "-o", out) == 0
-    monkeypatch.setenv("LATTICE_RECON_THREADS", "-2")
-    assert run("indexset", "--rule", "max", "--betas", "1", "--degree", "1",
-               "--dim", "1", "-o", out) == 2
 
 
 def test_plan_c_pipeline_uses_file_c_table(tmp_path):

@@ -1,18 +1,157 @@
-"""Both kernel backends (njit loops and vectorized numpy) must agree
-exactly; these tests call the two implementations side by side regardless of
-which one the package selected."""
+"""The vectorized kernels must agree exactly with plain loop references that
+follow the canonical scans of the lookup algorithms; the references below
+are test-local and deliberately naive."""
 
 import numpy as np
-import pytest
 
 from lattice_recon import mirror_expand, next_prime
-from lattice_recon._accel import HAVE_NUMBA
 from lattice_recon import kernels as K
 from conftest import random_nonneg_set, random_signed_set
 
-pytestmark = pytest.mark.skipif(
-    not HAVE_NUMBA, reason="only one backend available without numba")
 
+# ---------------------------------------------------------------------------
+# loop references
+
+def _dot_mod_ref(rows, z, n):
+    out = np.empty(rows.shape[0], dtype=np.int64)
+    for i in range(rows.shape[0]):
+        acc = np.int64(0)
+        for j in range(rows.shape[1]):
+            acc = (acc + (rows[i, j] % n) * z[j]) % n
+        out[i] = acc
+    return out
+
+
+def _check_nonzero_ref(res):
+    for i in range(res.shape[0]):
+        if res[i] == 0:
+            return False, 0
+    return True, res.shape[0]
+
+
+def _check_distinct_ref(res, n):
+    seen = np.zeros(n, dtype=np.uint8)
+    for i in range(res.shape[0]):
+        a = res[i]
+        if seen[a]:
+            return False, 0
+        seen[a] = 1
+    return True, res.shape[0]
+
+
+def _check_plan_b_ref(res, group_start, n):
+    # s1 marks plain-index residues, s2 marks every residue (s1 is a subset
+    # of s2).  s1[a] is set before the sign rows are scanned, so a sign row
+    # may not collide with its own plain residue: no self-aliasing.
+    s1 = np.zeros(n, dtype=np.uint8)
+    s2 = np.zeros(n, dtype=np.uint8)
+    for g in range(group_start.shape[0] - 1):
+        lo = group_start[g]
+        hi = group_start[g + 1]
+        a = res[lo]
+        if s2[a]:
+            return False, 0
+        s2[a] = 1
+        s1[a] = 1
+        for r in range(lo + 1, hi):
+            a2 = res[r]
+            if s1[a2]:
+                return False, 0
+            s2[a2] = 1
+    return True, res.shape[0]
+
+
+def _check_plan_c_ref(res, group_start, n):
+    # Same two bit strings as plan B, but s1[a] is set only after the sign
+    # rows are scanned: a sign residue may equal its own plain residue
+    # (self-aliasing) and c counts how often that happens.
+    ngroups = group_start.shape[0] - 1
+    c = np.ones(ngroups, dtype=np.int64)
+    s1 = np.zeros(n, dtype=np.uint8)
+    s2 = np.zeros(n, dtype=np.uint8)
+    for g in range(ngroups):
+        lo = group_start[g]
+        hi = group_start[g + 1]
+        a = res[lo]
+        if s2[a]:
+            return False, 0, c
+        s2[a] = 1
+        for r in range(lo + 1, hi):
+            a2 = res[r]
+            if a2 == a:
+                c[g] += 1
+            if s1[a2]:
+                return False, 0, c
+            s2[a2] = 1
+        s1[a] = 1
+    return True, res.shape[0], c
+
+
+def _check_ref(res, group_start, n, cond):
+    if cond == K.COND_NONZERO:
+        return _check_nonzero_ref(res)[0]
+    if cond == K.COND_DISTINCT:
+        return _check_distinct_ref(res, n)[0]
+    if cond == K.COND_PLAN_B:
+        return _check_plan_b_ref(res, group_start, n)[0]
+    return _check_plan_c_ref(res, group_start, n)[0]
+
+
+def _brute_force_step_ref(prefix, last, group_start, n, start, max_fail,
+                          cond):
+    n_fail = 0
+    for t in range(n - 1):
+        zs = (start - 1 + t) % (n - 1) + 1
+        res = np.array([(prefix[i] + last[i] * zs) % n
+                        for i in range(prefix.shape[0])], dtype=np.int64)
+        if _check_ref(res, group_start, n, cond):
+            return zs, n_fail
+        n_fail += 1
+        if n_fail > max_fail:
+            return -1, n_fail
+    return -1, n_fail
+
+
+def _mod_pow_scalar(base, exp, n):
+    result = 1
+    b = base % n
+    e = exp
+    while e > 0:
+        if e & 1:
+            result = result * b % n
+        b = b * b % n
+        e >>= 1
+    return result
+
+
+def _mark_bad_generic_ref(prefix, last, n, bad):
+    for i in range(prefix.shape[0]):
+        l = int(last[i])
+        p = int(prefix[i])
+        if l == 0 or p == 0:
+            continue
+        bad[(n - p) * _mod_pow_scalar(l, n - 2, n) % n] = True
+
+
+def _mark_bad_plan_c_ref(lead_prefix, lead_last, mir_prefix, mir_last,
+                         mir_group, n, bad):
+    for g in range(lead_prefix.shape[0]):
+        lp = int(lead_prefix[g])
+        ll = int(lead_last[g])
+        for r in range(mir_prefix.shape[0]):
+            if mir_group[r] == g:
+                continue
+            beta = (int(mir_last[r]) - ll) % n
+            if beta == 0:
+                continue
+            gamma = (int(mir_prefix[r]) - lp) % n
+            if gamma == 0:
+                continue
+            bad[(n - gamma) * _mod_pow_scalar(beta, n - 2, n) % n] = True
+
+
+# ---------------------------------------------------------------------------
+# comparisons on random inputs
 
 def _residue_fixture(rng, grouped=False):
     d = int(rng.integers(1, 5))
@@ -29,42 +168,42 @@ def _residue_fixture(rng, grouped=False):
     return rows, group_start, z, n
 
 
-def test_dot_mod_backends_agree(rng):
+def test_dot_mod_matches_reference(rng):
     for _ in range(50):
         rows, _, z, n = _residue_fixture(rng)
-        a = K._dot_mod_loop(rows, z, n)
-        b = K._dot_mod_numpy(rows, z, n)
-        assert np.array_equal(a, b)
+        a = K.dot_mod(rows, z, n)
+        assert np.array_equal(a, _dot_mod_ref(rows, z, n))
         # exactness against Python big-int arithmetic
         expected = [sum(int(h) * int(zj) for h, zj in zip(row, z)) % n
                     for row in rows]
         assert a.tolist() == expected
 
 
-def test_check_kernels_agree(rng):
+def test_check_kernels_match_reference(rng):
     for _ in range(300):
         rows, group_start, z, n = _residue_fixture(rng, grouped=True)
-        res = K._dot_mod_numpy(rows, z, n)
-        assert (K._check_nonzero_loop(res)[0]
-                == K._check_nonzero_numpy(res)[0])
-        assert (K._check_distinct_loop(res, n)
-                == K._check_distinct_numpy(res, n))
-        assert (K._check_plan_b_loop(res, group_start, n)
-                == K._check_plan_b_numpy(res, group_start, n))
-        ok_l, vis_l, c_l = K._check_plan_c_loop(res, group_start, n)
-        ok_n, vis_n, c_n = K._check_plan_c_numpy(res, group_start, n)
-        assert (ok_l, vis_l) == (ok_n, vis_n)
-        if ok_l:
-            assert np.array_equal(c_l, c_n)
+        res = K.dot_mod(rows, z, n)
+        assert K.check_nonzero(res)[0] == _check_nonzero_ref(res)[0]
+        assert K.check_distinct(res, n) == _check_distinct_ref(res, n)
+        assert (K.check_plan_b(res, group_start, n)
+                == _check_plan_b_ref(res, group_start, n))
+        ok_k, vis_k, c_k = K.check_plan_c(res, group_start, n)
+        ok_r, vis_r, c_r = _check_plan_c_ref(res, group_start, n)
+        assert (ok_k, vis_k) == (ok_r, vis_r)
+        if ok_r:
+            assert np.array_equal(c_k, c_r)
+        for cond in (K.COND_NONZERO, K.COND_DISTINCT, K.COND_PLAN_B,
+                     K.COND_PLAN_C):
+            assert (K.check_condition(res, group_start, n, cond)
+                    == _check_ref(res, group_start, n, cond))
 
 
-def test_brute_force_step_backends_agree(rng):
+def test_brute_force_step_matches_reference(rng):
     for _ in range(60):
         rows, group_start, z, n = _residue_fixture(rng, grouped=True)
         if rows.shape[1] < 2:
             continue
-        prefix = K._dot_mod_numpy(
-            np.ascontiguousarray(rows[:, :-1]), z[:-1], n)
+        prefix = K.dot_mod(np.ascontiguousarray(rows[:, :-1]), z[:-1], n)
         last = rows[:, -1] % n
         start = int(rng.integers(1, n))
         for cond in (K.COND_NONZERO, K.COND_DISTINCT, K.COND_PLAN_B,
@@ -74,38 +213,38 @@ def test_brute_force_step_backends_agree(rng):
             p = np.ascontiguousarray(prefix[use_rows])
             l = np.ascontiguousarray(last[use_rows])
             max_fail = int(rng.integers(0, n + 2))
-            a = K._brute_force_step_loop(p, l, group_start, n, start,
-                                         max_fail, cond)
-            b = K._brute_force_step_numpy(p, l, group_start, n, start,
-                                          max_fail, cond)
+            a = K.brute_force_step(p, l, group_start, n, start, max_fail,
+                                   cond)
+            b = _brute_force_step_ref(p, l, group_start, n, start,
+                                      max_fail, cond)
             assert a == b
 
 
-def test_mod_pow_backends_agree(rng):
+def test_mod_pow_matches_reference(rng):
     for _ in range(50):
         n = next_prime(int(rng.integers(3, 10**6)))
         base = np.asarray(rng.integers(1, n, size=20), dtype=np.int64)
-        vec = K._mod_pow_numpy(base, n - 2, n)
+        vec = K._mod_pow(base, n - 2, n)
         for b, v in zip(base.tolist(), vec.tolist()):
-            assert K._mod_pow_scalar(b, n - 2, n) == v
+            assert _mod_pow_scalar(b, n - 2, n) == v
             assert v == pow(b, n - 2, n)  # Python oracle
             assert b * v % n == 1
 
 
-def test_mark_bad_generic_backends_agree(rng):
+def test_mark_bad_generic_matches_reference(rng):
     for _ in range(50):
         n = next_prime(int(rng.integers(5, 150)))
         m = int(rng.integers(1, 40))
         prefix = np.asarray(rng.integers(0, n, size=m), dtype=np.int64)
         last = np.asarray(rng.integers(0, n, size=m), dtype=np.int64)
-        bad_a = np.zeros(n, dtype=bool)
-        bad_b = np.zeros(n, dtype=bool)
-        K._mark_bad_generic_loop(prefix, last, n, bad_a)
-        K._mark_bad_generic_numpy(prefix, last, n, bad_b)
-        assert np.array_equal(bad_a, bad_b)
+        bad_k = np.zeros(n, dtype=bool)
+        bad_r = np.zeros(n, dtype=bool)
+        K.mark_bad_generic(prefix, last, n, bad_k)
+        _mark_bad_generic_ref(prefix, last, n, bad_r)
+        assert np.array_equal(bad_k, bad_r)
 
 
-def test_mark_bad_plan_c_backends_agree(rng):
+def test_mark_bad_plan_c_matches_reference(rng):
     for _ in range(30):
         n = next_prime(int(rng.integers(10, 300)))
         G = int(rng.integers(1, 8))
@@ -116,23 +255,10 @@ def test_mark_bad_plan_c_backends_agree(rng):
         mir_last = np.asarray(rng.integers(0, n, size=R), dtype=np.int64)
         mir_group = np.sort(np.asarray(rng.integers(0, G, size=R),
                                        dtype=np.int64))
-        bad_a = np.zeros(n, dtype=bool)
-        bad_b = np.zeros(n, dtype=bool)
-        K._mark_bad_plan_c_loop(lead_prefix, lead_last, mir_prefix,
-                                mir_last, mir_group, n, bad_a)
-        K._mark_bad_plan_c_numpy(lead_prefix, lead_last, mir_prefix,
-                                 mir_last, mir_group, n, bad_b)
-        assert np.array_equal(bad_a, bad_b)
-
-
-def test_env_flag_selects_numpy_backend():
-    import subprocess
-    import sys
-
-    code = ("import lattice_recon;"
-            "print(lattice_recon.BACKEND)")
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        env={"PATH": "/usr/bin:/bin", "LATTICE_RECON_NUMBA": "0"},
-        capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "numpy"
+        bad_k = np.zeros(n, dtype=bool)
+        bad_r = np.zeros(n, dtype=bool)
+        K.mark_bad_plan_c(lead_prefix, lead_last, mir_prefix, mir_last,
+                          mir_group, n, bad_k)
+        _mark_bad_plan_c_ref(lead_prefix, lead_last, mir_prefix, mir_last,
+                             mir_group, n, bad_r)
+        assert np.array_equal(bad_k, bad_r)
