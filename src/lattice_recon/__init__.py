@@ -1,7 +1,7 @@
 """Rank-1 lattices for exact integration and function reconstruction on
 finite index sets in the Fourier, half-period cosine and Chebyshev settings,
 with component-by-component construction of the generating vectors and fast
-FFT/DCT coefficient maps."""
+FFT coefficient maps."""
 
 from .approx import (ErrorReport, MissingReference, SizeLimit,
                      StabilityReport, TestFunction, approx_coeffs,
@@ -26,11 +26,11 @@ from .testfunctions import (builtin_test_function, geometric_decay,
 from .transform import (AliasingDetected, CoefficientTable, MissingCTable,
                         chebyshev_coeffs_from_values,
                         chebyshev_values_from_coeffs,
-                        cosine_coeffs_from_values, cosine_values_from_coeffs,
-                        dct_i, dct_v, dft, dft_direct,
+                        coeffs_from_values, cosine_coeffs_from_values,
+                        cosine_values_from_coeffs, dft,
                         fourier_coeffs_from_values,
                         fourier_values_from_coeffs, read_coefficients,
-                        read_values, sample_values, write_coefficients,
-                        write_values)
+                        read_values, sample_values, values_from_coeffs,
+                        write_coefficients, write_values)
 
 __version__ = "0.1.0"

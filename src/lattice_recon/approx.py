@@ -12,12 +12,8 @@ import numpy as np
 
 from .indexset import IndexSet, zero_count
 from .lattice import Rank1Lattice, TransformKind
-from .transform import (CoefficientTable, MissingCTable,
-                        chebyshev_coeffs_from_values,
-                        chebyshev_values_from_coeffs,
-                        cosine_coeffs_from_values, cosine_values_from_coeffs,
-                        fourier_coeffs_from_values,
-                        fourier_values_from_coeffs, sample_values)
+from .transform import (CoefficientTable, MissingCTable, coeffs_from_values,
+                        sample_values, values_from_coeffs)
 
 KIND_FOR_SPACE = {
     "fourier": TransformKind.IDENTITY,
@@ -60,11 +56,7 @@ def approx_coeffs(f, lattice: Rank1Lattice, L: IndexSet, space: str,
     """Approximate coefficients on L by sampling f at the transformed
     lattice points and applying the fast transform of the space/plan."""
     values = sample_values(f, lattice, KIND_FOR_SPACE[space])
-    if space == "fourier":
-        return fourier_coeffs_from_values(lattice, L, values)
-    if space == "cosine":
-        return cosine_coeffs_from_values(lattice, L, plan, values, c_table)
-    return chebyshev_coeffs_from_values(lattice, L, plan, values, c_table)
+    return coeffs_from_values(space, lattice, L, values, plan, c_table)
 
 
 # ---------------------------------------------------------------------------
@@ -146,16 +138,8 @@ def error_decomposition(f: TestFunction, lattice: Rank1Lattice, L: IndexSet,
         raise MissingReference(f"{f.name or 'function'} has no reference "
                                "coefficients")
     truth = f.reference_coeffs
-    kind = KIND_FOR_SPACE[space]
-    values = sample_values(f, lattice, kind)
-    if space == "fourier":
-        computed = fourier_coeffs_from_values(lattice, L, values)
-    elif space == "cosine":
-        computed = cosine_coeffs_from_values(lattice, L, plan, values,
-                                             c_table)
-    else:
-        computed = chebyshev_coeffs_from_values(lattice, L, plan, values,
-                                                c_table)
+    values = sample_values(f, lattice, KIND_FOR_SPACE[space])
+    computed = coeffs_from_values(space, lattice, L, values, plan, c_table)
 
     truncation_sq = sum(abs(v) ** 2 for k, v in truth.items() if k not in L)
     approx_sq = sum(abs(truth.get(k, 0.0) - computed[k]) ** 2 for k in L)
@@ -164,13 +148,7 @@ def error_decomposition(f: TestFunction, lattice: Rank1Lattice, L: IndexSet,
         total_sq += abs(truth.get(k, 0.0) - computed.get(k, 0.0)) ** 2
 
     # f_L at the transformed lattice points, synthesized exactly
-    truncated = {k: truth.get(k, 0.0) for k in L}
-    if space == "fourier":
-        fl_values = fourier_values_from_coeffs(lattice, L, truncated)
-    elif space == "cosine":
-        fl_values = cosine_values_from_coeffs(lattice, L, truncated)
-    else:
-        fl_values = chebyshev_values_from_coeffs(lattice, L, truncated)
+    fl_values = values_from_coeffs(space, lattice, L, truth)
     residual = np.asarray(values) - fl_values
     seminorm_sq = float(np.mean(np.abs(residual) ** 2))
 
@@ -229,12 +207,7 @@ def plan_a_least_squares_check(f_values, lattice: Rank1Lattice, L: IndexSet,
         raise SizeLimit(f"n * |L| = {lattice.n * len(L)} exceeds the dense "
                         f"oracle limit {size_limit}")
     f_values = np.asarray(f_values)
-    if space == "fourier":
-        fast = fourier_coeffs_from_values(lattice, L, f_values)
-    elif space == "cosine":
-        fast = cosine_coeffs_from_values(lattice, L, "A", f_values)
-    else:
-        fast = chebyshev_coeffs_from_values(lattice, L, "A", f_values)
+    fast = coeffs_from_values(space, lattice, L, f_values, "A")
     fast_vec = np.asarray([fast[k] for k in L])
     U = basis_matrix(lattice, L, space, "u")
     gram = U.conj().T @ U / lattice.n

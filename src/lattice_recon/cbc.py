@@ -25,7 +25,7 @@ import numpy as np
 
 from . import kernels
 from .indexset import (IndexSet, difference_set, mirror_expand, mirrored,
-                       negated, project, sum_set, unique_sign_changes)
+                       negated, project, sum_set)
 from .lattice import Rank1Lattice
 
 SPACES = ("fourier", "cosine", "chebyshev")
@@ -190,62 +190,32 @@ def _z_vector(z, n: int) -> np.ndarray:
     return zv
 
 
-def _residues(rows: np.ndarray, z, n: int) -> np.ndarray:
+def residues(rows: np.ndarray, z, n: int) -> np.ndarray:
+    """Residue slots (r . z) mod n of the integer rows, as int64; raises
+    ValueError if a component does not fit in 32 bits."""
     return kernels.dot_mod(_as_rows(rows), _z_vector(z, n), int(n))
 
 
 def verify_fourier(z, n: int, Ls: IndexSet) -> VerifyResult:
     """All dot products of Ls distinct mod n (Fourier reconstruction)."""
-    res = _residues(Ls.as_array(), z, n)
+    res = residues(Ls.as_array(), z, n)
     ok, visits = kernels.check_distinct(res, int(n))
     return VerifyResult(bool(ok), int(visits))
 
 
-def verify_plan_a(z, n: int, Ls: IndexSet, halved: bool = False) -> VerifyResult:
+def verify_plan_a(z, n: int, Ls: IndexSet) -> VerifyResult:
     """All dot products of the mirrored set of Ls distinct mod n."""
-    if halved:
-        return _verify_plan_a_halved(z, n, Ls)
     rows, _ = mirror_expand(Ls)
-    res = _residues(rows, z, n)
+    res = residues(rows, z, n)
     ok, visits = kernels.check_distinct(res, int(n))
     return VerifyResult(bool(ok), int(visits))
-
-
-def _verify_plan_a_halved(z, n: int, Ls: IndexSet) -> VerifyResult:
-    # fix the sign of the first nonzero component and mark both alpha and
-    # n - alpha per visited row; marking order follows the plain scan
-    n = int(n)
-    seen = np.zeros(n, dtype=bool)
-    visits = 0
-    zero = (0,) * Ls.dimension
-    if zero in Ls:
-        seen[0] = True
-        visits += 1
-    zv = [int(zj) % n for zj in z]
-    for k in Ls:
-        if k == zero:
-            continue
-        first_nz = next(j for j, kj in enumerate(k) if kj != 0)
-        for h in unique_sign_changes(k):
-            if h[first_nz] != k[first_nz]:  # keep the +1 half of the orbit
-                continue
-            alpha = sum(hj * zj for hj, zj in zip(h, zv)) % n
-            visits += 1
-            if seen[alpha]:
-                return VerifyResult(False, 0)
-            seen[alpha] = True
-            mirror = (n - alpha) % n
-            if seen[mirror]:
-                return VerifyResult(False, 0)
-            seen[mirror] = True
-    return VerifyResult(True, visits)
 
 
 def verify_plan_b(z, n: int, Ls: IndexSet) -> VerifyResult:
     """Two-bit-string plan-B check: no sign change of any index may hit the
     plain dot product of any index."""
     rows, group_start = mirror_expand(Ls)
-    res = _residues(rows, z, n)
+    res = residues(rows, z, n)
     ok, visits = kernels.check_plan_b(res, group_start, int(n))
     return VerifyResult(bool(ok), int(visits))
 
@@ -254,7 +224,7 @@ def verify_plan_c(z, n: int, Ls: IndexSet) -> VerifyResult:
     """Plan-C check allowing self-aliasing; on success carries the c_k
     counts (1 <= c_k <= 2^|k|_0)."""
     rows, group_start = mirror_expand(Ls)
-    res = _residues(rows, z, n)
+    res = residues(rows, z, n)
     ok, visits, c = kernels.check_plan_c(res, group_start, int(n))
     table = None
     if ok:
@@ -265,7 +235,7 @@ def verify_plan_c(z, n: int, Ls: IndexSet) -> VerifyResult:
 def verify_nonzero(z, n: int, A_s: IndexSet) -> VerifyResult:
     """All nonzero indices of A_s stay out of the dual lattice."""
     rows = A_s.without_zero().as_array()
-    res = _residues(rows, z, n)
+    res = residues(rows, z, n)
     ok, visits = kernels.check_nonzero(res)
     return VerifyResult(bool(ok), int(visits))
 
@@ -410,7 +380,7 @@ def eliminate_step(A_s: IndexSet, z_prefix, n: int) -> CandidateList:
         if s == 1:
             prefix = np.zeros(rows.shape[0], dtype=np.int64)
         else:
-            prefix = _residues(rows[:, :s - 1], z_prefix, n)
+            prefix = residues(rows[:, :s - 1], z_prefix, n)
         last = rows[:, s - 1] % n
         kernels.mark_bad_generic(prefix, last, int(n), bad)
     survivors = CandidateList(n, bad)
@@ -436,8 +406,8 @@ def eliminate_step_plan_c(L_s: IndexSet, z_prefix, n: int) -> CandidateList:
         lead_prefix = np.zeros(leads.shape[0], dtype=np.int64)
         mir_prefix = np.zeros(mrows.shape[0], dtype=np.int64)
     else:
-        lead_prefix = _residues(leads[:, :s - 1], z_prefix, n)
-        mir_prefix = _residues(mrows[:, :s - 1], z_prefix, n)
+        lead_prefix = residues(leads[:, :s - 1], z_prefix, n)
+        mir_prefix = residues(mrows[:, :s - 1], z_prefix, n)
     lead_last = leads[:, s - 1] % n
     mir_last = mrows[:, s - 1] % n
     bad = np.zeros(n, dtype=bool)
@@ -542,7 +512,7 @@ class _Builder:
         if rows.shape[0] == 0:
             return True
         return bool(kernels.check_condition(
-            _residues(rows, z, n), self.step_groups[s], int(n), self.cond))
+            residues(rows, z, n), self.step_groups[s], int(n), self.cond))
 
     # -- elimination data for one step -----------------------------------
 
@@ -587,7 +557,7 @@ class _Builder:
             brute_fails = 0
             if not eliminating:
                 rows = self.step_rows[s]
-                prefix = _residues(rows[:, :s - 1], z, n) \
+                prefix = residues(rows[:, :s - 1], z, n) \
                     if rows.shape[0] else np.zeros(0, dtype=np.int64)
                 last = rows[:, s - 1] % n if rows.shape[0] \
                     else np.zeros(0, dtype=np.int64)

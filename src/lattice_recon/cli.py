@@ -144,9 +144,6 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 # reconstruct
 
-_KIND = approx.KIND_FOR_SPACE
-
-
 def cmd_reconstruct(args) -> int:
     base_set = indexset.read_indexset(args.input)
     lat, file_c_table = latmod.read_lattice(args.lattice)
@@ -169,34 +166,20 @@ def cmd_reconstruct(args) -> int:
         rng = np.random.default_rng(args.seed)
         f = builtin_test_function(args.function, space, base_set.dimension,
                                   rng)
-        values = transform.sample_values(f, lat, _KIND[space])
+        values = transform.sample_values(f, lat, approx.KIND_FOR_SPACE[space])
     else:
         raise UsageError("need --values FILE or --function NAME")
 
     c_table = file_c_table
     if plan == "C" and c_table is None:
         raise UsageError("plan C needs the c: table in the lattice file")
-    if space == "fourier":
-        table = transform.fourier_coeffs_from_values(lat, base_set, values)
-    elif space == "cosine":
-        table = transform.cosine_coeffs_from_values(lat, base_set, plan,
-                                                    values, c_table)
-    else:
-        table = transform.chebyshev_coeffs_from_values(lat, base_set, plan,
-                                                       values, c_table)
+    table = transform.coeffs_from_values(space, lat, base_set, values, plan,
+                                         c_table)
     transform.write_coefficients(table, args.output)
     payload = {"coefficients": len(table), "output": args.output}
     status = EXIT_OK
     if args.roundtrip:
-        if space == "fourier":
-            resynth = transform.fourier_values_from_coeffs(lat, base_set,
-                                                           table)
-        elif space == "cosine":
-            resynth = transform.cosine_values_from_coeffs(lat, base_set,
-                                                          table)
-        else:
-            resynth = transform.chebyshev_values_from_coeffs(lat, base_set,
-                                                             table)
+        resynth = transform.values_from_coeffs(space, lat, base_set, table)
         deviation = float(np.max(np.abs(resynth - values)))
         payload["roundtrip_deviation"] = deviation
         if deviation >= args.tolerance:

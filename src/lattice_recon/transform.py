@@ -1,29 +1,25 @@
 """Fast maps between function values at (transformed) lattice points and
 series coefficients.
 
-One complex FFT of length n does all the work in every space: a coefficient
-for index k sits in spectrum slot (k.z mod n).  For the cosine and Chebyshev
-spaces the sampled value vector is symmetric (f_i = f_{n-i}), the spectrum
-is real and symmetric, and a half-length DCT-I (even n) or DCT-V (odd n) can
-replace the FFT.  The Chebyshev maps are the cosine maps verbatim; only the
-sampling locations differ.
+One length-n DFT does all the work in every space: the coefficient of index
+k sits in spectrum slot (k.z mod n).  For the cosine and Chebyshev spaces
+the sampled value vector is symmetric (f_i = f_{n-i}), so the spectrum is
+real and the forward map reads the real part of the one FFT.  The Chebyshev
+maps are the cosine maps verbatim; only the sampling locations differ.
+:func:`coeffs_from_values` and :func:`values_from_coeffs` dispatch over the
+three spaces.
 
-The DFT supports arbitrary n: powers of two go straight to numpy, everything
-else runs through a chirp/convolution step with power-of-two inner length.
-``dft_direct`` is the O(n^2) reference evaluation kept as the test oracle
-and used below n = 64.
+:func:`dft` is numpy's FFT (pocketfft, O(n log n) for every n, primes
+included) with the lattice normalization.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .cbc import (_residues, verify_fourier, verify_plan_a, verify_plan_b,
+from .cbc import (residues, verify_fourier, verify_plan_a, verify_plan_b,
                   verify_plan_c)
-from .indexset import (IndexSet, mirror_expand, unique_sign_changes,
-                       zero_count)
+from .indexset import IndexSet, mirror_expand
 from .lattice import Rank1Lattice, TransformKind
 
 
@@ -36,40 +32,7 @@ class MissingCTable(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# one-dimensional transforms
-
-_DIRECT_CUTOFF = 64
-
-
-def dft_direct(x, direction: str = "forward") -> np.ndarray:
-    """Direct O(n^2) DFT; forward is normalized by 1/n, inverse by 1."""
-    x = np.asarray(x, dtype=np.complex128)
-    n = x.shape[0]
-    sign = -2j if direction == "forward" else 2j
-    i = np.arange(n)
-    matrix = np.exp(sign * np.pi / n * np.outer(i, i))
-    out = matrix @ x
-    return out / n if direction == "forward" else out
-
-
-def _bluestein(x: np.ndarray, sign: float) -> np.ndarray:
-    """Unnormalized DFT of arbitrary length via chirp multiplication and a
-    power-of-two circular convolution."""
-    n = x.shape[0]
-    m = 1 << (2 * n - 1).bit_length()
-    i = np.arange(n, dtype=np.int64)
-    # w^(i^2/2) has period 2n in i^2; reduce first so the angles stay small
-    half_sq = (i * i) % (2 * n)
-    chirp = np.exp(sign * 1j * np.pi / n * half_sq)
-    a = np.zeros(m, dtype=np.complex128)
-    a[:n] = x * chirp
-    b = np.zeros(m, dtype=np.complex128)
-    b[:n] = np.conj(chirp)
-    if n > 1:
-        b[-(n - 1):] = np.conj(chirp[1:])[::-1]
-    conv = np.fft.ifft(np.fft.fft(a) * np.fft.fft(b))
-    return conv[:n] * chirp
-
+# one-dimensional transform
 
 def dft(x, direction: str = "forward") -> np.ndarray:
     """Length-n DFT, any n >= 1.
@@ -80,48 +43,12 @@ def dft(x, direction: str = "forward") -> np.ndarray:
     if direction not in ("forward", "inverse"):
         raise ValueError(f"unknown direction {direction!r}")
     x = np.asarray(x, dtype=np.complex128)
-    n = x.shape[0]
-    if n == 0:
+    if x.shape[0] == 0:
         raise ValueError("empty input")
-    if n < _DIRECT_CUTOFF:
-        return dft_direct(x, direction)
-    if n & (n - 1) == 0:
-        out = np.fft.fft(x) if direction == "forward" else np.fft.ifft(x) * n
-    else:
-        out = _bluestein(x, -1.0 if direction == "forward" else 1.0)
-    return out / n if direction == "forward" else out
-
-
-def dct_i(x) -> np.ndarray:
-    """DCT-I of length m+1 with the lattice normalization:
-    F_kappa = (1/m) (x_0/2 + sum_{i=1}^{m-1} x_i cos(pi i kappa / m)
-    + (x_m / 2) cos(pi kappa))."""
-    x = np.asarray(x, dtype=np.float64)
-    m = x.shape[0] - 1
-    if m < 1:
-        raise ValueError("DCT-I needs at least two samples")
-    kappa = np.arange(m + 1)
-    out = 0.5 * x[0] + 0.5 * x[m] * np.where(kappa % 2 == 0, 1.0, -1.0)
-    if m > 1:
-        i = np.arange(1, m)
-        out = out + np.cos(np.pi / m * np.outer(kappa, i)) @ x[1:m]
-    return out / m
-
-
-def dct_v(x) -> np.ndarray:
-    """DCT-V of length m with the lattice normalization for n = 2m-1:
-    F_kappa = (1/(2m-1)) (x_0 + 2 sum_{i=1}^{m-1} x_i cos(2 pi i kappa / (2m-1)))."""
-    x = np.asarray(x, dtype=np.float64)
-    m = x.shape[0]
-    if m < 1:
-        raise ValueError("DCT-V needs at least one sample")
-    n = 2 * m - 1
-    out = np.full(m, x[0], dtype=np.float64)
-    if m > 1:
-        kappa = np.arange(m)
-        i = np.arange(1, m)
-        out = out + 2.0 * (np.cos(2.0 * np.pi / n * np.outer(kappa, i)) @ x[1:])
-    return out / n
+    # norm="forward" puts the whole 1/n on the forward transform
+    if direction == "forward":
+        return np.fft.fft(x, norm="forward")
+    return np.fft.ifft(x, norm="forward")
 
 
 # ---------------------------------------------------------------------------
@@ -185,8 +112,17 @@ def sample_values(f, lattice: Rank1Lattice, kind: TransformKind) -> np.ndarray:
     return values
 
 
-def _residue_slots(lattice: Rank1Lattice, L: IndexSet) -> np.ndarray:
-    return _residues(L.as_array(), lattice.z, lattice.n)
+def _coeff_vector(L: IndexSet, coeffs, dtype) -> np.ndarray:
+    """Coefficients of L in set order; a table or dict reads 0 for an
+    index it lacks."""
+    if hasattr(coeffs, "get"):
+        return np.asarray([coeffs.get(k, 0.0) for k in L], dtype=dtype)
+    return np.asarray([coeffs[k] for k in L], dtype=dtype)
+
+
+def _weights(rows: np.ndarray) -> np.ndarray:
+    """sqrt(2)^|k|_0 per row."""
+    return np.sqrt(2.0) ** np.count_nonzero(rows, axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -201,19 +137,17 @@ def fourier_coeffs_from_values(lattice: Rank1Lattice, L: IndexSet, values,
     if not unsafe and not verify_fourier(lattice.z, lattice.n, L):
         raise AliasingDetected("two indices share a residue slot")
     spectrum = dft(values, "forward")
-    slots = _residue_slots(lattice, L)
-    entries = {k: complex(spectrum[r]) for k, r in zip(L, slots)}
-    return CoefficientTable("fourier", L.dimension, entries)
+    slots = residues(L.as_array(), lattice.z, lattice.n)
+    return CoefficientTable("fourier", L.dimension,
+                            dict(zip(L, spectrum[slots].tolist())))
 
 
 def fourier_values_from_coeffs(lattice: Rank1Lattice, L: IndexSet,
                                coeffs) -> np.ndarray:
     """Values of the series at the lattice points by slot scatter + IFFT."""
     spectrum = np.zeros(lattice.n, dtype=np.complex128)
-    slots = _residue_slots(lattice, L)
-    for k, r in zip(L, slots):
-        spectrum[r] += coeffs.get(k, 0.0) if hasattr(coeffs, "get") \
-            else coeffs[k]
+    np.add.at(spectrum, residues(L.as_array(), lattice.z, lattice.n),
+              _coeff_vector(L, coeffs, np.complex128))
     return dft(spectrum, "inverse")
 
 
@@ -230,29 +164,8 @@ def _check_plan(lattice: Rank1Lattice, L: IndexSet, plan: str) -> None:
                                "reconstruction condition")
 
 
-def _spectrum_folded(values: np.ndarray, method: str) -> np.ndarray:
-    """Real symmetric spectrum of a symmetric value vector, by FFT or by
-    the half-length DCT (DCT-I for even n, DCT-V for odd n)."""
-    n = values.shape[0]
-    if method == "fft":
-        return dft(values, "forward").real
-    spectrum = np.empty(n, dtype=np.float64)
-    if n % 2 == 0:
-        m = n // 2
-        half = dct_i(values[:m + 1])
-        spectrum[:m + 1] = half
-        spectrum[m + 1:] = half[1:m][::-1]
-    else:
-        m = (n + 1) // 2
-        half = dct_v(values[:m])
-        spectrum[:m] = half
-        spectrum[m:] = half[1:][::-1]
-    return spectrum
-
-
 def cosine_coeffs_from_values(lattice: Rank1Lattice, L: IndexSet, plan: str,
                               values, c_table: dict | None = None,
-                              method: str = "auto",
                               unsafe: bool = False) -> CoefficientTable:
     """Cosine coefficients on L from samples at tent-transformed points.
 
@@ -261,26 +174,23 @@ def cosine_coeffs_from_values(lattice: Rank1Lattice, L: IndexSet, plan: str,
     divided by c_k under plan C.
     """
     return _folded_coeffs_from_values("cosine", lattice, L, plan, values,
-                                      c_table, method, unsafe)
+                                      c_table, unsafe)
 
 
 def chebyshev_coeffs_from_values(lattice: Rank1Lattice, L: IndexSet,
                                  plan: str, values,
                                  c_table: dict | None = None,
-                                 method: str = "auto",
                                  unsafe: bool = False) -> CoefficientTable:
     """Chebyshev coefficients on L from samples at the cosine-of-tent
     points; numerically identical to the cosine map."""
     return _folded_coeffs_from_values("chebyshev", lattice, L, plan, values,
-                                      c_table, method, unsafe)
+                                      c_table, unsafe)
 
 
 def _folded_coeffs_from_values(space, lattice, L, plan, values, c_table,
-                               method, unsafe):
+                               unsafe):
     if plan not in ("A", "B", "C"):
         raise ValueError(f"unknown plan {plan!r}")
-    if method not in ("auto", "fft", "dct"):
-        raise ValueError(f"unknown method {method!r}")
     if len(L) and L.as_array().min() < 0:
         raise ValueError(f"{space} indices must be nonnegative")
     values = np.asarray(values, dtype=np.float64)
@@ -290,13 +200,12 @@ def _folded_coeffs_from_values(space, lattice, L, plan, values, c_table,
         raise MissingCTable("plan C needs the c_k table")
     if not unsafe:
         _check_plan(lattice, L, plan)
-    # symmetrize i <-> n-i first: a no-op for sampled vectors, unchanged
-    # coefficients otherwise (the dual functions are even in i), and the
-    # half-length DCT path then applies to arbitrary inputs as well
+    # symmetrize i <-> n-i first: a no-op for sampled vectors, and unchanged
+    # coefficients otherwise (the dual functions are even in i), so the
+    # spectrum is real for arbitrary inputs as well
     sym = values.copy()
     sym[1:] = 0.5 * (values[1:] + values[:0:-1])
-    spectrum = _spectrum_folded(sym, "fft" if method == "auto" else method)
-    entries = {}
+    spectrum = dft(sym, "forward").real
     if plan == "A":
         # plan A integrates against the tent-composed basis itself, which
         # is the mean over the sign orbit of the plan-B dual functions, so
@@ -304,23 +213,19 @@ def _folded_coeffs_from_values(space, lattice, L, plan, values, c_table,
         # functions supported on L all orbit slots agree and this reduces
         # to the single lookup)
         rows, group_start = mirror_expand(L)
-        orbit_slots = _residues(rows, lattice.z, lattice.n)
-        for g, k in enumerate(L):
-            lo, hi = group_start[g], group_start[g + 1]
-            mean = float(np.mean(spectrum[orbit_slots[lo:hi]]))
-            entries[k] = math.sqrt(2.0) ** zero_count(k) * mean
-        return CoefficientTable(space, L.dimension, entries)
-    slots = _residue_slots(lattice, L)
-    for k, r in zip(L, slots):
-        if plan == "C":
-            try:
-                ck = c_table[k]
-            except KeyError:
-                raise MissingCTable(f"no c entry for index {k}") from None
-        else:
-            ck = 1
-        entries[k] = math.sqrt(2.0) ** zero_count(k) * spectrum[r] / ck
-    return CoefficientTable(space, L.dimension, entries)
+        orbit = spectrum[residues(rows, lattice.z, lattice.n)]
+        raw = (np.add.reduceat(orbit, group_start[:-1])
+               / np.diff(group_start))
+    else:
+        raw = spectrum[residues(L.as_array(), lattice.z, lattice.n)]
+    coeffs = _weights(L.as_array()) * raw
+    if plan == "C":
+        try:
+            coeffs /= np.asarray([c_table[k] for k in L], dtype=np.float64)
+        except KeyError as exc:
+            raise MissingCTable(f"no c entry for index {exc.args[0]}") \
+                from None
+    return CoefficientTable(space, L.dimension, dict(zip(L, coeffs.tolist())))
 
 
 def cosine_values_from_coeffs(lattice: Rank1Lattice, L: IndexSet,
@@ -328,23 +233,46 @@ def cosine_values_from_coeffs(lattice: Rank1Lattice, L: IndexSet,
     """Values of the cosine series at the tent-transformed lattice points.
 
     Every sign change of every index accumulates into its residue slot
-    (plan-C sign orbits may share a slot, hence the +=), then one inverse
-    FFT evaluates the series at all points.
+    (plan-C sign orbits may share a slot, hence the unbuffered add), then
+    one inverse FFT evaluates the series at all points.
     """
-    n = lattice.n
-    spectrum = np.zeros(n, dtype=np.float64)
-    z = lattice.z
-    for k in L:
-        coeff = coeffs.get(k, 0.0) if hasattr(coeffs, "get") else coeffs[k]
-        scaled = coeff / math.sqrt(2.0) ** zero_count(k)
-        for h in unique_sign_changes(k):
-            spectrum[sum(hj * zj for hj, zj in zip(h, z)) % n] += scaled
+    rows, group_start = mirror_expand(L)
+    scaled = _coeff_vector(L, coeffs, np.float64) / _weights(L.as_array())
+    spectrum = np.zeros(lattice.n, dtype=np.float64)
+    np.add.at(spectrum, residues(rows, lattice.z, lattice.n),
+              np.repeat(scaled, np.diff(group_start)))
     return dft(spectrum, "inverse").real
 
 
-def chebyshev_values_from_coeffs(lattice: Rank1Lattice, L: IndexSet,
-                                 coeffs) -> np.ndarray:
-    """Values of the Chebyshev series at the cosine-of-tent points."""
+# Chebyshev values at the cosine-of-tent points: the same series in the
+# isomorphic space
+chebyshev_values_from_coeffs = cosine_values_from_coeffs
+
+
+# ---------------------------------------------------------------------------
+# one dispatch over the three spaces
+
+def coeffs_from_values(space: str, lattice: Rank1Lattice, L: IndexSet,
+                       values, plan: str | None = None,
+                       c_table: dict | None = None) -> CoefficientTable:
+    """Coefficients on L from samples at the points of ``space`` (see
+    :func:`sample_values`); ``plan`` and ``c_table`` apply to the cosine
+    and Chebyshev spaces only."""
+    if space == "fourier":
+        return fourier_coeffs_from_values(lattice, L, values)
+    if space not in ("cosine", "chebyshev"):
+        raise ValueError(f"unknown space {space!r}")
+    return _folded_coeffs_from_values(space, lattice, L, plan, values,
+                                      c_table, unsafe=False)
+
+
+def values_from_coeffs(space: str, lattice: Rank1Lattice, L: IndexSet,
+                       coeffs) -> np.ndarray:
+    """Values of the series on L at the points of ``space``."""
+    if space == "fourier":
+        return fourier_values_from_coeffs(lattice, L, coeffs)
+    if space not in ("cosine", "chebyshev"):
+        raise ValueError(f"unknown space {space!r}")
     return cosine_values_from_coeffs(lattice, L, coeffs)
 
 

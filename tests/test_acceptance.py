@@ -9,7 +9,7 @@ import pytest
 
 from lattice_recon import (CbcTask, IndexSet, Rank1Lattice,
                            WeightedSetRule, basis_matrix, cbc_construct,
-                           dct_i, dct_v, dft, dft_direct, difference_set,
+                           coeffs_from_values, dft, difference_set,
                            make_weighted_set, mirrored,
                            plan_a_least_squares_check,
                            random_downward_closed, random_series,
@@ -17,9 +17,7 @@ from lattice_recon import (CbcTask, IndexSet, Rank1Lattice,
                            sum_set, verify_fourier, verify_plan_a,
                            verify_plan_b, verify_plan_c, zero_count)
 from lattice_recon.approx import KIND_FOR_SPACE
-from lattice_recon.transform import (chebyshev_coeffs_from_values,
-                                     cosine_coeffs_from_values,
-                                     fourier_coeffs_from_values)
+from reference import dct_i, dct_v, dft_direct
 
 SETTINGS = [
     ("fourier", None),
@@ -33,14 +31,6 @@ LOG32 = math.log(3) / math.log(2)
 def _report(ok: bool, line: str) -> None:
     print(("PASS " if ok else "FAIL ") + line, flush=True)
     assert ok, line
-
-
-def _coeffs_from_values(space, plan, lat, L, values, c_table):
-    if space == "fourier":
-        return fourier_coeffs_from_values(lat, L, values)
-    if space == "cosine":
-        return cosine_coeffs_from_values(lat, L, plan, values, c_table)
-    return chebyshev_coeffs_from_values(lat, L, plan, values, c_table)
 
 
 def _draw_set(rng, d):
@@ -86,8 +76,8 @@ def test_criterion_01_exact_reconstruction(reconstruction_cases):
         lat = result.lattice()
         f = random_series(space, L, np.random.default_rng(fseed))
         values = sample_values(f, lat, KIND_FOR_SPACE[space])
-        table = _coeffs_from_values(space, plan, lat, L, values,
-                                    result.c_table)
+        table = coeffs_from_values(space, lat, L, values, plan,
+                                   result.c_table)
         truth = f.reference_coeffs
         worst = max(worst, max(abs(table[k] - truth[k]) for k in L))
     elapsed = time.perf_counter() - start
@@ -252,10 +242,10 @@ def test_criterion_08_stability(reconstruction_cases):
         if space == "fourier":
             noise = noise + 1j * rng.standard_normal(lat.n)
         noise *= 1e-3 / math.sqrt(np.mean(np.abs(noise) ** 2))
-        clean = _coeffs_from_values(space, plan, lat, L, values,
-                                    result.c_table)
-        noisy = _coeffs_from_values(space, plan, lat, L, values + noise,
-                                    result.c_table)
+        clean = coeffs_from_values(space, lat, L, values, plan,
+                                   result.c_table)
+        noisy = coeffs_from_values(space, lat, L, values + noise, plan,
+                                   result.c_table)
         shift = math.sqrt(sum(abs(noisy[k] - clean[k]) ** 2 for k in L))
         plan_label = plan if plan is not None else "A"
         rho = stability_constant(L, plan_label, result.c_table).rho

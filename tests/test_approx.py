@@ -6,7 +6,8 @@ import pytest
 from lattice_recon import (CbcTask, CoefficientTable, IndexSet,
                            MissingCTable, Rank1Lattice, SizeLimit,
                            TransformKind, approx_coeffs, basis_matrix,
-                           cbc_construct, discrete_seminorm,
+                           cbc_construct, coeffs_from_values,
+                           discrete_seminorm,
                            error_decomposition, make_weighted_set,
                            plan_a_least_squares_check, random_series,
                            sample_values, series_function,
@@ -216,21 +217,9 @@ def test_noise_amplification_bounded_by_rho(space, plan, rng):
         rms = math.sqrt(np.mean(np.abs(noise) ** 2))
         noise *= 1e-3 / rms
 
-        from lattice_recon.transform import (chebyshev_coeffs_from_values,
-                                             cosine_coeffs_from_values,
-                                             fourier_coeffs_from_values)
-        if space == "fourier":
-            clean = fourier_coeffs_from_values(lat, L, values)
-            noisy = fourier_coeffs_from_values(lat, L, values + noise)
-        elif space == "cosine":
-            clean = cosine_coeffs_from_values(lat, L, plan, values, c_table)
-            noisy = cosine_coeffs_from_values(lat, L, plan, values + noise,
-                                              c_table)
-        else:
-            clean = chebyshev_coeffs_from_values(lat, L, plan, values,
-                                                 c_table)
-            noisy = chebyshev_coeffs_from_values(lat, L, plan,
-                                                 values + noise, c_table)
+        clean = coeffs_from_values(space, lat, L, values, plan, c_table)
+        noisy = coeffs_from_values(space, lat, L, values + noise, plan,
+                                   c_table)
         shift = math.sqrt(sum(abs(noisy[k] - clean[k]) ** 2 for k in L))
         plan_label = plan if plan is not None else "A"
         rho = stability_constant(L, plan_label, c_table).rho

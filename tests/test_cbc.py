@@ -157,17 +157,6 @@ def test_verify_plan_a_examples():
     assert verify_plan_a((1,), 7, IndexSet([(0,)], domain="nonneg")).ok
 
 
-def test_verify_plan_a_halved_agrees(rng):
-    for _ in range(200):
-        d = int(rng.integers(1, 4))
-        L = random_nonneg_set(rng, d, int(rng.integers(1, 8)), 3)
-        n = int(rng.integers(2, 60))
-        z = tuple(int(v) for v in rng.integers(1, n, size=d))
-        plain = verify_plan_a(z, n, L)
-        halved = verify_plan_a(z, n, L, halved=True)
-        assert plain.ok == halved.ok
-
-
 def test_verify_plan_b_examples():
     L = IndexSet([(0,), (1,)], domain="nonneg")
     assert verify_plan_b((1,), 3, L).ok

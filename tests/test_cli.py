@@ -115,6 +115,29 @@ def test_reconstruct_roundtrip(tmp_path):
     assert max(abs(back[k] - table[k]) for k in L) < 1e-11
 
 
+def test_reconstruct_fourier_roundtrip(tmp_path):
+    idx = tmp_path / "s.idx"
+    lat = tmp_path / "s.lat"
+    coeffs = tmp_path / "c.txt"
+    values = tmp_path / "v.txt"
+    assert run("indexset", "--rule", "sum", "--betas", "1,1", "--degree",
+               "3", "--dim", "2", "-o", idx) == 0
+    assert run("cbc", "--space", "fourier", "--goal", "reconstruction",
+               "-i", idx, "-o", lat) == 0
+    from lattice_recon.transform import fourier_values_from_coeffs
+    L = read_indexset(idx)
+    lattice, _ = read_lattice(lat)
+    rng = np.random.default_rng(2)
+    table = {k: complex(rng.standard_normal(), rng.standard_normal())
+             for k in L}
+    write_values(fourier_values_from_coeffs(lattice, L, table), values)
+    assert run("reconstruct", "--space", "fourier", "--lattice", lat,
+               "-i", idx, "-V", values, "-o", coeffs, "--roundtrip") == 0
+    back = read_coefficients(coeffs)
+    assert back.space == "fourier"
+    assert max(abs(back[k] - table[k]) for k in L) < 1e-11
+
+
 def test_reconstruct_wrong_length_exits_2(tmp_path):
     idx = tmp_path / "s.idx"
     lat = tmp_path / "s.lat"

@@ -3,20 +3,23 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lattice_recon import (AliasingDetected, CbcTask, CoefficientTable,
                            IndexSet, MissingCTable, Rank1Lattice,
-                           TransformKind, cbc_construct, dct_i, dct_v, dft,
-                           dft_direct, fourier_coeffs_from_values,
+                           TransformKind, cbc_construct, coeffs_from_values,
+                           dft, fourier_coeffs_from_values,
                            fourier_values_from_coeffs, read_coefficients,
                            read_values, sample_values, unique_sign_changes,
-                           verify_plan_c, write_coefficients,
-                           write_values, zero_count)
+                           values_from_coeffs, verify_plan_c,
+                           write_coefficients, write_values, zero_count)
 from lattice_recon.transform import (chebyshev_coeffs_from_values,
                                      chebyshev_values_from_coeffs,
                                      cosine_coeffs_from_values,
                                      cosine_values_from_coeffs)
 from conftest import random_downward
+from reference import (cosine_values_loop, dct_i, dct_v, dft_direct,
+                       fourier_values_loop)
 
 
 # ---------------------------------------------------------------------------
@@ -270,24 +273,36 @@ def test_roundtrip_every_space_and_plan(space, plan, rng):
         worst = max(abs(back[k] - coeffs[k]) for k in L)
         scale = max(1.0, max(abs(v) for v in coeffs.values()))
         assert worst < 1e-11 * scale
+        # the space dispatch gives the same values and coefficients
+        dispatched = values_from_coeffs(space, lat, L, coeffs)
+        assert np.array_equal(dispatched, values)
+        again = coeffs_from_values(space, lat, L, dispatched, plan,
+                                   result.c_table)
+        assert again.space == space
+        assert all(again[k] == back[k] for k in L)
 
 
-def test_fft_and_dct_paths_agree(rng):
-    for trial in range(6):
-        d = int(rng.integers(1, 4))
-        L = random_downward(rng, d, 8)
-        plan = ("A", "B", "C")[trial % 3]
-        result = cbc_construct(CbcTask("cosine", "reconstruction", L,
-                                       plan=plan))
-        lat = result.lattice()
-        coeffs = {k: float(rng.standard_normal()) for k in L}
-        values = cosine_values_from_coeffs(lat, L, coeffs)
-        via_fft = cosine_coeffs_from_values(lat, L, plan, values,
-                                            result.c_table, method="fft")
-        via_dct = cosine_coeffs_from_values(lat, L, plan, values,
-                                            result.c_table, method="dct")
-        for k in L:
-            assert abs(via_fft[k] - via_dct[k]) < 1e-12
+@settings(max_examples=40, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 4),
+       size=st.integers(1, 12))
+def test_vectorized_synthesis_matches_loops(seed, d, size):
+    # the smallest plan-C lattice a random walk up from n = 2 finds; at
+    # such n, sign orbits often share a slot (c_k > 1) and Fourier indices
+    # collide, so the scatter must accumulate
+    rng = np.random.default_rng(seed)
+    L = random_downward(rng, d, size)
+    for n in itertools.count(2):
+        z = tuple(int(v) for v in rng.integers(1, n, size=d))
+        if verify_plan_c(z, n, L).ok:
+            break
+    lat = Rank1Lattice(n, z)
+    real = {k: float(rng.standard_normal()) for k in L}
+    cplx = {k: complex(rng.standard_normal(), rng.standard_normal())
+            for k in L}
+    assert np.max(np.abs(cosine_values_from_coeffs(lat, L, real)
+                         - cosine_values_loop(lat, L, real))) < 1e-12
+    assert np.max(np.abs(fourier_values_from_coeffs(lat, L, cplx)
+                         - fourier_values_loop(lat, L, cplx))) < 1e-12
 
 
 def test_multiway_coefficient_identity(rng):
@@ -395,8 +410,8 @@ def test_plan_c_shared_slot_synthesis_roundtrip(rng):
 
 
 def test_large_n_roundtrip_relaxed_tolerance(rng):
-    # a large prime n exercises the chirp transform; the tolerance ladder
-    # relaxes to 1e-9 above n = 1e4
+    # a large prime n exercises numpy's prime-length FFT; the tolerance
+    # ladder relaxes to 1e-9 above n = 1e4
     from lattice_recon import next_prime
 
     L = random_downward(rng, 3, 60)
