@@ -7,10 +7,9 @@ from .approx import (ErrorReport, MissingReference, SizeLimit,
                      StabilityReport, TestFunction, approx_coeffs,
                      basis_matrix, discrete_seminorm, error_decomposition,
                      plan_a_least_squares_check, stability_constant)
-from .cbc import (CandidateList, CbcResult, CbcStats, CbcTask,
-                  EmptyCandidateSet, InvalidTask, RetryLimitExceeded,
-                  VerifyResult, cbc_construct, eliminate_step,
-                  eliminate_step_plan_c, is_prime, next_prime, required_n,
+from .cbc import (CbcResult, CbcStats, CbcTask, EmptyCandidateSet,
+                  InvalidTask, RetryLimitExceeded, VerifyResult,
+                  cbc_construct, is_prime, next_prime, required_n,
                   verify_fourier, verify_nonzero, verify_plan_a,
                   verify_plan_b, verify_plan_c)
 from .indexset import (IndexSet, SetReport, WeightedSetRule, difference_set,

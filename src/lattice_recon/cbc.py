@@ -6,8 +6,9 @@ the self-aliasing condition of plan C, with three search strategies:
 
 * ``brute_force`` walks candidates cyclically and validates each with the
   linear-time lookup verifiers on full projections,
-* ``elimination`` removes the single bad candidate per auxiliary index via
-  modular inverses (prime n only),
+* ``elimination`` removes, per pair of the rows the step check prepares,
+  the single candidate that makes the pair collide, via a modular inverse
+  (prime n only),
 * ``mixed`` starts brute force and switches to elimination once the failure
   count at a step exceeds a threshold.
 
@@ -32,7 +33,6 @@ SPACES = ("fourier", "cosine", "chebyshev")
 GOALS = ("integration", "reconstruction")
 PLANS = ("A", "B", "C")
 STRATEGIES = ("brute_force", "elimination", "mixed")
-PROJECTIONS = ("zero", "full")
 
 _INT32_LIMIT = 2**31
 
@@ -100,10 +100,8 @@ class CbcTask:
 
     ``n = 0`` selects the smallest prime satisfying the task's existence
     bound (see :func:`required_n`).  ``plan`` is meaningful only for
-    reconstruction in the cosine/Chebyshev spaces.  ``projection`` selects
-    the index-set projections the elimination strategy works on; the
-    lookup verifiers of the brute-force path and plan C always need the
-    full projection.
+    reconstruction in the cosine/Chebyshev spaces.  Every strategy works on
+    the full projections of the base set onto the first s coordinates.
     """
 
     space: str
@@ -111,7 +109,6 @@ class CbcTask:
     base_set: IndexSet
     plan: str | None = None
     n: int = 0
-    projection: str = "full"
     strategy: str = "mixed"
     mixed_switch_factor: float = 1.0
     retry_limit: int = 64
@@ -124,8 +121,6 @@ class CbcTask:
             raise InvalidTask(f"unknown goal {self.goal!r}")
         if self.strategy not in STRATEGIES:
             raise InvalidTask(f"unknown strategy {self.strategy!r}")
-        if self.projection not in PROJECTIONS:
-            raise InvalidTask(f"unknown projection {self.projection!r}")
         if len(self.base_set) == 0:
             raise InvalidTask("base set is empty")
         nonperiodic = self.space in ("cosine", "chebyshev")
@@ -140,12 +135,6 @@ class CbcTask:
         elif self.plan is not None:
             raise InvalidTask(f"plan is meaningless for {self.space} "
                               f"{self.goal}")
-        if self.plan == "C" and self.projection != "full":
-            raise InvalidTask("plan C requires the full projection")
-        if self.strategy in ("brute_force", "mixed") \
-                and self.projection != "full":
-            raise InvalidTask("the lookup verifiers require the full "
-                              "projection")
         if self.n:
             if self.n < 2:
                 raise InvalidTask("n must be at least 2")
@@ -315,111 +304,6 @@ def required_n(task: CbcTask) -> int:
 
 
 # ---------------------------------------------------------------------------
-# elimination
-
-class CandidateList:
-    """Good-candidate structure over Z_n^* = {1, .., n-1}.
-
-    Doubly linked pointers over the value range give O(1) removal and O(1)
-    extraction of the smallest survivor; index 0 is the head sentinel and
-    index n the tail sentinel.
-    """
-
-    __slots__ = ("n", "_next", "_prev", "_count")
-
-    def __init__(self, n: int, bad: np.ndarray | None = None):
-        self.n = int(n)
-        good = np.flatnonzero(~bad[1:self.n]) + 1 if bad is not None \
-            else np.arange(1, self.n)
-        chain = np.concatenate(([0], good, [self.n])).astype(np.int64)
-        self._next = np.full(self.n + 1, self.n, dtype=np.int64)
-        self._prev = np.zeros(self.n + 1, dtype=np.int64)
-        self._next[chain[:-1]] = chain[1:]
-        self._prev[chain[1:]] = chain[:-1]
-        self._count = int(good.shape[0])
-
-    def __len__(self) -> int:
-        return self._count
-
-    def first(self) -> int | None:
-        head = int(self._next[0])
-        return None if head == self.n else head
-
-    def remove(self, value: int) -> None:
-        nxt = int(self._next[value])
-        prv = int(self._prev[value])
-        self._next[prv] = nxt
-        self._prev[nxt] = prv
-        self._count -= 1
-
-    def __iter__(self):
-        value = int(self._next[0])
-        while value != self.n:
-            yield value
-            value = int(self._next[value])
-
-    def to_array(self) -> np.ndarray:
-        return np.fromiter(self, dtype=np.int64, count=self._count)
-
-
-def eliminate_step(A_s: IndexSet, z_prefix, n: int) -> CandidateList:
-    """Generic elimination for one step: every (h, h_s) in A_s \\ {0} with
-    h_s != 0 mod n and h.z != 0 mod n removes the single candidate solving
-    h_s z_s = -h.z mod n.
-
-    Raises :class:`EmptyCandidateSet` when nothing survives.
-    """
-    if not is_prime(n):
-        raise ValueError("elimination needs a prime n")
-    s = A_s.dimension
-    if len(z_prefix) != s - 1:
-        raise ValueError("prefix length must be s - 1")
-    rows = _as_rows(A_s.without_zero().as_array())
-    bad = np.zeros(n, dtype=bool)
-    if rows.shape[0]:
-        if s == 1:
-            prefix = np.zeros(rows.shape[0], dtype=np.int64)
-        else:
-            prefix = residues(rows[:, :s - 1], z_prefix, n)
-        last = rows[:, s - 1] % n
-        kernels.mark_bad_generic(prefix, last, int(n), bad)
-    survivors = CandidateList(n, bad)
-    if len(survivors) == 0:
-        raise EmptyCandidateSet(f"all candidates eliminated ({n=})")
-    return survivors
-
-
-def eliminate_step_plan_c(L_s: IndexSet, z_prefix, n: int) -> CandidateList:
-    """Plan-C elimination over distinct full-projection index pairs and all
-    sign changes of the second pair member."""
-    if not is_prime(n):
-        raise ValueError("elimination needs a prime n")
-    s = L_s.dimension
-    if len(z_prefix) != s - 1:
-        raise ValueError("prefix length must be s - 1")
-    leads = _as_rows(L_s.as_array())
-    mrows, group_start = mirror_expand(L_s)
-    mrows = _as_rows(mrows)
-    counts = np.diff(group_start)
-    mir_group = np.repeat(np.arange(len(L_s), dtype=np.int64), counts)
-    if s == 1:
-        lead_prefix = np.zeros(leads.shape[0], dtype=np.int64)
-        mir_prefix = np.zeros(mrows.shape[0], dtype=np.int64)
-    else:
-        lead_prefix = residues(leads[:, :s - 1], z_prefix, n)
-        mir_prefix = residues(mrows[:, :s - 1], z_prefix, n)
-    lead_last = leads[:, s - 1] % n
-    mir_last = mrows[:, s - 1] % n
-    bad = np.zeros(n, dtype=bool)
-    kernels.mark_bad_plan_c(lead_prefix, lead_last, mir_prefix, mir_last,
-                            mir_group, int(n), bad)
-    survivors = CandidateList(n, bad)
-    if len(survivors) == 0:
-        raise EmptyCandidateSet(f"all candidates eliminated ({n=})")
-    return survivors
-
-
-# ---------------------------------------------------------------------------
 # construction
 
 @dataclass
@@ -464,39 +348,64 @@ class _StepFailed(Exception):
         self.reason = reason
 
 
+def _prefix_last(rows: np.ndarray, z, n: int, s: int):
+    """Residues of the first s - 1 components of the step-s rows under the
+    prefix z, and their last components, both mod n."""
+    return residues(rows[:, :s - 1], z, n), rows[:, s - 1] % n
+
+
 class _Builder:
-    """Holds the projection data of one task; reused across n escalations."""
+    """Holds the step rows of one task; reused across n escalations.
+
+    Step s prepares the rows whose residues its check reads: the nonzero
+    rows of the full projection A_s for integration, L_s for Fourier
+    reconstruction and M(L_s) grouped by sign orbit otherwise.  Elimination
+    pairs lead rows with every row of another key: the zero row (key -1)
+    for integration, every row keyed by itself for the distinct condition,
+    the orbit leads keyed by row for plan B and keyed by orbit for plan C.
+    """
 
     def __init__(self, task: CbcTask, cond: _Condition):
         self.task = task
         self.cond = cond.code
-        self.generic_A = cond.aux
         L = task.base_set
         self.d = L.dimension
         _as_rows(L.as_array())  # 32-bit guards
         if cond.aux is not None:
             _as_rows(cond.aux.as_array())
-        # full projections drive the lookup verifiers (and plan C always)
-        self.proj = [None] + [project(L, s, "full")
-                              for s in range(1, self.d + 1)]
-        self._dummy = np.zeros(1, dtype=np.int64)
+        no_groups = np.zeros(1, dtype=np.int64)
         self.step_rows = [None]
         self.step_groups = [None]
+        self.step_keys = [None]
+        self.lead_rows = [None]
+        self.lead_keys = [None]
         self.thresholds = [None]
         for s in range(1, self.d + 1):
-            Ls = self.proj[s]
+            Ls = project(L, s, "full")
             if self.cond == kernels.COND_NONZERO:
-                source = self._generic_step_set(s, "full").without_zero()
-                rows = _as_rows(source.as_array())
-                groups = self._dummy
+                rows = project(cond.aux, s, "full").without_zero().as_array()
+                groups = no_groups
             elif task.space == "fourier":
-                rows = _as_rows(Ls.as_array())
-                groups = self._dummy
+                rows, groups = Ls.as_array(), no_groups
             else:
                 rows, groups = mirror_expand(Ls)
-                rows = _as_rows(rows)
+            rows = _as_rows(rows)
+            keys = np.arange(rows.shape[0], dtype=np.int64)
+            if self.cond == kernels.COND_NONZERO:
+                leads = np.zeros((1, s), dtype=np.int64)
+                lead_keys = np.full(1, -1, dtype=np.int64)
+            elif self.cond == kernels.COND_DISTINCT:
+                leads, lead_keys = rows, keys
+            else:
+                if self.cond == kernels.COND_PLAN_C:
+                    keys = np.repeat(np.arange(len(Ls), dtype=np.int64),
+                                     np.diff(groups))
+                leads, lead_keys = rows[groups[:-1]], keys[groups[:-1]]
             self.step_rows.append(rows)
             self.step_groups.append(groups)
+            self.step_keys.append(keys)
+            self.lead_rows.append(leads)
+            self.lead_keys.append(lead_keys)
             # brute-force switching threshold: |L_s| for Fourier, |M(L_s)|
             # otherwise (sign orbits of distinct nonnegative indices are
             # disjoint, so |M(L_s)| equals the summed orbit sizes)
@@ -514,53 +423,39 @@ class _Builder:
         return bool(kernels.check_condition(
             residues(rows, z, n), self.step_groups[s], int(n), self.cond))
 
-    # -- elimination data for one step -----------------------------------
+    # -- elimination for one step -----------------------------------------
 
-    def _generic_step_set(self, s: int, projection: str) -> IndexSet:
-        A = self.generic_A
-        arr = A.as_array()
-        if projection == "zero":
-            keep = np.all(arr[:, s:] == 0, axis=1) if s < self.d \
-                else np.ones(arr.shape[0], dtype=bool)
-            return IndexSet(arr[keep][:, :s], dimension=s, domain=A.domain)
-        return IndexSet(arr[:, :s], dimension=s, domain=A.domain)
-
-    def eliminate(self, z, n: int, s: int, projection: str) -> CandidateList:
-        if self.cond == kernels.COND_PLAN_C:
-            return eliminate_step_plan_c(self.proj[s], z, n)
-        return eliminate_step(self._generic_step_set(s, projection), z, n)
+    def eliminate(self, z, n: int, s: int) -> np.ndarray:
+        """Ascending candidates z_s that pass step s after the prefix z;
+        raises :class:`EmptyCandidateSet` when nothing survives."""
+        if not is_prime(n):
+            raise ValueError("elimination needs a prime n")
+        bad = np.zeros(n, dtype=bool)
+        kernels.mark_bad_pairs(
+            *_prefix_last(self.lead_rows[s], z, n, s), self.lead_keys[s],
+            *_prefix_last(self.step_rows[s], z, n, s), self.step_keys[s],
+            int(n), bad)
+        survivors = np.flatnonzero(~bad[1:]) + 1
+        if survivors.shape[0] == 0:
+            raise EmptyCandidateSet(f"all candidates eliminated ({n=})")
+        return survivors
 
     # -- one full pass at a fixed n ---------------------------------------
 
     def construct_at(self, n: int):
         task = self.task
-        z: list[int] = []
-        steps: list[StepStats] = []
-        switch_step: int | None = None
         eliminating = task.strategy == "elimination"
-        for s in range(1, self.d + 1):
-            if s == 1:
-                z = [1]
-                label = "elimination" if eliminating else "brute_force"
-                if eliminating and self.cond != kernels.COND_PLAN_C:
-                    # the elimination induction only needs the projected
-                    # auxiliary set, which may be smaller than the full one
-                    A1 = self._generic_step_set(1, task.projection)
-                    ok1 = bool(verify_nonzero(z, n, A1))
-                else:
-                    ok1 = self.check_step(z, n, 1)
-                if not ok1:
-                    raise _StepFailed(1, "z_1 = 1 violates the step "
-                                         "condition (n too small)")
-                steps.append(StepStats(1, label))
-                continue
+        z = [1]
+        if not self.check_step(z, n, 1):
+            raise _StepFailed(1, "z_1 = 1 violates the step condition "
+                                 "(n too small)")
+        steps = [StepStats(1, "elimination" if eliminating
+                           else "brute_force")]
+        switch_step: int | None = None
+        for s in range(2, self.d + 1):
             brute_fails = 0
             if not eliminating:
-                rows = self.step_rows[s]
-                prefix = residues(rows[:, :s - 1], z, n) \
-                    if rows.shape[0] else np.zeros(0, dtype=np.int64)
-                last = rows[:, s - 1] % n if rows.shape[0] \
-                    else np.zeros(0, dtype=np.int64)
+                prefix, last = _prefix_last(self.step_rows[s], z, n, s)
                 if task.strategy == "mixed":
                     max_fail = int(task.mixed_switch_factor
                                    * self.thresholds[s])
@@ -581,17 +476,13 @@ class _Builder:
                     raise _StepFailed(s, "brute force exhausted all "
                                          "candidates")
             # elimination path (strategy, or mixed after the switch)
-            projection = "zero" if task.strategy == "mixed" \
-                else task.projection
             try:
-                survivors = self.eliminate(z, n, s, projection)
+                survivors = self.eliminate(z, n, s)
             except EmptyCandidateSet as exc:
                 raise _StepFailed(s, str(exc))
-            zs = survivors.first()
-            z.append(int(zs))
-            eliminated = (n - 1) - len(survivors)
+            z.append(int(survivors[0]))
             steps.append(StepStats(s, "elimination", n_fail=brute_fails,
-                                   eliminated=int(eliminated)))
+                                   eliminated=n - 1 - survivors.shape[0]))
         return z, steps, switch_step
 
 

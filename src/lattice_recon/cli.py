@@ -88,10 +88,9 @@ def _build_task(args, base_set) -> cbc.CbcTask:
             base_set=base_set,
             plan=args.plan,
             n=_parse_n(args.n),
-            projection=args.projection,
             strategy=args.strategy,
             mixed_switch_factor=args.mixed_switch_factor,
-            reduce_n=getattr(args, "reduce_n", False),
+            reduce_n=args.reduce_n,
         )
     except cbc.InvalidTask as exc:
         raise UsageError(str(exc))
@@ -129,7 +128,8 @@ def _verify(task: cbc.CbcTask, lat: latmod.Rank1Lattice):
 def cmd_verify(args) -> int:
     base_set = indexset.read_indexset(args.input)
     lat, _ = latmod.read_lattice(args.lattice)
-    task = _build_task(args, base_set)
+    # an invalid task is a ValueError, which main() maps to exit 2
+    task = cbc.CbcTask(args.space, args.goal, base_set, plan=args.plan)
     fast, oracle, c_table = _verify(task, lat)
     if fast != oracle:
         raise RuntimeError("lookup verifier and naive oracle disagree; "
@@ -306,20 +306,17 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also write a JSON properties report")
     p.set_defaults(func=cmd_indexset)
 
-    def add_task_flags(q, default_goal):
+    def add_task_flags(q):
         q.add_argument("--space", required=True, choices=cbc.SPACES)
-        q.add_argument("--goal", default=default_goal, choices=cbc.GOALS)
+        q.add_argument("--goal", default="reconstruction", choices=cbc.GOALS)
         q.add_argument("--plan", choices=cbc.PLANS)
-        q.add_argument("--n", default="auto")
-        q.add_argument("--projection", default="full",
-                       choices=cbc.PROJECTIONS)
-        q.add_argument("--strategy", default="mixed",
-                       choices=cbc.STRATEGIES)
-        q.add_argument("--mixed-switch-factor", type=float, default=1.0)
 
     p = sub.add_parser("cbc", parents=[common],
                        help="construct a generating vector")
-    add_task_flags(p, "reconstruction")
+    add_task_flags(p)
+    p.add_argument("--n", default="auto")
+    p.add_argument("--strategy", default="mixed", choices=cbc.STRATEGIES)
+    p.add_argument("--mixed-switch-factor", type=float, default=1.0)
     p.add_argument("--reduce-n", action="store_true",
                    help="shrink n afterwards while the vector stays valid")
     p.add_argument("-i", "--input", required=True, metavar="SETFILE")
@@ -330,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", parents=[common],
                        help="verify a lattice against a task")
-    add_task_flags(p, "reconstruction")
+    add_task_flags(p)
     p.add_argument("-i", "--input", required=True, metavar="SETFILE")
     p.add_argument("--lattice", required=True, metavar="LATFILE")
     p.set_defaults(func=cmd_verify)

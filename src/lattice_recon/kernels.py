@@ -15,6 +15,10 @@ code  condition on the residues of the prepared rows
 2     two-bit-string check per sign group  (plan B)
 3     self-aliasing allowed per group      (plan C)
 ====  =========================================================
+
+The one elimination kernel, :func:`mark_bad_pairs`, serves all four codes:
+they differ only in which rows lead the pairs and which keys a pair must
+not share.
 """
 
 import numpy as np
@@ -140,35 +144,31 @@ def _mod_pow(base, exp, n):
 
 
 # ---------------------------------------------------------------------------
-# elimination kernels
+# elimination kernel
 #
-# The generic kernel marks, for every row (h, h_s) with h_s != 0 mod n and
-# h.z != 0 mod n, the unique bad candidate z_s = -(h.z) * h_s^{-1} mod n.
-# Rows are passed as prefix dots (mod n) and last components (mod n); the
-# zero row must have been stripped by the caller.
+# Every step condition fails exactly when some pair of prepared rows p, q
+# with different keys gets equal residues, or, for the nonzero condition,
+# when some row q gets the residue of the zero row.  For a pair whose last
+# and prefix differences are both nonzero mod n that happens for the single
+# candidate solving (q_last - p_last) z_s = -(q_prefix - p_prefix) mod n.
+# (A pair with both differences 0 mod n would collide for every candidate;
+# it cannot occur once the prefix passes the earlier steps and n exceeds
+# twice the largest index component.)
+# Prefixes are the dot products with the fixed prefix z (mod n), lasts the
+# last components (mod n).  The leads p are processed in blocks so that at
+# most PAIR_BLOCK pairs are held at once.
 
-def mark_bad_generic(prefix, last, n, bad):
-    mask = (last != 0) & (prefix != 0)
-    if not mask.any():
-        return
-    inv = _mod_pow(last[mask], n - 2, n)
-    bad[(n - prefix[mask]) * inv % n] = True
+PAIR_BLOCK = 1 << 22
 
 
-# Plan C elimination over distinct full-projection index pairs: for the pair
-# (k, k_s) != (k', k_s') and sign change (sigma, sigma_s) of (k', k_s'), the
-# bad candidate solves (sigma_s k_s' - k_s) z_s = -(sigma(k').z - k.z) mod n.
-# Mirror rows are grouped by their source index; rows of the own group are
-# skipped (self-aliasing is allowed).
-
-def mark_bad_plan_c(lead_prefix, lead_last, mir_prefix, mir_last, mir_group,
-                    n, bad):
-    ngroups = lead_prefix.shape[0]
-    beta = (mir_last[None, :] - lead_last[:, None]) % n
-    gamma = (mir_prefix[None, :] - lead_prefix[:, None]) % n
-    mask = (beta != 0) & (gamma != 0)
-    mask &= mir_group[None, :] != np.arange(ngroups, dtype=np.int64)[:, None]
-    if not mask.any():
-        return
-    inv = _mod_pow(beta[mask], n - 2, n)
-    bad[(n - gamma[mask]) * inv % n] = True
+def mark_bad_pairs(p_prefix, p_last, p_key, q_prefix, q_last, q_key, n, bad):
+    step = max(1, PAIR_BLOCK // max(1, q_key.shape[0]))
+    for lo in range(0, p_key.shape[0], step):
+        hi = lo + step
+        beta = (q_last[None, :] - p_last[lo:hi, None]) % n
+        gamma = (q_prefix[None, :] - p_prefix[lo:hi, None]) % n
+        mask = (beta != 0) & (gamma != 0) \
+            & (q_key[None, :] != p_key[lo:hi, None])
+        if mask.any():
+            inv = _mod_pow(beta[mask], n - 2, n)
+            bad[(n - gamma[mask]) * inv % n] = True

@@ -7,13 +7,11 @@ from hypothesis import given, settings, strategies as st
 import lattice_recon.cbc as cbc_module
 from lattice_recon import (CbcTask, EmptyCandidateSet, IndexSet, InvalidTask,
                            Rank1Lattice, RetryLimitExceeded, cbc_construct,
-                           difference_set, eliminate_step,
-                           eliminate_step_plan_c, is_prime,
-                           mirrored, next_prime, project, properties,
-                           required_n, sum_set, verify_fourier,
-                           verify_nonzero, verify_plan_a, verify_plan_b,
+                           difference_set, is_prime, mirrored, next_prime,
+                           project, properties, required_n, sum_set,
+                           verify_fourier, verify_plan_a, verify_plan_b,
                            verify_plan_c)
-from lattice_recon.cbc import SPACES, CandidateList
+from lattice_recon.cbc import SPACES
 from conftest import random_downward, random_nonneg_set, random_signed_set
 
 
@@ -243,73 +241,76 @@ def test_condition_nesting(rng):
 # ---------------------------------------------------------------------------
 # elimination
 
+def _builder(task):
+    return cbc_module._Builder(task, cbc_module._condition(task))
+
+
+def _integration_builder(rows):
+    # Fourier integration on a set that is not centrally symmetric: the step
+    # rows are the nonzero rows of the set's projections
+    return _builder(CbcTask("fourier", "integration", IndexSet(rows)))
+
+
 def test_eliminate_step_bootstrap_no_elimination():
-    survivors = eliminate_step(IndexSet([(1,)]), (), 5)
-    assert survivors.to_array().tolist() == [1, 2, 3, 4]
+    # with an empty prefix every residue is 0 and nothing is eliminated
+    survivors = _integration_builder([(1,)]).eliminate([], 5, 1)
+    assert survivors.tolist() == [1, 2, 3, 4]
 
 
 def test_eliminate_step_removes_unique_candidate():
     # row (h, h_s) = (1, 2), prefix z = (1): 2 z_s = -1 mod 5 -> z_s = 2
-    survivors = eliminate_step(IndexSet([(1, 2)]), (1,), 5)
-    assert survivors.to_array().tolist() == [1, 3, 4]
+    survivors = _integration_builder([(1, 2)]).eliminate([1], 5, 2)
+    assert survivors.tolist() == [1, 3, 4]
+    assert survivors.dtype == np.int64
 
 
 def test_eliminate_step_empty():
-    rows = IndexSet([(1, 1), (1, 2), (1, 3), (1, 4)])
+    builder = _integration_builder([(1, 1), (1, 2), (1, 3), (1, 4)])
     with pytest.raises(EmptyCandidateSet):
-        eliminate_step(rows, (1,), 5)
+        builder.eliminate([1], 5, 2)
 
 
 def test_eliminate_step_requires_prime():
     with pytest.raises(ValueError):
-        eliminate_step(IndexSet([(1, 1)]), (1,), 6)
+        _integration_builder([(1, 1)]).eliminate([1], 6, 2)
 
 
-def test_eliminated_candidates_fail_the_condition(rng):
-    # every removed candidate must genuinely violate the condition and
-    # every survivor must satisfy it, provided the prefix satisfies the
-    # step-(s-1) condition as the induction requires
-    done = 0
-    while done < 20:
-        A = random_signed_set(rng, 3, 12, 4)
-        n = next_prime(int(rng.integers(20, 80)))
-        z_prefix = tuple(int(v) for v in rng.integers(1, n, size=2))
-        A3 = project(A, 3, "full")
-        prefix_set = project(A, 2, "zero")
-        if not verify_nonzero(z_prefix, n, prefix_set).ok:
+@settings(max_examples=60, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 4),
+       size=st.integers(2, 10), downward=st.booleans(),
+       extra=st.integers(0, 40))
+def test_eliminated_candidates_fail_the_condition(seed, d, size, downward,
+                                                  extra):
+    # at every step whose prefix passes the earlier steps, elimination keeps
+    # exactly the candidates the step check accepts.  That holds for every
+    # prime n > 2 max(L), where no two step rows share their last component
+    # mod n without being distinct in the prefix; n below required_n makes
+    # collisions and empty candidate sets common.  Scattered sets are
+    # needed for plan C to differ from plan B: on a downward closed set a
+    # self-aliasing index also aliases the index with those components 0.
+    rng = np.random.default_rng(seed)
+    L = random_downward(rng, d, size)
+    signed = random_signed_set(rng, d, size, 3)
+    nonneg = random_nonneg_set(rng, d, size, 3)
+    for space, goal, plan in EVERY_TASK:
+        base = L if downward else signed if space == "fourier" else nonneg
+        task = CbcTask(space, goal, base, plan=plan)
+        builder = _builder(task)
+        n = next_prime(2 * base.max_abs() + extra)
+        z = [1]
+        if not builder.check_step(z, n, 1):
             continue
-        done += 1
-        survivors = set(eliminate_step(A3, z_prefix, n).to_array().tolist())
-        for zs in range(1, n):
-            z = z_prefix + (zs,)
-            ok = verify_nonzero(z, n, A3).ok
-            assert ok == (zs in survivors)
-
-
-def test_plan_c_elimination_matches_verifier(rng):
-    for _ in range(20):
-        L = random_nonneg_set(rng, 2, 5, 3)
-        n = next_prime(int(rng.integers(40, 200)))
-        z_prefix = (1,)
-        survivors = set(
-            eliminate_step_plan_c(L, z_prefix, n).to_array().tolist())
-        for zs in range(1, n):
-            ok = verify_plan_c(z_prefix + (zs,), n, L).ok
-            assert ok == (zs in survivors)
-
-
-def test_candidate_list_operations():
-    bad = np.zeros(7, dtype=bool)
-    bad[3] = True
-    cl = CandidateList(7, bad)
-    assert len(cl) == 5
-    assert cl.first() == 1
-    cl.remove(1)
-    assert cl.first() == 2
-    assert list(cl) == [2, 4, 5, 6]
-    for v in (2, 4, 5, 6):
-        cl.remove(v)
-    assert cl.first() is None
+        for s in range(2, d + 1):
+            passing = [zs for zs in range(1, n)
+                       if builder.check_step(z + [zs], n, s)]
+            try:
+                kept = builder.eliminate(z, n, s).tolist()
+            except EmptyCandidateSet:
+                kept = []
+            assert kept == passing
+            if not passing:
+                break
+            z.append(passing[int(rng.integers(len(passing)))])
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +459,7 @@ def test_central_symmetry_halves_eliminations(rng):
         d = int(rng.integers(2, 5))
         L = random_downward(rng, d, int(rng.integers(4, 20)))
         task = CbcTask("fourier", "reconstruction", L,
-                       strategy="elimination", projection="zero")
+                       strategy="elimination")
         result = cbc_construct(task)
         A = difference_set(L)
         sizes = [len(project(A, s, "zero")) for s in range(1, d + 1)]
@@ -475,11 +476,6 @@ def test_invalid_tasks():
         CbcTask("cosine", "reconstruction", L)  # plan missing
     with pytest.raises(InvalidTask):
         CbcTask("cosine", "integration", L, plan="B")
-    with pytest.raises(InvalidTask):
-        CbcTask("cosine", "reconstruction", L, plan="C", projection="zero")
-    with pytest.raises(InvalidTask):
-        CbcTask("cosine", "reconstruction", L, plan="B",
-                strategy="brute_force", projection="zero")
     with pytest.raises(InvalidTask):
         CbcTask("cosine", "reconstruction", L, plan="B", n=9,
                 strategy="elimination")

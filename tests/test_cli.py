@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from lattice_recon import (IndexSet, read_coefficients, read_indexset,
                            read_lattice, verify_plan_b, write_indexset,
@@ -90,6 +91,24 @@ def test_verify_rejects_bad_lattice(tmp_path):
     write_lattice(Rank1Lattice(3, (1,)), lat)
     assert run("verify", "--space", "cosine", "--goal", "reconstruction",
                "--plan", "B", "-i", idx, "--lattice", lat) == 1
+
+
+def test_verify_takes_only_task_flags(tmp_path, capsys):
+    # a valid plan-C lattice at a composite n: verify needs no construction
+    # flags, and rejects them as unknown arguments
+    idx = tmp_path / "s.idx"
+    lat = tmp_path / "s.lat"
+    write_indexset(IndexSet([(0,), (1,), (2,)], domain="nonneg"), idx)
+    write_lattice(Rank1Lattice(9, (1,)), lat)
+    task = ("verify", "--space", "cosine", "--plan", "C", "-i", idx,
+            "--lattice", lat)
+    assert run(*task) == 0
+    for extra in (("--n", "9"), ("--strategy", "brute_force"),
+                  ("--mixed-switch-factor", "0"), ("--projection", "full")):
+        with pytest.raises(SystemExit) as exc:
+            run(*task, *extra)
+        assert exc.value.code == 2
+    assert "unrecognized arguments: --projection" in capsys.readouterr().err
 
 
 def test_reconstruct_roundtrip(tmp_path):

@@ -232,6 +232,8 @@ def test_mod_pow_matches_reference(rng):
 
 
 def test_mark_bad_generic_matches_reference(rng):
+    # the nonzero condition: one zero lead row with a key of its own
+    zero, lead_key = np.zeros(1, dtype=np.int64), np.full(1, -1)
     for _ in range(50):
         n = next_prime(int(rng.integers(5, 150)))
         m = int(rng.integers(1, 40))
@@ -239,26 +241,52 @@ def test_mark_bad_generic_matches_reference(rng):
         last = np.asarray(rng.integers(0, n, size=m), dtype=np.int64)
         bad_k = np.zeros(n, dtype=bool)
         bad_r = np.zeros(n, dtype=bool)
-        K.mark_bad_generic(prefix, last, n, bad_k)
+        K.mark_bad_pairs(zero, zero, lead_key, prefix, last, np.arange(m),
+                         n, bad_k)
         _mark_bad_generic_ref(prefix, last, n, bad_r)
         assert np.array_equal(bad_k, bad_r)
 
 
+def _plan_c_pairs(rng):
+    n = next_prime(int(rng.integers(10, 300)))
+    G = int(rng.integers(1, 8))
+    R = int(rng.integers(G, 25))
+    lead_prefix = np.asarray(rng.integers(0, n, size=G), dtype=np.int64)
+    lead_last = np.asarray(rng.integers(0, n, size=G), dtype=np.int64)
+    mir_prefix = np.asarray(rng.integers(0, n, size=R), dtype=np.int64)
+    mir_last = np.asarray(rng.integers(0, n, size=R), dtype=np.int64)
+    mir_group = np.sort(np.asarray(rng.integers(0, G, size=R),
+                                   dtype=np.int64))
+    return (lead_prefix, lead_last, mir_prefix, mir_last, mir_group), n
+
+
 def test_mark_bad_plan_c_matches_reference(rng):
+    # plan C: every lead against all rows, keyed by sign group
     for _ in range(30):
-        n = next_prime(int(rng.integers(10, 300)))
-        G = int(rng.integers(1, 8))
-        R = int(rng.integers(G, 25))
-        lead_prefix = np.asarray(rng.integers(0, n, size=G), dtype=np.int64)
-        lead_last = np.asarray(rng.integers(0, n, size=G), dtype=np.int64)
-        mir_prefix = np.asarray(rng.integers(0, n, size=R), dtype=np.int64)
-        mir_last = np.asarray(rng.integers(0, n, size=R), dtype=np.int64)
-        mir_group = np.sort(np.asarray(rng.integers(0, G, size=R),
-                                       dtype=np.int64))
+        (lead_prefix, lead_last, mir_prefix, mir_last, mir_group), n = \
+            _plan_c_pairs(rng)
         bad_k = np.zeros(n, dtype=bool)
         bad_r = np.zeros(n, dtype=bool)
-        K.mark_bad_plan_c(lead_prefix, lead_last, mir_prefix, mir_last,
-                          mir_group, n, bad_k)
+        K.mark_bad_pairs(lead_prefix, lead_last,
+                         np.arange(lead_prefix.shape[0]), mir_prefix,
+                         mir_last, mir_group, n, bad_k)
         _mark_bad_plan_c_ref(lead_prefix, lead_last, mir_prefix, mir_last,
                              mir_group, n, bad_r)
         assert np.array_equal(bad_k, bad_r)
+
+
+def test_mark_bad_pairs_blocks_agree(rng, monkeypatch):
+    cases = [_plan_c_pairs(rng) for _ in range(30)]
+    unblocked = []
+    for (lp, ll, mp, ml, mg), n in cases:
+        bad = np.zeros(n, dtype=bool)
+        K.mark_bad_pairs(lp, ll, np.arange(lp.shape[0]), mp, ml, mg, n, bad)
+        unblocked.append(bad)
+    # a budget below one lead row still processes one lead per block
+    for budget in (1, 7, 30):
+        monkeypatch.setattr(K, "PAIR_BLOCK", budget)
+        for ((lp, ll, mp, ml, mg), n), expected in zip(cases, unblocked):
+            bad = np.zeros(n, dtype=bool)
+            K.mark_bad_pairs(lp, ll, np.arange(lp.shape[0]), mp, ml, mg, n,
+                             bad)
+            assert np.array_equal(bad, expected)
