@@ -313,6 +313,20 @@ def test_eliminated_candidates_fail_the_condition(seed, d, size, downward,
             z.append(passing[int(rng.integers(len(passing)))])
 
 
+def test_plan_c_elimination_matches_verifier(rng):
+    for _ in range(20):
+        L = random_nonneg_set(rng, 2, 5, 3)
+        n = next_prime(int(rng.integers(40, 200)))
+        builder = _builder(CbcTask("cosine", "reconstruction", L, plan="C"))
+        try:
+            survivors = set(builder.eliminate([1], n, 2).tolist())
+        except EmptyCandidateSet:
+            survivors = set()
+        for zs in range(1, n):
+            ok = verify_plan_c((1, zs), n, L).ok
+            assert ok == (zs in survivors)
+
+
 # ---------------------------------------------------------------------------
 # construction
 
