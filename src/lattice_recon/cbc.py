@@ -223,8 +223,8 @@ def verify_plan_c(z, n: int, Ls: IndexSet) -> VerifyResult:
 
 def verify_nonzero(z, n: int, A_s: IndexSet) -> VerifyResult:
     """All nonzero indices of A_s stay out of the dual lattice."""
-    rows = A_s.without_zero().as_array()
-    res = residues(rows, z, n)
+    rows = A_s.as_array()
+    res = residues(rows[np.any(rows, axis=1)], z, n)
     ok, visits = kernels.check_nonzero(res)
     return VerifyResult(bool(ok), int(visits))
 
@@ -236,15 +236,15 @@ def verify_nonzero(z, n: int, A_s: IndexSet) -> VerifyResult:
 class _Condition:
     """One (space, goal, plan) condition, built once per task.
 
-    ``code`` is the kernel condition code of the step checks, ``aux`` the
-    auxiliary set A of the generic condition h.z != 0 mod n (None for plan
-    C), ``bound`` the integer n must exceed, ``verify(z, n)`` the lookup
-    verifier and ``oracle(lattice)`` the naive check, which returns
-    (ok, c_table or None).
+    ``code`` is the kernel condition code of the step checks, ``bound`` the
+    integer n must exceed, ``verify(z, n)`` the lookup verifier and
+    ``oracle(lattice)`` the naive check, which returns (ok, c_table or
+    None).  The auxiliary set A of the generic condition h.z != 0 mod n
+    sizes the bound and lives on only inside the oracle (and, for
+    integration, the verifier); the CBC steps read the base set alone.
     """
 
     code: int
-    aux: IndexSet | None
     bound: int
     verify: Callable[[object, int], VerifyResult]
     oracle: Callable[[Rank1Lattice], tuple]
@@ -264,14 +264,14 @@ def _condition(task: CbcTask) -> _Condition:
             A, kappa = L, (2 if negated(L) == L else 1)
         else:
             A, kappa = mirrored(L), 2  # mirrored sets are centrally symmetric
-        size = len(A) - (1 if A.has_zero() else 0)
-        return _Condition(kernels.COND_NONZERO, A,
+        size = len(A) - (1 if L.has_zero() else 0)  # 0 in M(L) iff 0 in L
+        return _Condition(kernels.COND_NONZERO,
                           max(size // kappa + 1, L.max_abs()),
                           partial(verify_nonzero, A_s=A), _dual_oracle(A))
     if task.plan == "C":
         # sign orbits of distinct nonnegative indices are disjoint, so
         # |M(L)| is the sum of 2^|k|_0 over L
-        return _Condition(kernels.COND_PLAN_C, None,
+        return _Condition(kernels.COND_PLAN_C,
                           max(len(L) * L.sum_two_pow(), two_max),
                           partial(verify_plan_c, Ls=L),
                           lambda lattice: lattice.plan_c_check_naive(L))
@@ -287,7 +287,7 @@ def _condition(task: CbcTask) -> _Condition:
     else:
         A = sum_set(L, mirrored(L))
         code, verify, bound = kernels.COND_PLAN_B, verify_plan_b, len(A)
-    return _Condition(code, A, max(bound, two_max), partial(verify, Ls=L),
+    return _Condition(code, max(bound, two_max), partial(verify, Ls=L),
                       _dual_oracle(A))
 
 
@@ -357,22 +357,21 @@ def _prefix_last(rows: np.ndarray, z, n: int, s: int):
 class _Builder:
     """Holds the step rows of one task; reused across n escalations.
 
-    Step s prepares the rows whose residues its check reads: the nonzero
-    rows of the full projection A_s for integration, L_s for Fourier
-    reconstruction and M(L_s) grouped by sign orbit otherwise.  Elimination
-    pairs lead rows with every row of another key: the zero row (key -1)
-    for integration, every row keyed by itself for the distinct condition,
-    the orbit leads keyed by row for plan B and keyed by orbit for plan C.
+    Step s reads the projection L_s of the base set alone: its rows are
+    L_s for Fourier and M(L_s) grouped by sign orbit otherwise (the
+    projection of M(L) is M(L_s)), and integration drops the zero row.
+    Elimination pairs lead rows with every row of another key: the zero
+    row (key -1) for integration, every row keyed by itself for the
+    distinct condition, the orbit leads keyed by row for plan B and keyed
+    by orbit for plan C.
     """
 
-    def __init__(self, task: CbcTask, cond: _Condition):
+    def __init__(self, task: CbcTask, code: int):
         self.task = task
-        self.cond = cond.code
+        self.cond = code
         L = task.base_set
         self.d = L.dimension
-        _as_rows(L.as_array())  # 32-bit guards
-        if cond.aux is not None:
-            _as_rows(cond.aux.as_array())
+        _as_rows(L.as_array())  # 32-bit guard
         no_groups = np.zeros(1, dtype=np.int64)
         self.step_rows = [None]
         self.step_groups = [None]
@@ -381,23 +380,24 @@ class _Builder:
         self.lead_keys = [None]
         self.thresholds = [None]
         for s in range(1, self.d + 1):
-            Ls = project(L, s, "full")
-            if self.cond == kernels.COND_NONZERO:
-                rows = project(cond.aux, s, "full").without_zero().as_array()
-                groups = no_groups
-            elif task.space == "fourier":
+            Ls = project(L, s)
+            if task.space == "fourier":
                 rows, groups = Ls.as_array(), no_groups
             else:
                 rows, groups = mirror_expand(Ls)
+            # brute-force switching threshold: |L_s| or |M(L_s)|
+            self.thresholds.append(rows.shape[0])
+            if code == kernels.COND_NONZERO:
+                rows, groups = rows[np.any(rows, axis=1)], no_groups
             rows = _as_rows(rows)
             keys = np.arange(rows.shape[0], dtype=np.int64)
-            if self.cond == kernels.COND_NONZERO:
+            if code == kernels.COND_NONZERO:
                 leads = np.zeros((1, s), dtype=np.int64)
                 lead_keys = np.full(1, -1, dtype=np.int64)
-            elif self.cond == kernels.COND_DISTINCT:
+            elif code == kernels.COND_DISTINCT:
                 leads, lead_keys = rows, keys
             else:
-                if self.cond == kernels.COND_PLAN_C:
+                if code == kernels.COND_PLAN_C:
                     keys = np.repeat(np.arange(len(Ls), dtype=np.int64),
                                      np.diff(groups))
                 leads, lead_keys = rows[groups[:-1]], keys[groups[:-1]]
@@ -406,13 +406,6 @@ class _Builder:
             self.step_keys.append(keys)
             self.lead_rows.append(leads)
             self.lead_keys.append(lead_keys)
-            # brute-force switching threshold: |L_s| for Fourier, |M(L_s)|
-            # otherwise (sign orbits of distinct nonnegative indices are
-            # disjoint, so |M(L_s)| equals the summed orbit sizes)
-            if task.space == "fourier":
-                self.thresholds.append(len(Ls))
-            else:
-                self.thresholds.append(Ls.sum_two_pow())
 
     # -- step condition check for a fixed candidate vector ---------------
 
@@ -488,55 +481,49 @@ class _Builder:
 
 def cbc_construct(task: CbcTask) -> CbcResult:
     """Run the CBC construction for a task; escalates n to the next prime
-    and restarts whenever a step fails, up to ``task.retry_limit`` tries."""
+    and restarts whenever a step fails, up to ``task.retry_limit`` tries.
+    The oracle validates the returned lattice once, after any reduction
+    of n."""
     cond = _condition(task)
-    builder = _Builder(task, cond)
+    builder = _Builder(task, cond.code)
     n = task.n if task.n else next_prime(cond.bound)
     stats = CbcStats()
     last_failure = None
     for _ in range(task.retry_limit):
+        if n >= _INT32_LIMIT:
+            raise ValueError("n must fit in 32 bits")
         stats.n_sequence.append(n)
         try:
             z, steps, switch_step = builder.construct_at(n)
+            m, z = _reduce_n(cond, n, z) if task.reduce_n else (n, z)
+            ok, c_table = cond.oracle(Rank1Lattice(m, z))
+            if not ok:
+                # cannot happen when the step checks and the verifiers are
+                # sound; escalate anyway
+                raise _StepFailed(builder.d, "oracle validation failed")
         except _StepFailed as exc:
             last_failure = exc
             stats.restarts += 1
             n = next_prime(n)
             continue
-        ok, c_table = cond.oracle(Rank1Lattice(n, z))
-        if not ok:
-            # cannot happen when the step checks are sound; escalate anyway
-            last_failure = _StepFailed(builder.d, "oracle validation failed")
-            stats.restarts += 1
-            n = next_prime(n)
-            continue
         stats.steps = steps
         stats.switch_step = switch_step
-        if task.reduce_n:
-            n, z, c_table = _reduce_n(cond, n, z, c_table)
-        return CbcResult(tuple(z), n, c_table, stats)
+        return CbcResult(tuple(z), m, c_table, stats)
     raise RetryLimitExceeded(
         f"no valid vector after {task.retry_limit} attempts; last failure: "
         f"{last_failure}")
 
 
-def _reduce_n(cond: _Condition, n: int, z, c_table):
-    """Try successively smaller primes for the fixed z, keeping the last
-    value that still passes the full oracle validation."""
-    best = (n, list(z), c_table)
-    p = n
+def _reduce_n(cond: _Condition, n: int, z):
+    """Walk down the primes below n for the fixed z while z mod p has no
+    zero component and the lookup verifier passes; returns the smallest
+    such prime (or n) with z reduced mod it.  The verifiers match the
+    oracles, so the caller's single oracle run accepts the result."""
     while True:
-        p = _previous_prime(p)
-        if p is None:
-            break
-        zp = [zj % p for zj in z]
-        if any(v == 0 for v in zp):
-            break
-        ok, table = cond.oracle(Rank1Lattice(p, zp))
-        if not ok:
-            break
-        best = (p, zp, table)
-    return best[0], best[1], best[2]
+        p = _previous_prime(n)
+        if p is None or not all(zj % p for zj in z) or not cond.verify(z, p):
+            return n, [zj % n for zj in z]
+        n = p
 
 
 def _previous_prime(n: int):

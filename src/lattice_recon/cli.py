@@ -280,8 +280,6 @@ def cmd_experiment(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed for all randomness (default 0)")
     common.add_argument("--json", action="store_true",
                         help="machine-parseable JSON on stdout")
     common.add_argument("-v", "--verbose", action="count", default=0)
@@ -305,6 +303,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", metavar="FILE",
                    help="also write a JSON properties report")
     p.set_defaults(func=cmd_indexset)
+
+    def add_seed(q):
+        q.add_argument("--seed", type=int, default=0,
+                       help="seed of the built-in test function (default 0)")
 
     def add_task_flags(q):
         q.add_argument("--space", required=True, choices=cbc.SPACES)
@@ -344,12 +346,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", required=True, metavar="COEFFFILE")
     p.add_argument("--roundtrip", action="store_true")
     p.add_argument("--tolerance", type=float, default=1e-9)
+    add_seed(p)
     p.set_defaults(func=cmd_reconstruct)
 
     p = sub.add_parser("experiment", parents=[common],
                        help="run an error-decomposition experiment")
     p.add_argument("--config", required=True, metavar="JSONFILE")
     p.add_argument("-o", "--output", required=True, metavar="CSVFILE")
+    add_seed(p)
     p.set_defaults(func=cmd_experiment)
     return parser
 

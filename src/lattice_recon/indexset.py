@@ -142,12 +142,7 @@ class IndexSet:
         return int((1 << np.count_nonzero(self._arr, axis=1)).sum())
 
     def has_zero(self) -> bool:
-        return (0,) * self.dimension in self._member_set()
-
-    def without_zero(self) -> "IndexSet":
-        mask = np.any(self._arr != 0, axis=1)
-        return IndexSet(self._arr[mask], dimension=self.dimension,
-                        domain=self.domain)
+        return not bool(np.all(np.any(self._arr, axis=1)))
 
 
 @dataclass(frozen=True)
@@ -240,16 +235,26 @@ def mirror_expand(L: IndexSet) -> tuple[np.ndarray, np.ndarray]:
     """Concatenated sign orbits of every index with group offsets.
 
     Returns (rows, group_start) where rows stacks the unique sign changes
-    of each index (the index itself first, set order) and group g occupies
-    rows[group_start[g]:group_start[g+1]].
+    of each index in the order of :func:`unique_sign_changes` (set order)
+    and group g occupies rows[group_start[g]:group_start[g+1]].  For an
+    index with c nonzero components, row r of its group flips the i-th of
+    them (0-based, from the left) when bit c-1-i of r is set.
     """
-    rows: list[tuple[int, ...]] = []
-    offsets = [0]
-    for k in L:
-        rows.extend(unique_sign_changes(k))
-        offsets.append(len(rows))
-    arr = np.asarray(rows, dtype=np.int64).reshape(len(rows), L.dimension)
-    return arr, np.asarray(offsets, dtype=np.int64)
+    arr = L.as_array()
+    count = np.count_nonzero(arr, axis=1)
+    sizes = np.left_shift(1, count, dtype=np.int64)
+    group_start = np.zeros(len(L) + 1, dtype=np.int64)
+    np.cumsum(sizes, out=group_start[1:])
+    rows = np.repeat(arr, sizes, axis=0)
+    pattern = (np.arange(group_start[-1], dtype=np.int64)
+               - np.repeat(group_start[:-1], sizes))
+    # the pattern bit that flips each component; zero components get one
+    # too, but flipping them changes nothing
+    bit = count[:, None] - np.cumsum(arr != 0, axis=1)
+    for j in range(L.dimension):
+        flip = ((pattern >> np.repeat(bit[:, j], sizes)) & 1).astype(bool)
+        np.negative(rows[:, j], out=rows[:, j], where=flip)
+    return rows, group_start
 
 
 def mirrored(L: IndexSet) -> IndexSet:
@@ -285,22 +290,16 @@ def difference_set(L: IndexSet) -> IndexSet:
     return sum_set(L, negated(L))
 
 
-def project(L: IndexSet, s: int, mode: str) -> IndexSet:
-    """Project onto the first s coordinates.
+def project(L: IndexSet, s: int, mode: str = "full") -> IndexSet:
+    """Project onto the first s coordinates by truncating every index.
 
-    mode "zero" keeps indices whose trailing components vanish; mode
-    "full" truncates every index.  The zero projection is a subset of the
-    full one; they coincide for downward closed sets.
+    ``mode`` accepts only "full", the one projection there is.
     """
     if not 1 <= s <= L.dimension:
         raise ValueError(f"projection dimension {s} out of range")
-    if mode not in ("zero", "full"):
+    if mode != "full":
         raise ValueError(f"unknown projection mode {mode!r}")
-    arr = L.as_array()
-    if mode == "zero":
-        keep = np.all(arr[:, s:] == 0, axis=1)
-        arr = arr[keep]
-    return IndexSet(arr[:, :s], dimension=s, domain=L.domain)
+    return IndexSet(L.as_array()[:, :s], dimension=s, domain=L.domain)
 
 
 @dataclass(frozen=True)
@@ -357,17 +356,13 @@ def properties(L: IndexSet) -> SetReport:
     """Classify L and, when it is downward closed, verify the cardinality
     bounds max 2^|k|_0 <= |L|, sum 2^|k|_0 <= |L|^(ln3/ln2) and
     |M(L)| <= min(2^d |L|, |L|^(ln3/ln2))."""
-    members = L._member_set()
     card = len(L)
     down = is_downward_closed(L)
-    central = all(tuple(-kj for kj in k) in members for k in members)
-    fully = all(sk in members for k in members
-                for sk in unique_sign_changes(k))
     mir_size = len(mirrored(L)) if card else 0
     sum2 = L.sum_two_pow()
     violations: list[str] = []
     if down and card:
-        max2 = int(max(1 << zero_count(k) for k in members))
+        max2 = 1 << int(np.count_nonzero(L.as_array(), axis=1).max())
         power = float(card) ** LOG3_OVER_LOG2 + _BOUND_SLACK
         if max2 > card:
             violations.append("max 2^|k|_0 exceeds |L|")
@@ -381,8 +376,9 @@ def properties(L: IndexSet) -> SetReport:
         max_abs=L.max_abs(),
         sum_two_pow=sum2,
         downward_closed=down,
-        centrally_symmetric=central,
-        fully_sign_symmetric=fully,
+        centrally_symmetric=negated(L) == L,
+        # M(L) contains L, so the two are equal iff their sizes are
+        fully_sign_symmetric=mir_size == card,
         tensor_product=_is_tensor_product(L),
         mirrored_size=mir_size,
         bound_violations=tuple(violations),

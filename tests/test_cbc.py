@@ -127,6 +127,8 @@ def test_required_n_closed_form_matches_prime_walk(seed, d, size,
 @pytest.mark.parametrize("reduce_n", (False, True))
 def test_auxiliary_set_built_once_per_construction(space, plan, reduce_n,
                                                    monkeypatch):
+    # the auxiliary set is built once and read by one oracle run, also
+    # when reduce_n walks down the primes with the lookup verifier
     L = random_downward(np.random.default_rng(3), 3, 10)
     task = CbcTask(space, "reconstruction", L, plan=plan)
     if reduce_n:
@@ -139,10 +141,30 @@ def test_auxiliary_set_built_once_per_construction(space, plan, reduce_n,
         monkeypatch.setattr(
             cbc_module, name,
             lambda *args, _f=original: builds.append(1) or _f(*args))
+    oracle_runs = []
+    dual_check = Rank1Lattice.dual_check
+    monkeypatch.setattr(
+        Rank1Lattice, "dual_check",
+        lambda self, A: oracle_runs.append(self.n) or dual_check(self, A))
     result = cbc_construct(task)
     assert len(builds) == 1
+    assert oracle_runs == [result.n]
     if reduce_n:
         assert result.n < task.n
+
+
+def test_n_beyond_32_bits_fails_before_the_search(monkeypatch):
+    # |L (-) L| is tiny, but the bound n > 2 max(L) = 2^31 is not
+    L = IndexSet([(0, 0), (2**30, 0)])
+    task = CbcTask("fourier", "reconstruction", L)
+    assert required_n(task) > 2**31
+
+    def no_search(self, n):
+        raise AssertionError("a step ran at n >= 2^31")
+
+    monkeypatch.setattr(cbc_module._Builder, "construct_at", no_search)
+    with pytest.raises(ValueError, match="32 bits"):
+        cbc_construct(task)
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +264,7 @@ def test_condition_nesting(rng):
 # elimination
 
 def _builder(task):
-    return cbc_module._Builder(task, cbc_module._condition(task))
+    return cbc_module._Builder(task, cbc_module._condition(task).code)
 
 
 def _integration_builder(rows):
@@ -311,6 +333,35 @@ def test_eliminated_candidates_fail_the_condition(seed, d, size, downward,
             if not passing:
                 break
             z.append(passing[int(rng.integers(len(passing)))])
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 4),
+       size=st.integers(1, 12), downward=st.booleans())
+def test_integration_step_rows_are_the_projected_auxiliary_set(
+        seed, d, size, downward):
+    # the step rows read from L_s equal the nonzero rows of the projected
+    # auxiliary set A = L or M(L), and the switching threshold is |L_s| or
+    # |M(L_s)|
+    rng = np.random.default_rng(seed)
+    L = random_downward(rng, d, size)
+    signed = random_signed_set(rng, d, size, 3)
+    nonneg = random_nonneg_set(rng, d, size, 3)
+    for space in SPACES:
+        bases = ([L] if downward else
+                 [signed, nonneg] if space == "fourier" else [nonneg])
+        for base in bases:
+            builder = _builder(CbcTask(space, "integration", base))
+            A = base if space == "fourier" else mirrored(base)
+            for s in range(1, d + 1):
+                rows = builder.step_rows[s]
+                assert rows.shape[1] == s
+                reference = set(project(A, s)) - {(0,) * s}
+                assert set(map(tuple, rows.tolist())) == reference
+                assert rows.shape[0] == len(reference)
+                Ls = project(base, s)
+                assert builder.thresholds[s] == (
+                    len(Ls) if space == "fourier" else Ls.sum_two_pow())
 
 
 def test_plan_c_elimination_matches_verifier(rng):
@@ -476,7 +527,7 @@ def test_central_symmetry_halves_eliminations(rng):
                        strategy="elimination")
         result = cbc_construct(task)
         A = difference_set(L)
-        sizes = [len(project(A, s, "zero")) for s in range(1, d + 1)]
+        sizes = [len(project(A, s, "full")) for s in range(1, d + 1)]
         for st in result.stats.steps[1:]:
             allowed = (sizes[st.step - 1] - sizes[st.step - 2]) / 2 + 1
             assert st.eliminated <= allowed

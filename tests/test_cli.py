@@ -111,6 +111,17 @@ def test_verify_takes_only_task_flags(tmp_path, capsys):
     assert "unrecognized arguments: --projection" in capsys.readouterr().err
 
 
+def test_seed_only_where_randomness_is_drawn(tmp_path):
+    # only reconstruct and experiment draw random numbers; the other
+    # subcommands reject --seed
+    idx = tmp_path / "s.idx"
+    write_indexset(IndexSet([(0,), (1,)], domain="nonneg"), idx)
+    with pytest.raises(SystemExit) as exc:
+        run("cbc", "--space", "fourier", "-i", idx, "-o", tmp_path / "s.lat",
+            "--seed", "1")
+    assert exc.value.code == 2
+
+
 def test_reconstruct_roundtrip(tmp_path):
     idx = tmp_path / "s.idx"
     lat = tmp_path / "s.lat"

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lattice_recon import (IndexSet, WeightedSetRule, difference_set,
                            is_downward_closed, make_weighted_set,
@@ -197,36 +198,39 @@ def test_mirror_expand_groups():
     assert rows[1].tolist() == [1, 2]  # identity sign first
 
 
+@settings(max_examples=100, deadline=None, database=None)
+@given(d=st.integers(1, 4),
+       rows=st.lists(st.lists(st.integers(-3, 3), min_size=4, max_size=4),
+                     max_size=12),
+       with_zero=st.booleans())
+def test_mirror_expand_matches_unique_sign_changes(d, rows, with_zero):
+    # the vectorized expansion stacks the orbits of unique_sign_changes in
+    # set order, with int64 group offsets; the empty set included
+    arr = [r[:d] for r in rows] + ([[0] * d] if with_zero else [])
+    L = IndexSet(arr, dimension=d)
+    expanded, starts = mirror_expand(L)
+    orbits = [unique_sign_changes(k) for k in L]
+    assert expanded.dtype == np.int64 and starts.dtype == np.int64
+    assert expanded.shape == (sum(map(len, orbits)), d)
+    assert [tuple(r) for r in expanded.tolist()] == [
+        h for orbit in orbits for h in orbit]
+    assert starts.tolist() == [0] + list(
+        itertools.accumulate(map(len, orbits)))
+
+
 # ---------------------------------------------------------------------------
 # projections
 
 def test_project_examples():
     L = IndexSet([(1, 2), (3, 0)])
-    assert list(project(L, 1, "zero")) == [(3,)]
     assert list(project(L, 1, "full")) == [(1,), (3,)]
 
     box = IndexSet([(0, 0), (0, 1), (1, 0), (1, 1)], domain="nonneg")
-    assert list(project(box, 1, "zero")) == [(0,), (1,)]
     assert list(project(box, 1, "full")) == [(0,), (1,)]
-
-
-def test_project_modes_nest_and_match_when_downward_closed(rng):
-    for _ in range(10):
-        L = random_signed_set(rng, 4, 12)
-        for s in range(1, 5):
-            zero = set(project(L, s, "zero"))
-            full = set(project(L, s, "full"))
-            assert zero <= full
-    for _ in range(10):
-        L = random_downward(rng, 4, 20)
-        assert is_downward_closed(L)
-        for s in range(1, 5):
-            assert project(L, s, "zero") == project(L, s, "full")
 
 
 def test_project_identity_at_full_dimension(rng):
     L = random_signed_set(rng, 3, 10)
-    assert project(L, 3, "zero") == L
     assert project(L, 3, "full") == L
 
 
@@ -236,6 +240,8 @@ def test_project_out_of_range():
         project(L, 0, "full")
     with pytest.raises(ValueError):
         project(L, 3, "full")
+    with pytest.raises(ValueError):
+        project(L, 1, "zero")
 
 
 # ---------------------------------------------------------------------------
