@@ -12,7 +12,7 @@ the self-aliasing condition of plan C, with three search strategies:
 * ``mixed`` starts brute force and switches to elimination once the failure
   count at a step exceeds a threshold.
 
-Every constructed vector is re-validated against the pure-Python oracle
+Every constructed vector is re-validated against the independent oracle
 checks of :class:`lattice_recon.lattice.Rank1Lattice` before it is returned.
 """
 
@@ -495,7 +495,7 @@ def cbc_construct(task: CbcTask) -> CbcResult:
         stats.n_sequence.append(n)
         try:
             z, steps, switch_step = builder.construct_at(n)
-            m, z = _reduce_n(cond, n, z) if task.reduce_n else (n, z)
+            m, z = _reduce_n(builder, n, z) if task.reduce_n else (n, z)
             ok, c_table = cond.oracle(Rank1Lattice(m, z))
             if not ok:
                 # cannot happen when the step checks and the verifiers are
@@ -514,16 +514,32 @@ def cbc_construct(task: CbcTask) -> CbcResult:
         f"{last_failure}")
 
 
-def _reduce_n(cond: _Condition, n: int, z):
+def _reduce_n(builder: _Builder, n: int, z):
     """Walk down the primes below n for the fixed z while z mod p has no
-    zero component and the lookup verifier passes; returns the smallest
-    such prime (or n) with z reduced mod it.  The verifiers match the
-    oracles, so the caller's single oracle run accepts the result."""
+    zero component and the last step check passes; returns the smallest
+    such prime (or n) with z reduced mod it.
+
+    The last step's rows, prepared once by the builder, are those of the
+    condition's lookup verifier (L or M(L), without the zero row for
+    integration), so each prime costs only the residues and the check.
+    The verifiers match the oracles, so the caller's single oracle run
+    accepts the result.
+    """
+    rows = builder.step_rows[builder.d]
+    groups = builder.step_groups[builder.d]
+    # h.z is exact in int64 when sum_j max|h| z_j < 2^63; then a prime's
+    # residues are one reduction per row
+    exact = int(np.abs(rows).max(initial=0)) * sum(z) < 2**63
+    dots = rows @ np.asarray(z, dtype=np.int64) if exact else None
     while True:
         p = _previous_prime(n)
-        if p is None or not all(zj % p for zj in z) or not cond.verify(z, p):
-            return n, [zj % n for zj in z]
+        if p is None or not all(zj % p for zj in z):
+            break
+        res = dots % p if exact else residues(rows, z, p)
+        if not kernels.check_condition(res, groups, p, builder.cond):
+            break
         n = p
+    return n, [zj % n for zj in z]
 
 
 def _previous_prime(n: int):

@@ -2,9 +2,16 @@
 condition: mirrored sets, sum/difference sets, projections and the weighted
 index-set families.
 
-Multi-indices are plain tuples of ints; an :class:`IndexSet` stores a
-deduplicated, lexicographically sorted int64 array plus a hash set for
-membership.  All operations return new objects; nothing here mutates.
+Multi-indices are plain tuples of ints.  An :class:`IndexSet` stores the
+sorted, distinct int64 mixed-radix keys of its rows within the set's
+bounding box, with the box offset and radices.  The first coordinate is the
+most significant, so key order is the lexicographic order of the rows:
+dedup is a 1-D sort, membership a binary search on the keys, and the row
+array is decoded once, on first use.  Sum and difference sets add keys in
+the widened box and never form the |A| |B| pair rows.  A box of more than
+``KEY_LIMIT`` points is keyed by leading runs of coordinates whose boxes
+fit, one int64 field per run.  All operations return new objects; nothing
+here mutates.
 """
 
 from __future__ import annotations
@@ -22,6 +29,16 @@ LOG3_OVER_LOG2 = math.log(3.0) / math.log(2.0)
 
 # slack when asserting the downward-closed cardinality bounds at equality
 _BOUND_SLACK = 1e-9
+
+# most points the box of one run of coordinates may hold, so that every
+# key, a sum of two keys in a widened box included, fits in int64
+KEY_LIMIT = 1 << 62
+# largest widened box whose sum set is deduplicated with a byte bitmap
+# (untouched pages of the zeroed bitmap are never resident); larger boxes
+# take the blocked sort and merge
+BITMAP_BYTES = 1 << 28
+# pairs of keys added at once by the sum-set blocks
+SUM_BLOCK = 1 << 20
 
 
 def zero_count(k) -> int:
@@ -48,6 +65,112 @@ def unique_sign_changes(k) -> list[tuple[int, ...]]:
     return out
 
 
+# ---------------------------------------------------------------------------
+# mixed-radix keys
+#
+# A box is its offset ``lo`` and its radices ``widths`` (hi - lo + 1), as
+# tuples of Python ints.  Its coordinates split greedily from the left into
+# runs whose boxes hold at most KEY_LIMIT points; the key of a row in a run
+# is sum_j (k_j - lo_j) * prod_{i > j in the run} widths_i.  A coordinate
+# wider than KEY_LIMIT is a run of its own and keyed by its value (offset
+# 0).  One run gives an int64 key array; several give a structured array
+# with one int64 field per run, which numpy compares field by field.
+
+def _bounds(arr: np.ndarray):
+    if arr.shape[0] == 0:
+        return (0,) * arr.shape[1], (1,) * arr.shape[1]
+    lo = arr.min(axis=0).tolist()
+    hi = arr.max(axis=0).tolist()
+    return tuple(lo), tuple(h - l + 1 for l, h in zip(lo, hi))
+
+
+def _runs(widths) -> list[tuple[int, int]]:
+    runs, start, volume = [], 0, 1
+    for j, w in enumerate(widths):
+        volume *= w
+        if volume > KEY_LIMIT and j > start:
+            runs.append((start, j))
+            start, volume = j, w
+    runs.append((start, len(widths)))
+    return runs
+
+
+def _offsets(lo, widths) -> list[int]:
+    return [l if w <= KEY_LIMIT else 0 for l, w in zip(lo, widths)]
+
+
+def _pack(cols) -> np.ndarray:
+    if len(cols) == 1:
+        return cols[0]
+    keys = np.empty(cols[0].shape[0],
+                    dtype=[(f"r{i}", np.int64) for i in range(len(cols))])
+    for name, col in zip(keys.dtype.names, cols):
+        keys[name] = col
+    return keys
+
+
+def _columns(keys: np.ndarray) -> list[np.ndarray]:
+    names = keys.dtype.names
+    return [keys] if names is None else [keys[name] for name in names]
+
+
+def _encode(arr: np.ndarray, offsets, widths) -> np.ndarray:
+    cols = []
+    for a, b in _runs(widths):
+        key = arr[:, a] - offsets[a]
+        for j in range(a + 1, b):
+            key = key * widths[j] + (arr[:, j] - offsets[j])
+        cols.append(key)
+    return _pack(cols)
+
+
+def _decode(keys: np.ndarray, offsets, widths) -> np.ndarray:
+    arr = np.empty((keys.shape[0], len(widths)), dtype=np.int64)
+    for key, (a, b) in zip(_columns(keys), _runs(widths)):
+        for j in range(b - 1, a, -1):
+            key, arr[:, j] = np.divmod(key, widths[j])
+            arr[:, j] += offsets[j]
+        arr[:, a] = key + offsets[a]
+    return arr
+
+
+def _first_of_equal(keys: np.ndarray) -> np.ndarray:
+    """Mask of the first of every group of equal keys in sorted keys."""
+    keep = np.ones(keys.shape[0], dtype=bool)
+    keep[1:] = keys[1:] != keys[:-1]
+    return keep
+
+
+def _unique(keys: np.ndarray) -> np.ndarray:
+    """Sorted distinct keys; several runs are ordered with np.lexsort."""
+    if keys.dtype.names is None:
+        return np.unique(keys)
+    keys = keys[np.lexsort(_columns(keys)[::-1])]
+    return keys[_first_of_equal(keys)]
+
+
+def _sum_keys(ka: np.ndarray, kb: np.ndarray, volume: int) -> np.ndarray:
+    """Sorted distinct ka[i] + kb[j], SUM_BLOCK pairs at a time: marked in
+    a byte bitmap when the box of ``volume`` points fits BITMAP_BYTES (and
+    so is keyed by one run), else sorted per block and merged."""
+    step = max(1, SUM_BLOCK // kb.shape[0])
+    blocks = [slice(lo, lo + step) for lo in range(0, ka.shape[0], step)]
+    if volume <= BITMAP_BYTES:
+        seen = np.zeros(volume, dtype=bool)
+        for block in blocks:
+            seen[(ka[block, None] + kb[None, :]).ravel()] = True
+        return np.flatnonzero(seen)
+    parts = []
+    for block in blocks:
+        part = _unique(_pack([(a[block, None] + b[None, :]).ravel() for a, b
+                              in zip(_columns(ka), _columns(kb))]))
+        # merge parts of similar size, so each key is merged O(log) times
+        while parts and parts[-1].shape[0] <= part.shape[0]:
+            part = _unique(np.concatenate((parts.pop(), part)))
+        parts.append(part)
+    return parts[0] if len(parts) == 1 else _unique(np.concatenate(parts))
+
+
 class IndexSet:
     """Finite ordered set of multi-indices sharing one dimension.
 
@@ -61,13 +184,13 @@ class IndexSet:
         Ambient domain; "nonneg" rejects negative components.
     """
 
-    __slots__ = ("_arr", "domain", "_members")
+    __slots__ = ("_keys", "_lo", "_widths", "_arr", "domain")
 
     def __init__(self, indices, dimension=None, domain=DOMAIN_SIGNED):
         if domain not in (DOMAIN_SIGNED, DOMAIN_NONNEG):
             raise ValueError(f"unknown domain {domain!r}")
         if isinstance(indices, np.ndarray):
-            arr = indices.astype(np.int64, copy=True)
+            arr = indices.astype(np.int64, copy=False)
         else:
             arr = np.asarray([tuple(k) for k in indices], dtype=np.int64)
         if arr.size == 0:
@@ -83,47 +206,78 @@ class IndexSet:
             raise ValueError("dimension must be at least 1")
         if domain == DOMAIN_NONNEG and arr.size and arr.min() < 0:
             raise ValueError("negative component in a nonneg index set")
-        arr = np.unique(arr, axis=0)
-        arr.setflags(write=False)
-        self._arr = arr
+        lo, widths = _bounds(arr)
+        self._init(_unique(_encode(arr, _offsets(lo, widths), widths)),
+                   lo, widths, domain)
+
+    def _init(self, keys, lo, widths, domain):
+        keys.setflags(write=False)
+        self._keys = keys
+        self._lo = lo
+        self._widths = widths
+        self._arr = None
         self.domain = domain
-        self._members = None
+
+    @classmethod
+    def _from_keys(cls, keys, lo, widths, domain) -> "IndexSet":
+        """Set of the sorted distinct keys in the tight box (lo, widths)."""
+        out = cls.__new__(cls)
+        out._init(keys, lo, widths, domain)
+        return out
 
     @property
     def dimension(self) -> int:
-        return self._arr.shape[1]
+        return len(self._widths)
 
     @property
     def indices(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(map(tuple, self._arr.tolist()))
+        return tuple(map(tuple, self.as_array().tolist()))
 
     def as_array(self) -> np.ndarray:
-        """Read-only (N, d) int64 view in lexicographic order."""
+        """Read-only (N, d) int64 array in lexicographic order, decoded
+        from the keys on the first call."""
+        if self._arr is None:
+            arr = _decode(self._keys, _offsets(self._lo, self._widths),
+                          self._widths)
+            arr.setflags(write=False)
+            self._arr = arr
         return self._arr
 
-    def _member_set(self) -> frozenset:
-        if self._members is None:
-            self._members = frozenset(map(tuple, self._arr.tolist()))
-        return self._members
+    def _contains_rows(self, rows) -> np.ndarray:
+        """Membership of every row of an (m, d) integer array, by binary
+        search on the keys."""
+        rows = np.asarray(rows, dtype=np.int64)
+        hi = [l + w - 1 for l, w in zip(self._lo, self._widths)]
+        inside = np.flatnonzero(np.all((rows >= self._lo) & (rows <= hi),
+                                       axis=1))
+        query = _encode(rows[inside], _offsets(self._lo, self._widths),
+                        self._widths)
+        pos = np.searchsorted(self._keys, query)
+        hit = pos < self._keys.shape[0]
+        found = np.zeros(rows.shape[0], dtype=bool)
+        found[inside[hit]] = self._keys[pos[hit]] == query[hit]
+        return found
 
     def __len__(self) -> int:
-        return self._arr.shape[0]
+        return self._keys.shape[0]
 
     def __iter__(self):
         return iter(self.indices)
 
     def __contains__(self, k) -> bool:
-        return tuple(k) in self._member_set()
+        k = tuple(k)
+        return (len(k) == self.dimension
+                and bool(self._contains_rows([k])[0]))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, IndexSet):
             return NotImplemented
-        return (self.dimension == other.dimension
-                and self._arr.shape == other._arr.shape
-                and bool(np.array_equal(self._arr, other._arr)))
+        # boxes are tight, so equal sets have equal boxes and keys
+        return (self._lo == other._lo and self._widths == other._widths
+                and bool(np.array_equal(self._keys, other._keys)))
 
     def __hash__(self):
-        return hash((self.dimension, self._arr.tobytes()))
+        return hash((self._lo, self._widths, self._keys.tobytes()))
 
     def __repr__(self) -> str:
         return (f"IndexSet(dim={self.dimension}, size={len(self)}, "
@@ -131,18 +285,17 @@ class IndexSet:
 
     def max_abs(self) -> int:
         """max(L): the largest component magnitude, 0 for an empty set."""
-        if len(self) == 0:
-            return 0
-        return int(np.abs(self._arr).max())
+        return max(max(abs(l), abs(l + w - 1))
+                   for l, w in zip(self._lo, self._widths))
 
     def sum_two_pow(self) -> int:
         """Sum over the set of 2^|k|_0."""
         if len(self) == 0:
             return 0
-        return int((1 << np.count_nonzero(self._arr, axis=1)).sum())
+        return int((1 << np.count_nonzero(self.as_array(), axis=1)).sum())
 
     def has_zero(self) -> bool:
-        return not bool(np.all(np.any(self._arr, axis=1)))
+        return (0,) * self.dimension in self
 
 
 @dataclass(frozen=True)
@@ -206,29 +359,30 @@ def make_weighted_set(rule: WeightedSetRule, d: int,
                        axis=-1).reshape(-1, d)
         return IndexSet(arr, dimension=d, domain=DOMAIN_NONNEG)
 
-    out: list[tuple[int, ...]] = []
-    index = [0] * d
-
-    def descend(j: int, value: float):
-        if j == d:
-            out.append(tuple(index))
-            if len(out) > cap:
-                raise ValueError(f"weighted set exceeds cap of {cap} indices")
-            return
+    # grow the prefixes one coordinate at a time, in lexicographic order;
+    # a prefix never outnumbers its completions (k_j = 0 keeps the value),
+    # so no level holds more than the set.  A loop, not a recursive
+    # closure, whose reference cycle would keep every index alive until
+    # the cyclic garbage collector ran.
+    prefixes = [((), 0.0 if rule.kind == "sum" else 1.0)]
+    for j in range(d):
         beta = rule.beta(j)
-        for kj in range(limits[j] + 1):
-            if rule.kind == "sum":
-                new_value = value + kj / beta
-            else:
-                new_value = value * max(1.0, kj / beta)
-            if new_value > m * (1.0 + tol):
-                break
-            index[j] = kj
-            descend(j + 1, new_value)
-        index[j] = 0
-
-    descend(0, 0.0 if rule.kind == "sum" else 1.0)
-    return IndexSet(out, dimension=d, domain=DOMAIN_NONNEG)
+        grown = []
+        for prefix, value in prefixes:
+            for kj in range(limits[j] + 1):
+                if rule.kind == "sum":
+                    new_value = value + kj / beta
+                else:
+                    new_value = value * max(1.0, kj / beta)
+                if new_value > m * (1.0 + tol):
+                    break
+                grown.append((prefix + (kj,), new_value))
+                if len(grown) > cap:
+                    raise ValueError(
+                        f"weighted set exceeds cap of {cap} indices")
+        prefixes = grown
+    return IndexSet([k for k, _ in prefixes], dimension=d,
+                    domain=DOMAIN_NONNEG)
 
 
 def mirror_expand(L: IndexSet) -> tuple[np.ndarray, np.ndarray]:
@@ -266,16 +420,24 @@ def mirrored(L: IndexSet) -> IndexSet:
 
 
 def sum_set(A: IndexSet, B: IndexSet) -> IndexSet:
-    """{a + b : a in A, b in B}, deduplicated."""
+    """{a + b : a in A, b in B}, deduplicated.
+
+    Both sets are keyed in the widened box with offset lo_A + lo_B and
+    radices w_A + w_B - 1, where key(a + b) = key(a) + key(b).
+    """
     if A.dimension != B.dimension:
         raise ValueError("sum of index sets of different dimension")
-    a = A.as_array()
-    b = B.as_array()
-    pairs = (a[:, None, :] + b[None, :, :]).reshape(-1, A.dimension)
     domain = (DOMAIN_NONNEG
               if A.domain == DOMAIN_NONNEG and B.domain == DOMAIN_NONNEG
               else DOMAIN_SIGNED)
-    return IndexSet(pairs, dimension=A.dimension, domain=domain)
+    if len(A) == 0 or len(B) == 0:
+        return IndexSet([], dimension=A.dimension, domain=domain)
+    lo = tuple(la + lb for la, lb in zip(A._lo, B._lo))
+    widths = tuple(wa + wb - 1 for wa, wb in zip(A._widths, B._widths))
+    ka, kb = (_encode(X.as_array(), _offsets(X._lo, widths), widths)
+              for X in (A, B))
+    return IndexSet._from_keys(_sum_keys(ka, kb, math.prod(widths)),
+                               lo, widths, domain)
 
 
 def negated(L: IndexSet) -> IndexSet:
@@ -293,13 +455,22 @@ def difference_set(L: IndexSet) -> IndexSet:
 def project(L: IndexSet, s: int, mode: str = "full") -> IndexSet:
     """Project onto the first s coordinates by truncating every index.
 
+    The keys of the first s coordinates are leading digits of the keys, so
+    the projected keys come out sorted and need no sort to deduplicate.
     ``mode`` accepts only "full", the one projection there is.
     """
     if not 1 <= s <= L.dimension:
         raise ValueError(f"projection dimension {s} out of range")
     if mode != "full":
         raise ValueError(f"unknown projection mode {mode!r}")
-    return IndexSet(L.as_array()[:, :s], dimension=s, domain=L.domain)
+    cols = []
+    for key, (a, b) in zip(_columns(L._keys), _runs(L._widths)):
+        if a >= s:
+            break
+        cols.append(key // math.prod(L._widths[s:b]) if b > s else key)
+    keys = _pack(cols)
+    return IndexSet._from_keys(keys[_first_of_equal(keys)], L._lo[:s],
+                               L._widths[:s], L.domain)
 
 
 @dataclass(frozen=True)
@@ -325,31 +496,19 @@ class SetReport:
 
 def is_downward_closed(L: IndexSet) -> bool:
     """True when every one-step move of a component toward zero stays in L."""
-    members = L._member_set()
-    for k in members:
-        for j, kj in enumerate(k):
-            if kj == 0:
-                continue
-            step = k[:j] + (kj - (1 if kj > 0 else -1),) + k[j + 1:]
-            if step not in members:
-                return False
+    arr = L.as_array()
+    for j in range(L.dimension):
+        steps = arr[arr[:, j] != 0]
+        steps[:, j] -= np.sign(steps[:, j])
+        if not L._contains_rows(steps).all():
+            return False
     return True
 
 
 def _is_tensor_product(L: IndexSet) -> bool:
-    # a deduplicated set inside the bounding box equals the box iff the
+    # a deduplicated set inside its bounding box equals the box iff the
     # cardinalities match
-    if len(L) == 0:
-        return False
-    arr = L.as_array()
-    lo = arr.min(axis=0)
-    hi = arr.max(axis=0)
-    volume = 1
-    for width in (hi - lo + 1).tolist():
-        volume *= width
-        if volume > len(L):
-            return False
-    return volume == len(L)
+    return len(L) > 0 and math.prod(L._widths) == len(L)
 
 
 def properties(L: IndexSet) -> SetReport:

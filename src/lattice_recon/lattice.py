@@ -1,10 +1,11 @@
 """Rank-1 lattices: point generation, tent/cosine point transforms,
 equal-weight cubature and the naive exactness checks.
 
-The exactness checks (`character`, `dual_check`, `plan_c_check_naive`) run in
-pure Python integer arithmetic.  They are deliberately independent from the
-accelerated verifiers in :mod:`lattice_recon.cbc` and serve as the oracles
-the fast paths are tested against.
+The exactness checks (`character`, `dual_check`, `plan_c_check_naive`) are
+deliberately independent from the accelerated verifiers in
+:mod:`lattice_recon.cbc` and serve as the oracles the fast paths are tested
+against: `character` and `plan_c_check_naive` run in pure Python integer
+arithmetic, `dual_check` in blocked int64 numpy arithmetic of its own.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ import numpy as np
 from .indexset import IndexSet, unique_sign_changes
 
 _INT32_LIMIT = 2**31
+# rows of the auxiliary set checked at once by the dual-lattice oracle
+ORACLE_BLOCK = 1 << 14
 
 
 class TransformKind(str, Enum):
@@ -150,17 +153,19 @@ class Rank1Lattice:
     def dual_check(self, A: IndexSet) -> bool:
         """True iff no nonzero index of A lies in the dual lattice.
 
-        Pure-Python modular arithmetic; this is the oracle every fast
-        verifier is tested against.
+        Evaluates h.z mod n over A in blocks of ORACLE_BLOCK rows, in int64
+        with a mod-n reduction per term; this is the oracle every fast
+        verifier is tested against, so it keeps its own arithmetic.
         """
         if A.dimension != self.dimension:
             raise ValueError("index set dimension mismatch")
         n = self.n
-        z = self.z
-        for h in A:
-            if all(hj == 0 for hj in h):
-                continue
-            if sum(hj * zj for hj, zj in zip(h, z)) % n == 0:
+        z = np.asarray(self.z, dtype=np.int64)
+        arr = A.as_array()
+        for lo in range(0, arr.shape[0], ORACLE_BLOCK):
+            h = arr[lo:lo + ORACLE_BLOCK]
+            dots = ((h % n) * z % n).sum(axis=1) % n
+            if np.any((dots == 0) & np.any(h != 0, axis=1)):
                 return False
         return True
 

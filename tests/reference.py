@@ -1,5 +1,6 @@
 """Slow reference implementations that the tests check the library against:
-dense O(n^2) transforms and the per-index synthesis loops."""
+dense O(n^2) transforms, the per-index synthesis loops, the pure-Python
+dual-lattice oracle and the index-set algebra on tuples."""
 
 import math
 
@@ -72,3 +73,51 @@ def cosine_values_loop(lattice, L, coeffs) -> np.ndarray:
         for h in unique_sign_changes(k):
             spectrum[sum(hj * zj for hj, zj in zip(h, z)) % n] += scaled
     return dft(spectrum, "inverse").real
+
+
+def dual_check(lattice, A) -> bool:
+    """Pure-Python dual-lattice oracle: no nonzero index of A has
+    h.z = 0 mod n."""
+    n = lattice.n
+    z = lattice.z
+    for h in A:
+        if all(hj == 0 for hj in h):
+            continue
+        if sum(hj * zj for hj, zj in zip(h, z)) % n == 0:
+            return False
+    return True
+
+
+# ---------------------------------------------------------------------------
+# index-set algebra on tuples
+
+def sorted_tuples(rows) -> list:
+    """Distinct rows as tuples, in lexicographic order."""
+    return sorted({tuple(int(v) for v in row) for row in rows})
+
+
+def sum_set_tuples(A, B) -> list:
+    return sorted_tuples(tuple(x + y for x, y in zip(a, b))
+                         for a in A for b in B)
+
+
+def difference_set_tuples(L) -> list:
+    return sorted_tuples(tuple(x - y for x, y in zip(a, b))
+                         for a in L for b in L)
+
+
+def project_tuples(L, s) -> list:
+    return sorted_tuples(k[:s] for k in L)
+
+
+def is_downward_closed_tuples(L) -> bool:
+    """Every one-step move of a component toward zero stays in L."""
+    members = set(map(tuple, L))
+    for k in members:
+        for j, kj in enumerate(k):
+            if kj == 0:
+                continue
+            step = k[:j] + (kj - (1 if kj > 0 else -1),) + k[j + 1:]
+            if step not in members:
+                return False
+    return True

@@ -153,6 +153,65 @@ def test_auxiliary_set_built_once_per_construction(space, plan, reduce_n,
         assert result.n < task.n
 
 
+
+@pytest.mark.parametrize("space,plan", [("cosine", "A"), ("chebyshev", "B"),
+                                        ("cosine", "C")])
+def test_reduce_n_expands_the_base_set_once(space, plan, monkeypatch):
+    # the descent checks every prime on the rows the builder prepared for
+    # the last step, so the base set is sign-expanded once per construction
+    L = random_downward(np.random.default_rng(5), 3, 10)
+    task = CbcTask(space, "reconstruction", L, plan=plan)
+    task = CbcTask(space, "reconstruction", L, plan=plan,
+                   n=next_prime(8 * required_n(task)), reduce_n=True)
+    expanded = []
+    original = cbc_module.mirror_expand
+    monkeypatch.setattr(
+        cbc_module, "mirror_expand",
+        lambda Ls: expanded.append(Ls.dimension) or original(Ls))
+    result = cbc_construct(task)
+    assert result.n < task.n
+    assert expanded.count(L.dimension) == 1
+
+
+
+def _verifier_descent(cond, n, z):
+    # the prime descent on the condition's lookup verifier, which prepares
+    # its rows afresh at every prime
+    while True:
+        p = cbc_module._previous_prime(n)
+        if p is None or not all(zj % p for zj in z) or not cond.verify(z, p):
+            return n, [zj % n for zj in z]
+        n = p
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 3),
+       size=st.integers(1, 8))
+def test_reduce_n_matches_the_verifier_descent(seed, d, size):
+    L = random_downward(np.random.default_rng(seed), d, size)
+    for space, goal, plan in EVERY_TASK:
+        task = CbcTask(space, goal, L, plan=plan)
+        n = next_prime(4 * required_n(task))
+        z = list(cbc_construct(CbcTask(space, goal, L, plan=plan, n=n)).z)
+        assert cbc_module._reduce_n(_builder(task), n, z) == \
+            _verifier_descent(cbc_module._condition(task), n, z)
+
+
+def test_reduce_n_without_exact_dot_products():
+    # max|h| sum(z) >= 2^63, so the residues are reduced per term
+    big = 2**31 - 1
+    task = CbcTask("fourier", "integration",
+                   IndexSet([(0, 0, 0, 0), (big, big, big, big),
+                             (1, 2, 3, 4)]))
+    # int64 dot products would wrap and carry the descent below 283
+    z = [big - 6, big - 12, big - 18, big - 30]
+    assert big * sum(z) >= 2**63
+    n = next_prime(300)
+    reduced = cbc_module._reduce_n(_builder(task), n, z)
+    assert reduced[0] < n
+    assert reduced == _verifier_descent(cbc_module._condition(task), n, z)
+
+
 def test_n_beyond_32_bits_fails_before_the_search(monkeypatch):
     # |L (-) L| is tiny, but the bound n > 2 max(L) = 2^31 is not
     L = IndexSet([(0, 0), (2**30, 0)])

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import math
 
@@ -5,12 +6,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import lattice_recon.indexset as indexset_module
 from lattice_recon import (IndexSet, WeightedSetRule, difference_set,
                            is_downward_closed, make_weighted_set,
                            mirror_expand, mirrored, project, properties,
                            read_indexset, sum_set,
                            unique_sign_changes, write_indexset, zero_count)
 from conftest import random_downward, random_nonneg_set, random_signed_set
+from reference import (difference_set_tuples, is_downward_closed_tuples,
+                       project_tuples, sorted_tuples, sum_set_tuples)
 
 LOG32 = math.log(3) / math.log(2)
 
@@ -76,6 +80,21 @@ def test_enumeration_cap():
     with pytest.raises(ValueError, match="cap"):
         make_weighted_set(rule, 3, cap=1000)
 
+
+
+def test_weighted_set_leaves_no_reference_cycle():
+    # the enumerated indices are freed by reference counting, not held
+    # until the cyclic garbage collector runs
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        make_weighted_set(WeightedSetRule("sum", (1.0, 0.5), 6), 2)
+        make_weighted_set(WeightedSetRule("product", (1.0, 1.0), 5), 3)
+        gc.collect()
+        assert gc.garbage == []
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
 
 def test_rule_validation():
     with pytest.raises(ValueError):
@@ -313,3 +332,89 @@ def test_file_roundtrip(tmp_path, rng):
         back = read_indexset(path)
         assert back == L
         assert back.domain == L.domain
+
+
+# ---------------------------------------------------------------------------
+# key algebra against the tuple algebra
+
+def _raw_rows(kind, seed, d, size, scale):
+    """Rows with duplicates, in random order: a downward-closed set, or
+    scattered nonneg or signed rows times ``scale``."""
+    rng = np.random.default_rng(seed)
+    if kind == "downward":
+        rows = list(random_downward(rng, d, size))
+        rows += [rows[i] for i in rng.integers(len(rows), size=len(rows))]
+    else:
+        low = 0 if kind == "nonneg" else -5
+        rows = [tuple(r) for r in
+                (rng.integers(low, 6, size=(size, d)) * scale).tolist()]
+    return [rows[i] for i in rng.permutation(len(rows))]
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(kind=st.sampled_from(("downward", "nonneg", "signed")),
+       other=st.sampled_from(("downward", "nonneg", "signed")),
+       seed=st.integers(0, 2**32 - 1), d=st.integers(1, 4),
+       size=st.integers(1, 16), scale=st.sampled_from((1, 1, 1 << 21)))
+def test_key_algebra_matches_tuple_algebra(kind, other, seed, d, size,
+                                           scale):
+    # a scale of 2^21 makes boxes of more than 2^62 points from d = 3 on,
+    # keyed by several runs of coordinates
+    rows = _raw_rows(kind, seed, d, size, scale)
+    domain = "signed" if kind == "signed" else "nonneg"
+    L = IndexSet(rows, dimension=d, domain=domain)
+    members = sorted_tuples(rows)
+    assert list(L) == members
+    assert L.as_array().tolist() == [list(k) for k in members]
+    probes = {tuple(k[:j] + (k[j] + step,) + k[j + 1:])
+              for k in members for j in range(d) for step in (-1, 1)}
+    probes |= {(7 * scale,) * d, (-7 * scale,) * d}
+    for k in probes | set(members):
+        assert (k in L) == (k in set(members))
+    assert (1,) * (d + 1) not in L
+    assert is_downward_closed(L) == is_downward_closed_tuples(members)
+    for s in range(1, d + 1):
+        assert list(project(L, s)) == project_tuples(members, s)
+    B = IndexSet(_raw_rows(other, seed + 1, d, size, 1), dimension=d,
+                 domain="signed" if other == "signed" else "nonneg")
+    assert list(sum_set(L, B)) == sum_set_tuples(members, list(B))
+    assert list(difference_set(L)) == difference_set_tuples(members)
+
+
+def test_bitmap_and_sort_paths_agree(rng, monkeypatch):
+    # the sum-set byte bitmap and the blocked sort and merge give the same
+    # sets; a tiny block forces several merges
+    cases = []
+    for _ in range(12):
+        d = int(rng.integers(1, 5))
+        L = random_signed_set(rng, d, int(rng.integers(1, 25)))
+        M = mirrored(random_nonneg_set(rng, d, int(rng.integers(1, 10))))
+        cases.append((L, M, sum_set(L, M), difference_set(L)))
+    monkeypatch.setattr(indexset_module, "BITMAP_BYTES", 0)
+    monkeypatch.setattr(indexset_module, "SUM_BLOCK", 7)
+    for L, M, S, D in cases:
+        assert sum_set(L, M) == S
+        assert difference_set(L) == D
+
+
+def test_box_beyond_key_limit():
+    # the widened box of this set holds (2^22 + 1)^3 > 2^62 points, and
+    # the set's own box (2^21 + 1)^3 does too
+    big = 2**21
+    L = IndexSet([(0, 0, 0), (big, big, big)], domain="nonneg")
+    assert (big + 1) ** 3 > indexset_module.KEY_LIMIT
+    members = list(L)
+    assert members == [(0, 0, 0), (big, big, big)]
+    assert (big, big, big) in L and (big, 0, 0) not in L
+    S = sum_set(L, L)
+    assert list(S) == sum_set_tuples(members, members)
+    assert (2 * big,) * 3 in S and (2 * big, big, 0) not in S
+    D = difference_set(L)
+    assert list(D) == difference_set_tuples(members)
+    assert (-big,) * 3 in D and (-big, big, -big) not in D
+    assert list(project(D, 2)) == project_tuples(list(D), 2)
+    # a coordinate wider than the key limit is keyed by its value
+    W = IndexSet([(-2**62, 1), (2**62, 0), (0, 5)])
+    assert list(W) == [(-2**62, 1), (0, 5), (2**62, 0)]
+    assert (2**62, 0) in W and (2**62, 1) not in W
+    assert list(project(W, 1)) == [(-2**62,), (0,), (2**62,)]

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import lattice_recon.lattice as lattice_module
 from lattice_recon import (IndexSet, Rank1Lattice, TransformKind,
                            lattice_from_line, read_lattice, tent,
                            write_lattice)
+from reference import dual_check as dual_check_reference
 
 
 def test_points_identity_tent_cosine():
@@ -146,6 +149,32 @@ def test_dual_check_examples():
     lat2 = Rank1Lattice(2, (1,))
     assert not lat2.dual_check(IndexSet([(2,)]))
     assert lat2.dual_check(IndexSet([(0,)]))  # only the excluded zero
+
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(n=st.integers(2, 200), data=st.data(), alias=st.booleans(),
+       block=st.sampled_from((1, 3, lattice_module.ORACLE_BLOCK)))
+def test_dual_check_matches_pure_python_oracle(n, data, alias, block):
+    # the blocked int64 oracle agrees with the pure-Python one, also with
+    # components far beyond n and on lattices that alias an index of A
+    d = data.draw(st.integers(1, 4))
+    z = data.draw(st.lists(st.integers(1, n - 1), min_size=d, max_size=d))
+    comp = st.integers(-2**40, 2**40) | st.integers(-3, 3)
+    rows = data.draw(st.lists(st.lists(comp, min_size=d, max_size=d),
+                              max_size=20))
+    lat = Rank1Lattice(n, z)
+    if alias:
+        # a nonzero index of the dual lattice: n e_1, or z_2 e_1 - z_1 e_2
+        rows.append([lat.z[1], -lat.z[0]] + [0] * (d - 2) if d > 1
+                    else [n * data.draw(st.integers(-3, 3).filter(bool))])
+    A = IndexSet(rows, dimension=d)
+    expected = dual_check_reference(lat, A)
+    if alias:
+        assert not expected
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lattice_module, "ORACLE_BLOCK", block)
+        assert lat.dual_check(A) == expected
 
 
 def test_lattice_file_roundtrip(tmp_path):
