@@ -141,7 +141,11 @@ def error_decomposition(f: TestFunction, lattice: Rank1Lattice, L: IndexSet,
     values = sample_values(f, lattice, KIND_FOR_SPACE[space])
     computed = coeffs_from_values(space, lattice, L, values, plan, c_table)
 
-    truncation_sq = sum(abs(v) ** 2 for k, v in truth.items() if k not in L)
+    items = list(truth.items())
+    rows = np.asarray([k for k, _ in items], dtype=np.int64)
+    inside = L.contains_rows(rows.reshape(len(items), truth.dimension))
+    truncation_sq = sum(abs(v) ** 2
+                        for (_, v), hit in zip(items, inside) if not hit)
     approx_sq = sum(abs(truth.get(k, 0.0) - computed[k]) ** 2 for k in L)
     total_sq = 0.0
     for k in set(truth.entries) | set(computed.entries):

@@ -527,15 +527,11 @@ def _reduce_n(builder: _Builder, n: int, z):
     """
     rows = builder.step_rows[builder.d]
     groups = builder.step_groups[builder.d]
-    # h.z is exact in int64 when sum_j max|h| z_j < 2^63; then a prime's
-    # residues are one reduction per row
-    exact = int(np.abs(rows).max(initial=0)) * sum(z) < 2**63
-    dots = rows @ np.asarray(z, dtype=np.int64) if exact else None
     while True:
         p = _previous_prime(n)
         if p is None or not all(zj % p for zj in z):
             break
-        res = dots % p if exact else residues(rows, z, p)
+        res = kernels.dot_mod(rows, _z_vector(z, p), p)
         if not kernels.check_condition(res, groups, p, builder.cond):
             break
         n = p

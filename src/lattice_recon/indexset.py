@@ -33,9 +33,9 @@ _BOUND_SLACK = 1e-9
 # most points the box of one run of coordinates may hold, so that every
 # key, a sum of two keys in a widened box included, fits in int64
 KEY_LIMIT = 1 << 62
-# largest widened box whose sum set is deduplicated with a byte bitmap
-# (untouched pages of the zeroed bitmap are never resident); larger boxes
-# take the blocked sort and merge
+# largest widened box whose sum set is deduplicated with a byte bitmap,
+# when the pairs are also dense in it; larger or sparser boxes take the
+# blocked sort and merge
 BITMAP_BYTES = 1 << 28
 # pairs of keys added at once by the sum-set blocks
 SUM_BLOCK = 1 << 20
@@ -142,20 +142,22 @@ def _first_of_equal(keys: np.ndarray) -> np.ndarray:
 
 
 def _unique(keys: np.ndarray) -> np.ndarray:
-    """Sorted distinct keys; several runs are ordered with np.lexsort."""
-    if keys.dtype.names is None:
-        return np.unique(keys)
-    keys = keys[np.lexsort(_columns(keys)[::-1])]
+    """Sorted distinct keys (np.sort orders several runs field by field;
+    np.unique on int64 is hash-based and many times slower)."""
+    keys = np.sort(keys)
     return keys[_first_of_equal(keys)]
 
 
 def _sum_keys(ka: np.ndarray, kb: np.ndarray, volume: int) -> np.ndarray:
     """Sorted distinct ka[i] + kb[j], SUM_BLOCK pairs at a time: marked in
     a byte bitmap when the box of ``volume`` points fits BITMAP_BYTES (and
-    so is keyed by one run), else sorted per block and merged."""
+    so is keyed by one run) and the pairs are dense in it, else sorted per
+    block and merged."""
     step = max(1, SUM_BLOCK // kb.shape[0])
     blocks = [slice(lo, lo + step) for lo in range(0, ka.shape[0], step)]
-    if volume <= BITMAP_BYTES:
+    # dense: the bitmap is no larger than the int64 keys of all the pairs,
+    # so a sparse set in a wide box never scans or pages in a huge bitmap
+    if volume <= min(BITMAP_BYTES, 8 * ka.shape[0] * kb.shape[0]):
         seen = np.zeros(volume, dtype=bool)
         for block in blocks:
             seen[(ka[block, None] + kb[None, :]).ravel()] = True
@@ -243,10 +245,12 @@ class IndexSet:
             self._arr = arr
         return self._arr
 
-    def _contains_rows(self, rows) -> np.ndarray:
-        """Membership of every row of an (m, d) integer array, by binary
-        search on the keys."""
+    def contains_rows(self, rows) -> np.ndarray:
+        """Membership of every row of an (m, d') integer array, by binary
+        search on the keys; rows of another length d' are not members."""
         rows = np.asarray(rows, dtype=np.int64)
+        if rows.shape[1] != self.dimension:
+            return np.zeros(rows.shape[0], dtype=bool)
         hi = [l + w - 1 for l, w in zip(self._lo, self._widths)]
         inside = np.flatnonzero(np.all((rows >= self._lo) & (rows <= hi),
                                        axis=1))
@@ -265,9 +269,7 @@ class IndexSet:
         return iter(self.indices)
 
     def __contains__(self, k) -> bool:
-        k = tuple(k)
-        return (len(k) == self.dimension
-                and bool(self._contains_rows([k])[0]))
+        return bool(self.contains_rows([tuple(k)])[0])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, IndexSet):
@@ -500,7 +502,7 @@ def is_downward_closed(L: IndexSet) -> bool:
     for j in range(L.dimension):
         steps = arr[arr[:, j] != 0]
         steps[:, j] -= np.sign(steps[:, j])
-        if not L._contains_rows(steps).all():
+        if not L.contains_rows(steps).all():
             return False
     return True
 

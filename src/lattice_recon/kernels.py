@@ -51,8 +51,14 @@ def check_nonzero(res):
     return True, int(res.shape[0])
 
 
+def _has_equal(sorted_res):
+    # a sort and a neighbour compare; np.unique on int64 is hash-based
+    # and many times slower
+    return bool(np.any(sorted_res[1:] == sorted_res[:-1]))
+
+
 def check_distinct(res, n):
-    if np.unique(res).shape[0] != res.shape[0]:
+    if _has_equal(np.sort(res)):
         return False, 0
     return True, int(res.shape[0])
 
@@ -60,12 +66,14 @@ def check_distinct(res, n):
 def check_plan_b(res, group_start, n):
     """Plain residues (the first row of each group) pairwise distinct, and
     no sign residue equal to any plain residue, its own included."""
-    leads = res[group_start[:-1]]
-    if np.unique(leads).shape[0] != leads.shape[0]:
+    leads = np.sort(res[group_start[:-1]])
+    if _has_equal(leads):
         return False, 0
     is_lead = np.zeros(res.shape[0], dtype=bool)
     is_lead[group_start[:-1]] = True
-    if np.isin(res[~is_lead], leads).any():
+    signs = res[~is_lead]
+    pos = np.minimum(np.searchsorted(leads, signs), leads.shape[0] - 1)
+    if np.any(leads[pos] == signs):
         return False, 0
     return True, int(res.shape[0])
 
@@ -78,7 +86,7 @@ def check_plan_c(res, group_start, n):
     leads = res[group_start[:-1]]
     order = np.argsort(leads, kind="stable")
     sorted_leads = leads[order]
-    if np.any(sorted_leads[1:] == sorted_leads[:-1]):
+    if _has_equal(sorted_leads):
         return False, 0, c
     is_lead = np.zeros(res.shape[0], dtype=bool)
     is_lead[group_start[:-1]] = True

@@ -197,21 +197,6 @@ def test_reduce_n_matches_the_verifier_descent(seed, d, size):
             _verifier_descent(cbc_module._condition(task), n, z)
 
 
-def test_reduce_n_without_exact_dot_products():
-    # max|h| sum(z) >= 2^63, so the residues are reduced per term
-    big = 2**31 - 1
-    task = CbcTask("fourier", "integration",
-                   IndexSet([(0, 0, 0, 0), (big, big, big, big),
-                             (1, 2, 3, 4)]))
-    # int64 dot products would wrap and carry the descent below 283
-    z = [big - 6, big - 12, big - 18, big - 30]
-    assert big * sum(z) >= 2**63
-    n = next_prime(300)
-    reduced = cbc_module._reduce_n(_builder(task), n, z)
-    assert reduced[0] < n
-    assert reduced == _verifier_descent(cbc_module._condition(task), n, z)
-
-
 def test_n_beyond_32_bits_fails_before_the_search(monkeypatch):
     # |L (-) L| is tiny, but the bound n > 2 max(L) = 2^31 is not
     L = IndexSet([(0, 0), (2**30, 0)])

@@ -1,6 +1,7 @@
 import gc
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -381,13 +382,24 @@ def test_key_algebra_matches_tuple_algebra(kind, other, seed, d, size,
     assert list(difference_set(L)) == difference_set_tuples(members)
 
 
+def _box_set(rng, d):
+    # every point of a random box: dense in its own box, so its sum and
+    # difference sets are marked in the byte bitmap
+    lo = rng.integers(-3, 3, size=d)
+    widths = rng.integers(1, 5, size=d)
+    grid = np.meshgrid(*[np.arange(l, l + w) for l, w in zip(lo, widths)],
+                       indexing="ij")
+    return IndexSet(np.stack(grid, axis=-1).reshape(-1, d))
+
+
 def test_bitmap_and_sort_paths_agree(rng, monkeypatch):
     # the sum-set byte bitmap and the blocked sort and merge give the same
     # sets; a tiny block forces several merges
     cases = []
-    for _ in range(12):
+    for i in range(16):
         d = int(rng.integers(1, 5))
-        L = random_signed_set(rng, d, int(rng.integers(1, 25)))
+        L = (_box_set(rng, d) if i % 2 else
+             random_signed_set(rng, d, int(rng.integers(1, 25))))
         M = mirrored(random_nonneg_set(rng, d, int(rng.integers(1, 10))))
         cases.append((L, M, sum_set(L, M), difference_set(L)))
     monkeypatch.setattr(indexset_module, "BITMAP_BYTES", 0)
@@ -395,6 +407,24 @@ def test_bitmap_and_sort_paths_agree(rng, monkeypatch):
     for L, M, S, D in cases:
         assert sum_set(L, M) == S
         assert difference_set(L) == D
+        assert list(S) == sum_set_tuples(list(L), list(M))
+        assert list(D) == difference_set_tuples(list(L))
+
+
+def test_sparse_sum_set_skips_the_bitmap():
+    # 300 scattered rows in [0, 300]^3: the difference set's box holds
+    # 601^3 (about 2^27.7) points for 90,000 pairs, so the bitmap would
+    # take over 200 MB where the sort path needs about 2 MB
+    L = IndexSet(np.random.default_rng(5).integers(0, 301, size=(300, 3)),
+                 domain="nonneg")
+    tracemalloc.start()
+    try:
+        D = difference_set(L)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20
+    assert list(D) == difference_set_tuples(list(L))
 
 
 def test_box_beyond_key_limit():
