@@ -35,7 +35,8 @@ COND_PLAN_C = 3
 def dot_mod(rows, z, n):
     if rows.shape[0] == 0:
         return np.empty(0, dtype=np.int64)
-    terms = np.mod(rows, n) * np.mod(z, n) % n
+    # |h_j| < 2^31 and z_j mod n < n <= 2^31, so each product fits in int64
+    terms = rows * np.mod(z, n) % n
     return terms.sum(axis=1) % n
 
 
