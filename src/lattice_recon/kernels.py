@@ -53,7 +53,7 @@ def check_nonzero(res):
 
 
 def _has_equal(sorted_res):
-    # a sort and a neighbour compare; np.unique on int64 is hash-based
+    # a neighbour compare after np.sort; np.unique on int64 is hash-based
     # and many times slower
     return bool(np.any(sorted_res[1:] == sorted_res[:-1]))
 
