@@ -4,13 +4,22 @@ Covers the generic nonzero-residue condition (integration in all spaces,
 Fourier reconstruction, plans A and B for the cosine/Chebyshev spaces) and
 the self-aliasing condition of plan C, with three search strategies:
 
-* ``brute_force`` walks candidates cyclically and validates each with the
-  linear-time lookup verifiers on full projections,
+* ``brute_force`` takes at each step the first candidate, counted
+  cyclically from z_{s-1} + 1, that passes the step check on the full
+  projections,
 * ``elimination`` removes, per pair of the rows the step check prepares,
   the single candidate that makes the pair collide, via a modular inverse
-  (prime n only),
-* ``mixed`` starts brute force and switches to elimination once the failure
-  count at a step exceeds a threshold.
+  (prime n only), and takes the smallest survivor,
+* ``mixed`` answers as brute force until the failure count at a step
+  exceeds a threshold, and as elimination from that step on.
+
+At a prime n > 2 max|k| the survivors of elimination are exactly the
+candidates the step check accepts.  There brute force tests candidates one
+by one only for a probe that costs about what one elimination costs
+(:func:`_probe_budget`); a step the probe does not settle reads its answer,
+and the failure count the walk would have reached, off the survivors, so
+brute force and mixed return the lattice and statistics of a full walk.
+Elsewhere brute force walks every candidate.
 
 Every constructed vector is re-validated against the independent oracle
 checks of :class:`lattice_recon.lattice.Rank1Lattice` before it is returned.
@@ -360,10 +369,11 @@ class _Builder:
     Step s reads the projection L_s of the base set alone: its rows are
     L_s for Fourier and M(L_s) grouped by sign orbit otherwise (the
     projection of M(L) is M(L_s)), and integration drops the zero row.
-    Elimination pairs lead rows with every row of another key: the zero
-    row (key -1) for integration, every row keyed by itself for the
-    distinct condition, the orbit leads keyed by row for plan B and keyed
-    by orbit for plan C.
+    Elimination pairs lead rows with every row of another key, two leads
+    only once: the zero row (key -1) for integration, every row keyed by
+    itself for the distinct condition, the orbit leads keyed by row for
+    plan B and keyed by orbit for plan C.  ``pairs`` counts the pairs,
+    which price one elimination for the brute-force probe.
     """
 
     def __init__(self, task: CbcTask, code: int):
@@ -371,13 +381,16 @@ class _Builder:
         self.cond = code
         L = task.base_set
         self.d = L.dimension
+        self.two_max = 2 * L.max_abs()
         _as_rows(L.as_array())  # 32-bit guard
         no_groups = np.zeros(1, dtype=np.int64)
         self.step_rows = [None]
         self.step_groups = [None]
         self.step_keys = [None]
-        self.lead_rows = [None]
+        self.lead_index = [None]
         self.lead_keys = [None]
+        self.row_leads = [None]
+        self.pairs = [None]
         self.thresholds = [None]
         for s in range(1, self.d + 1):
             Ls = project(L, s)
@@ -390,22 +403,33 @@ class _Builder:
             if code == kernels.COND_NONZERO:
                 rows, groups = rows[np.any(rows, axis=1)], no_groups
             rows = _as_rows(rows)
-            keys = np.arange(rows.shape[0], dtype=np.int64)
+            R = rows.shape[0]
+            keys = np.arange(R, dtype=np.int64)
             if code == kernels.COND_NONZERO:
-                leads = np.zeros((1, s), dtype=np.int64)
-                lead_keys = np.full(1, -1, dtype=np.int64)
-            elif code == kernels.COND_DISTINCT:
-                leads, lead_keys = rows, keys
+                # one zero lead, which is no step row, against every row
+                leads, lead_keys, row_leads = None, np.full(1, -1), None
+                pairs = R
             else:
+                leads = keys if code == kernels.COND_DISTINCT \
+                    else groups[:-1]
                 if code == kernels.COND_PLAN_C:
                     keys = np.repeat(np.arange(len(Ls), dtype=np.int64),
                                      np.diff(groups))
-                leads, lead_keys = rows[groups[:-1]], keys[groups[:-1]]
+                G = leads.shape[0]
+                lead_keys = keys[leads]
+                row_leads = np.full(R, G, dtype=np.int64)
+                row_leads[leads] = np.arange(G)
+                # each pair of leads once, each lead with the other rows
+                # of another key
+                pairs = G * (G - 1) // 2 + (
+                    G - 1 if code == kernels.COND_PLAN_C else G) * (R - G)
             self.step_rows.append(rows)
             self.step_groups.append(groups)
             self.step_keys.append(keys)
-            self.lead_rows.append(leads)
+            self.lead_index.append(leads)
             self.lead_keys.append(lead_keys)
+            self.row_leads.append(row_leads)
+            self.pairs.append(pairs)
 
     # -- step condition check for a fixed candidate vector ---------------
 
@@ -423,21 +447,36 @@ class _Builder:
         raises :class:`EmptyCandidateSet` when nothing survives."""
         if not is_prime(n):
             raise ValueError("elimination needs a prime n")
-        bad = np.zeros(n, dtype=bool)
-        kernels.mark_bad_pairs(
-            *_prefix_last(self.lead_rows[s], z, n, s), self.lead_keys[s],
-            *_prefix_last(self.step_rows[s], z, n, s), self.step_keys[s],
-            int(n), bad)
-        survivors = np.flatnonzero(~bad[1:]) + 1
+        bad = self._marks(*_prefix_last(self.step_rows[s], z, n, s), n, s)
+        survivors = np.flatnonzero(~bad)
         if survivors.shape[0] == 0:
-            raise EmptyCandidateSet(f"all candidates eliminated ({n=})")
+            raise EmptyCandidateSet(_all_eliminated(n))
         return survivors
+
+    def _marks(self, prefix, last, n: int, s: int) -> np.ndarray:
+        """Length-n mask of the candidates step s rules out, from the
+        residues of its rows under the prefix z and their last components
+        (prime n); the non-candidate 0 is marked too."""
+        leads = self.lead_index[s]
+        if leads is None:
+            p_prefix = p_last = np.zeros(1, dtype=np.int64)
+        else:
+            p_prefix, p_last = prefix[leads], last[leads]
+        bad = np.zeros(n, dtype=bool)
+        bad[0] = True
+        kernels.mark_bad_pairs(p_prefix, p_last, self.lead_keys[s],
+                               prefix, last, self.step_keys[s], int(n), bad,
+                               self.row_leads[s])
+        return bad
 
     # -- one full pass at a fixed n ---------------------------------------
 
     def construct_at(self, n: int):
+        """One CBC pass at n; brute-force steps stop after the probe and
+        read off the survivors where n is prime and n > 2 max|k|."""
         task = self.task
         eliminating = task.strategy == "elimination"
+        read_off = is_prime(n) and n > self.two_max
         z = [1]
         if not self.check_step(z, n, 1):
             raise _StepFailed(1, "z_1 = 1 violates the step condition "
@@ -446,17 +485,27 @@ class _Builder:
                            else "brute_force")]
         switch_step: int | None = None
         for s in range(2, self.d + 1):
+            prefix, last = _prefix_last(self.step_rows[s], z, n, s)
+            bad = None
             brute_fails = 0
             if not eliminating:
-                prefix, last = _prefix_last(self.step_rows[s], z, n, s)
                 if task.strategy == "mixed":
                     max_fail = int(task.mixed_switch_factor
                                    * self.thresholds[s])
                 else:
                     max_fail = n
+                probe = max_fail
+                if read_off:
+                    probe = min(max_fail, _probe_budget(
+                        self.pairs[s], prefix.shape[0], n, self.cond))
                 zs, n_fail = kernels.brute_force_step(
                     prefix, last, self.step_groups[s], int(n),
-                    int(z[-1] + 1), int(max_fail), int(self.cond))
+                    int(z[-1] + 1), int(probe), int(self.cond))
+                if zs < 0 and n_fail > probe and probe < max_fail:
+                    bad = self._marks(prefix, last, n, s)
+                    zs, n_fail = _first_unmarked(bad, z[-1] + 1)
+                    if n_fail > max_fail:
+                        zs, n_fail = -1, max_fail + 1
                 if zs > 0:
                     z.append(int(zs))
                     steps.append(StepStats(s, "brute_force", n_fail=int(n_fail)))
@@ -469,14 +518,57 @@ class _Builder:
                     raise _StepFailed(s, "brute force exhausted all "
                                          "candidates")
             # elimination path (strategy, or mixed after the switch)
-            try:
-                survivors = self.eliminate(z, n, s)
-            except EmptyCandidateSet as exc:
-                raise _StepFailed(s, str(exc))
-            z.append(int(survivors[0]))
+            if bad is None:
+                bad = self._marks(prefix, last, n, s)
+            zs = int(bad.argmin())
+            if bad[zs]:
+                raise _StepFailed(s, _all_eliminated(n))
+            z.append(zs)
             steps.append(StepStats(s, "elimination", n_fail=brute_fails,
-                                   eliminated=n - 1 - survivors.shape[0]))
+                                   eliminated=int(np.count_nonzero(bad)) - 1))
         return z, steps, switch_step
+
+
+def _all_eliminated(n: int) -> str:
+    return f"all candidates eliminated ({n=})"
+
+
+def _first_unmarked(bad: np.ndarray, start: int):
+    """The first candidate at or after ``start`` that ``bad`` leaves,
+    counted cyclically over 1..n-1, and the number of candidates the walk
+    passes before it: its failure count.  (-1, n - 1) when none is left."""
+    n = bad.shape[0]
+    start = (start - 1) % (n - 1) + 1
+    zs = start + int(bad[start:].argmin())
+    if bad[zs]:
+        zs = int(bad[:start].argmin())  # bad[0] is marked
+        if bad[zs]:
+            return -1, n - 1
+    return zs, (zs - start) % (n - 1)
+
+
+# Cost model of the brute-force probe, in units of one candidate residue of
+# one step row.  A candidate costs its residues and, under every condition
+# but the nonzero one, a sort of them, about one more residue per row.
+# Elimination inverts each of its pairs by Fermat, about 2 log2 n
+# multiply-mods, and with the pair's differences, masks and mark one pair
+# costs (2 bitlen(n) + 8) / 3 residues; it also allocates and scans an
+# n-byte mark array, 8 bytes per residue.
+SORT_RESIDUES = 1
+INVERSE_MULMODS_PER_BIT = 2
+PAIR_MULMODS = 8
+MULMODS_PER_RESIDUE = 3
+MARK_BYTES_PER_RESIDUE = 8
+
+
+def _probe_budget(pairs: int, rows: int, n: int, cond: int) -> int:
+    """Candidates a brute-force step over ``rows`` rows tests before it has
+    spent what one elimination over ``pairs`` pairs at n costs."""
+    candidate = max(1, rows) * (
+        1 if cond == kernels.COND_NONZERO else 1 + SORT_RESIDUES)
+    pair = INVERSE_MULMODS_PER_BIT * n.bit_length() + PAIR_MULMODS
+    return (pairs * pair // (MULMODS_PER_RESIDUE * candidate)
+            + n // (MARK_BYTES_PER_RESIDUE * candidate) + 1)
 
 
 def cbc_construct(task: CbcTask) -> CbcResult:

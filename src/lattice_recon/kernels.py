@@ -164,20 +164,39 @@ def _mod_pow(base, exp, n):
 # it cannot occur once the prefix passes the earlier steps and n exceeds
 # twice the largest index component.)
 # Prefixes are the dot products with the fixed prefix z (mod n), lasts the
-# last components (mod n).  The leads p are processed in blocks so that at
-# most PAIR_BLOCK pairs are held at once.
+# last components (mod n).  Two orders of one pair mark the same candidate,
+# so a row q that is itself a lead is paired only with the leads before it:
+# q_lead[j] is the position among the leads of a row q_j that is one, and
+# the lead count for any other row.  The leads p are processed in blocks so
+# that at most PAIR_BLOCK pairs are held at once.
 
 PAIR_BLOCK = 1 << 22
 
 
-def mark_bad_pairs(p_prefix, p_last, p_key, q_prefix, q_last, q_key, n, bad):
+def mark_bad_pairs(p_prefix, p_last, p_key, q_prefix, q_last, q_key, n, bad,
+                   q_lead=None):
+    """Mark in ``bad`` the candidate of every pair of a lead p and a row q
+    with different keys (and, given ``q_lead``, q no lead at or before p);
+    returns the number of pairs inverted."""
     step = max(1, PAIR_BLOCK // max(1, q_key.shape[0]))
+    inverted = 0
     for lo in range(0, p_key.shape[0], step):
-        hi = lo + step
-        beta = (q_last[None, :] - p_last[lo:hi, None]) % n
-        gamma = (q_prefix[None, :] - p_prefix[lo:hi, None]) % n
+        hi = min(lo + step, p_key.shape[0])
+        q = slice(None)
+        if q_lead is not None:
+            # rows before the first one any lead of the block pairs with
+            later = q_lead > lo
+            if not later.any():
+                break
+            q = slice(int(np.argmax(later)), None)
+        beta = (q_last[None, q] - p_last[lo:hi, None]) % n
+        gamma = (q_prefix[None, q] - p_prefix[lo:hi, None]) % n
         mask = (beta != 0) & (gamma != 0) \
-            & (q_key[None, :] != p_key[lo:hi, None])
+            & (q_key[None, q] != p_key[lo:hi, None])
+        if q_lead is not None:
+            mask &= q_lead[None, q] > np.arange(lo, hi)[:, None]
         if mask.any():
             inv = _mod_pow(beta[mask], n - 2, n)
             bad[(n - gamma[mask]) * inv % n] = True
+            inverted += inv.shape[0]
+    return inverted

@@ -4,8 +4,8 @@ equal-weight cubature and the naive exactness checks.
 The exactness checks (`character`, `dual_check`, `plan_c_check_naive`) are
 deliberately independent from the accelerated verifiers in
 :mod:`lattice_recon.cbc` and serve as the oracles the fast paths are tested
-against: `character` and `plan_c_check_naive` run in pure Python integer
-arithmetic, `dual_check` in blocked int64 numpy arithmetic of its own.
+against: `character` runs in pure Python integer arithmetic, `dual_check`
+and `plan_c_check_naive` in blocked int64 numpy arithmetic of their own.
 """
 
 from __future__ import annotations
@@ -14,10 +14,11 @@ from enum import Enum
 
 import numpy as np
 
-from .indexset import IndexSet, unique_sign_changes
+from .indexset import IndexSet
 
 _INT32_LIMIT = 2**31
-# rows of the auxiliary set checked at once by the dual-lattice oracle
+# rows of the auxiliary set checked at once by the dual-lattice oracle, and
+# residue comparisons made at once by the plan-C oracle
 ORACLE_BLOCK = 1 << 14
 
 
@@ -170,31 +171,38 @@ class Rank1Lattice:
         return True
 
     def plan_c_check_naive(self, L: IndexSet):
-        """Naive pairwise check of the self-aliasing reconstruction
-        condition; returns (ok, c_table or None).
+        """Pairwise check of the self-aliasing reconstruction condition;
+        returns (ok, c_table or None).
 
         Requires sigma(k').z != k.z mod n for all k != k' in L and all
         sign changes sigma; on success c_table[k] counts the sign changes
-        of k aliasing to k itself.
+        of k aliasing to k itself.  The orbit residues are built one
+        coordinate at a time, each nonzero k_j z_j mod n added with both
+        signs, and every plain residue is compared with every orbit
+        residue, about ORACLE_BLOCK comparisons at once.
         """
+        if L.dimension != self.dimension:
+            raise ValueError("index set dimension mismatch")
         n = self.n
-        z = self.z
-        dots = {}
-        orbits = {}
-        for k in L:
-            dots[k] = sum(kj * zj for kj, zj in zip(k, z)) % n
-            orbits[k] = [
-                sum(hj * zj for hj, zj in zip(h, z)) % n
-                for h in unique_sign_changes(k)
-            ]
-        for k in L:
-            for kp in L:
-                if k == kp:
-                    continue
-                if dots[k] in orbits[kp]:
-                    return False, None
-        c_table = {k: orbits[k].count(dots[k]) for k in L}
-        return True, c_table
+        arr = L.as_array()
+        terms = (arr % n) * np.asarray(self.z, dtype=np.int64) % n
+        plain = terms.sum(axis=1) % n
+        orbit = np.zeros(arr.shape[0], dtype=np.int64)
+        owner = np.arange(arr.shape[0])
+        for j in range(arr.shape[1]):
+            flip = arr[owner, j] != 0
+            t = terms[owner, j]
+            orbit = np.concatenate(((orbit + t) % n, (orbit - t)[flip] % n))
+            owner = np.concatenate((owner, owner[flip]))
+        step = max(1, ORACLE_BLOCK // max(1, orbit.shape[0]))
+        for lo in range(0, arr.shape[0], step):
+            k = np.arange(lo, min(lo + step, arr.shape[0]))
+            if np.any((plain[k, None] == orbit[None, :])
+                      & (k[:, None] != owner[None, :])):
+                return False, None
+        c = np.bincount(owner[orbit == plain[owner]],
+                        minlength=arr.shape[0])
+        return True, {k: int(ck) for k, ck in zip(L, c)}
 
     def unique_tent_point_count(self) -> int:
         """Number of distinct tent-transformed points, by exact residue

@@ -1,6 +1,6 @@
 """Slow reference implementations that the tests check the library against:
 dense O(n^2) transforms, the per-index synthesis loops, the pure-Python
-dual-lattice oracle and the index-set algebra on tuples."""
+dual-lattice and plan-C oracles and the index-set algebra on tuples."""
 
 import math
 
@@ -86,6 +86,30 @@ def dual_check(lattice, A) -> bool:
         if sum(hj * zj for hj, zj in zip(h, z)) % n == 0:
             return False
     return True
+
+
+def plan_c_check(lattice, L):
+    """Pure-Python plan-C oracle over every ordered pair of L; returns
+    (ok, c_table or None) with c_table[k] the sign changes of k aliasing
+    to k itself."""
+    n = lattice.n
+    z = lattice.z
+    dots = {}
+    orbits = {}
+    for k in L:
+        dots[k] = sum(kj * zj for kj, zj in zip(k, z)) % n
+        orbits[k] = [
+            sum(hj * zj for hj, zj in zip(h, z)) % n
+            for h in unique_sign_changes(k)
+        ]
+    for k in L:
+        for kp in L:
+            if k == kp:
+                continue
+            if dots[k] in orbits[kp]:
+                return False, None
+    c_table = {k: orbits[k].count(dots[k]) for k in L}
+    return True, c_table
 
 
 # ---------------------------------------------------------------------------

@@ -423,6 +423,95 @@ def test_plan_c_elimination_matches_verifier(rng):
 
 
 # ---------------------------------------------------------------------------
+# brute-force steps read off the survivors
+
+WALKS = (("brute_force", 1.0), ("mixed", 1.0), ("mixed", 0.0),
+         ("mixed", 0.3))
+
+
+def _outcome(task, budget):
+    # the probe budget 0 reads every step with a failing first candidate
+    # off the survivors; an unbounded one walks every candidate
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cbc_module, "_probe_budget", lambda *args: budget)
+        try:
+            r = cbc_construct(task)
+        except RetryLimitExceeded as exc:
+            return str(exc)
+    return r.n, r.z, r.c_table, r.stats.to_dict()
+
+
+@settings(max_examples=20, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 4),
+       size=st.integers(2, 12), kind=st.sampled_from(
+           ("downward", "scattered", "signed")), larger=st.booleans())
+def test_survivor_read_off_matches_the_full_walk(seed, d, size, kind,
+                                                 larger):
+    rng = np.random.default_rng(seed)
+    L = random_downward(rng, d, size) if kind == "downward" \
+        else random_nonneg_set(rng, d, size, 3)
+    signed = random_signed_set(rng, d, size, 3)
+    for space, goal, plan in EVERY_TASK:
+        base = signed if kind == "signed" and space == "fourier" else L
+        n = 0
+        if larger:
+            n = next_prime(3 * required_n(CbcTask(space, goal, base,
+                                                  plan=plan)))
+        for strategy, factor in WALKS:
+            task = CbcTask(space, goal, base, plan=plan, n=n,
+                           strategy=strategy, mixed_switch_factor=factor,
+                           reduce_n=larger)
+            assert _outcome(task, 0) == _outcome(task, 2**62)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(n=st.integers(3, 40), data=st.data())
+def test_first_unmarked_matches_the_cyclic_walk(n, data):
+    bad = np.asarray(data.draw(st.lists(st.booleans(), min_size=n,
+                                        max_size=n)))
+    bad[0] = True
+    start = data.draw(st.integers(1, n))
+    expected = (-1, n - 1)
+    for t in range(n - 1):
+        zs = (start - 1 + t) % (n - 1) + 1
+        if not bad[zs]:
+            expected = (zs, t)
+            break
+    assert cbc_module._first_unmarked(bad, start) == expected
+
+
+def test_no_read_off_at_n_up_to_twice_the_largest_component(monkeypatch):
+    # at n = 5 the rows (0, 0) and (0, 5) collide for every z_2, yet no
+    # pair of them marks a candidate, so every candidate survives; brute
+    # force must walk them all and escalate
+    task = CbcTask("fourier", "reconstruction",
+                   IndexSet([(0, 0), (0, 5)]), n=5, strategy="brute_force")
+    expected = _outcome(task, 2**62)
+    monkeypatch.setattr(cbc_module._Builder, "_marks", None)
+    assert _outcome(task, 0) == expected
+    assert expected[3]["n_sequence"] == [5, 7]
+
+
+@pytest.mark.parametrize("strategy,factor,reason", [
+    ("brute_force", 1.0, "brute force exhausted all candidates"),
+    # a threshold of n - 1 failures still lets brute force walk them all
+    ("mixed", 1.0, "brute force exhausted all candidates"),
+    ("mixed", 0.75, "all candidates eliminated (n=5)"),  # n - 2 switch
+    ("mixed", 0.0, "all candidates eliminated (n=5)"),
+    ("mixed", 0.3, "all candidates eliminated (n=5)"),
+    ("elimination", 1.0, "all candidates eliminated (n=5)")])
+def test_all_eliminated_step_fails_as_the_full_walk(strategy, factor,
+                                                    reason):
+    # the rows (1, +-1), (1, +-2) rule out every z_2 at n = 5 > 2 max|k|
+    L = IndexSet([(1, 1), (1, 2), (1, -1), (1, -2)])
+    task = CbcTask("fourier", "integration", L, n=5, strategy=strategy,
+                   mixed_switch_factor=factor, retry_limit=1)
+    message = _outcome(task, 0)
+    assert message == _outcome(task, 2**62)
+    assert message.endswith(f"step 2: {reason}")
+
+
+# ---------------------------------------------------------------------------
 # construction
 
 ALL_TASKS = [

@@ -290,3 +290,45 @@ def test_mark_bad_pairs_blocks_agree(rng, monkeypatch):
             K.mark_bad_pairs(lp, ll, np.arange(lp.shape[0]), mp, ml, mg, n,
                              bad)
             assert np.array_equal(bad, expected)
+
+
+def _lead_pairs(rng, keyed_by):
+    # step rows with their leads: every row leads under the distinct
+    # condition, the first row of each sign group under plans B and C
+    n = next_prime(int(rng.integers(10, 300)))
+    R = int(rng.integers(1, 40))
+    prefix = np.asarray(rng.integers(0, n, size=R), dtype=np.int64)
+    last = np.asarray(rng.integers(0, n, size=R), dtype=np.int64)
+    if keyed_by == "distinct":
+        leads = np.arange(R)
+        keys = np.arange(R)
+    else:
+        starts = np.flatnonzero(rng.random(R) < 0.4)
+        leads = np.union1d([0], starts)
+        group = np.cumsum(np.isin(np.arange(R), leads)) - 1
+        keys = np.arange(R) if keyed_by == "row" else group
+    row_leads = np.full(R, leads.shape[0], dtype=np.int64)
+    row_leads[leads] = np.arange(leads.shape[0])
+    return (prefix[leads], last[leads], keys[leads], prefix, last, keys, n,
+            row_leads)
+
+
+def test_mark_bad_pairs_takes_each_pair_of_leads_once(rng, monkeypatch):
+    # pairing a lead row only with the leads before it marks what the
+    # visit of both orders marks, and on the distinct condition, where
+    # every row leads, it inverts half the pairs
+    for keyed_by in ("distinct", "row", "group"):
+        for _ in range(40):
+            *args, n, row_leads = _lead_pairs(rng, keyed_by)
+            twice = np.zeros(n, dtype=bool)
+            inverted_twice = K.mark_bad_pairs(*args, n, twice)
+            for budget in (1, 7, K.PAIR_BLOCK):
+                monkeypatch.setattr(K, "PAIR_BLOCK", budget)
+                once = np.zeros(n, dtype=bool)
+                inverted_once = K.mark_bad_pairs(*args, n, once, row_leads)
+                monkeypatch.undo()
+                assert np.array_equal(once, twice)
+                if keyed_by == "distinct":
+                    assert inverted_twice == 2 * inverted_once
+                else:
+                    assert inverted_once <= inverted_twice

@@ -7,6 +7,7 @@ from lattice_recon import (IndexSet, Rank1Lattice, TransformKind,
                            lattice_from_line, read_lattice, tent,
                            write_lattice)
 from reference import dual_check as dual_check_reference
+from reference import plan_c_check as plan_c_check_reference
 
 
 def test_points_identity_tent_cosine():
@@ -175,6 +176,30 @@ def test_dual_check_matches_pure_python_oracle(n, data, alias, block):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lattice_module, "ORACLE_BLOCK", block)
         assert lat.dual_check(A) == expected
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(n=st.integers(2, 200), data=st.data(), alias=st.booleans(),
+       block=st.sampled_from((1, 5, lattice_module.ORACLE_BLOCK)))
+def test_plan_c_check_matches_pure_python_oracle(n, data, alias, block):
+    # the blocked int64 plan-C oracle returns the verdict and the c table
+    # of the pure-Python one, also on lattices where another index aliases
+    d = data.draw(st.integers(1, 4))
+    z = data.draw(st.lists(st.integers(1, n - 1), min_size=d, max_size=d))
+    comp = st.integers(0, 2**31 - 1) | st.integers(0, 4)
+    rows = data.draw(st.lists(st.lists(comp, min_size=d, max_size=d),
+                              min_size=1, max_size=12))
+    if alias:
+        # k + n e_1 has the plain residue of k
+        rows.append([rows[0][0] + n] + rows[0][1:])
+    L = IndexSet(rows, dimension=d, domain="nonneg")
+    lat = Rank1Lattice(n, z)
+    expected = plan_c_check_reference(lat, L)
+    if alias:
+        assert expected == (False, None)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lattice_module, "ORACLE_BLOCK", block)
+        assert lat.plan_c_check_naive(L) == expected
 
 
 def test_lattice_file_roundtrip(tmp_path):
