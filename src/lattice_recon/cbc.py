@@ -176,66 +176,81 @@ class VerifyResult:
         return self.ok
 
 
-def _as_rows(arr: np.ndarray) -> np.ndarray:
-    rows = np.ascontiguousarray(arr, dtype=np.int64)
+def _z_vector(z, n: int) -> np.ndarray:
+    return np.asarray([int(zj) % n for zj in z], dtype=np.int64)
+
+
+def space_rows(space: str, L: IndexSet) -> tuple[np.ndarray, np.ndarray]:
+    """The rows an index set occupies in the residue slots of ``space``.
+
+    Returns (rows, groups): group g occupies rows[groups[g]:groups[g+1]].
+    A Fourier index sits in its own slot, so the rows are L, one row per
+    group; a cosine or Chebyshev index sits in the slots of its sign orbit
+    M(k), so the rows are :func:`mirror_expand` of L.  The rows are int64
+    and checked to fit in 32 bits.
+    """
+    if space == "fourier":
+        rows, groups = L.as_array(), np.arange(len(L) + 1, dtype=np.int64)
+    elif space in ("cosine", "chebyshev"):
+        rows, groups = mirror_expand(L)
+    else:
+        raise ValueError(f"unknown space {space!r}")
+    rows = np.ascontiguousarray(rows, dtype=np.int64)
     if rows.size and np.abs(rows).max() >= _INT32_LIMIT:
         raise ValueError("index components must fit in 32 bits")
-    return rows
-
-
-def _z_vector(z, n: int) -> np.ndarray:
-    zv = np.asarray([int(zj) % n for zj in z], dtype=np.int64)
-    return zv
+    return rows, groups
 
 
 def residues(rows: np.ndarray, z, n: int) -> np.ndarray:
-    """Residue slots (r . z) mod n of the integer rows, as int64; raises
-    ValueError if a component does not fit in 32 bits."""
-    return kernels.dot_mod(_as_rows(rows), _z_vector(z, n), int(n))
+    """Residue slots (r . z) mod n of the rows of :func:`space_rows`, as
+    int64; raises ValueError if the rows and z differ in dimension."""
+    if rows.shape[1] != len(z):
+        raise ValueError(f"lattice dimension {len(z)} differs from index "
+                         f"set dimension {rows.shape[1]}")
+    return kernels.dot_mod(rows, _z_vector(z, n), int(n))
+
+
+def _lookup(code: int, space: str, L: IndexSet, z, n: int) -> VerifyResult:
+    """The lookup verifier of condition ``code`` on L in ``space``: the
+    residues of its rows (without the zero row under the nonzero
+    condition), then the kernel check."""
+    rows, groups = space_rows(space, L)
+    if code == kernels.COND_NONZERO:
+        rows = rows[np.any(rows, axis=1)]  # its check reads no groups
+    res = residues(rows, z, n)
+    if code != kernels.COND_PLAN_C:
+        ok = kernels.check_condition(res, groups, int(n), code)
+        return VerifyResult(bool(ok), res.shape[0] if ok else 0)
+    ok, visits, c = kernels.check_plan_c(res, groups, int(n))
+    return VerifyResult(bool(ok), int(visits),
+                        dict(zip(L, c.tolist())) if ok else None)
 
 
 def verify_fourier(z, n: int, Ls: IndexSet) -> VerifyResult:
     """All dot products of Ls distinct mod n (Fourier reconstruction)."""
-    res = residues(Ls.as_array(), z, n)
-    ok, visits = kernels.check_distinct(res, int(n))
-    return VerifyResult(bool(ok), int(visits))
+    return _lookup(kernels.COND_DISTINCT, "fourier", Ls, z, n)
 
 
 def verify_plan_a(z, n: int, Ls: IndexSet) -> VerifyResult:
     """All dot products of the mirrored set of Ls distinct mod n."""
-    rows, _ = mirror_expand(Ls)
-    res = residues(rows, z, n)
-    ok, visits = kernels.check_distinct(res, int(n))
-    return VerifyResult(bool(ok), int(visits))
+    return _lookup(kernels.COND_DISTINCT, "cosine", Ls, z, n)
 
 
 def verify_plan_b(z, n: int, Ls: IndexSet) -> VerifyResult:
     """Two-bit-string plan-B check: no sign change of any index may hit the
     plain dot product of any index."""
-    rows, group_start = mirror_expand(Ls)
-    res = residues(rows, z, n)
-    ok, visits = kernels.check_plan_b(res, group_start, int(n))
-    return VerifyResult(bool(ok), int(visits))
+    return _lookup(kernels.COND_PLAN_B, "cosine", Ls, z, n)
 
 
 def verify_plan_c(z, n: int, Ls: IndexSet) -> VerifyResult:
     """Plan-C check allowing self-aliasing; on success carries the c_k
     counts (1 <= c_k <= 2^|k|_0)."""
-    rows, group_start = mirror_expand(Ls)
-    res = residues(rows, z, n)
-    ok, visits, c = kernels.check_plan_c(res, group_start, int(n))
-    table = None
-    if ok:
-        table = {k: int(ck) for k, ck in zip(Ls, c)}
-    return VerifyResult(bool(ok), int(visits), table)
+    return _lookup(kernels.COND_PLAN_C, "cosine", Ls, z, n)
 
 
 def verify_nonzero(z, n: int, A_s: IndexSet) -> VerifyResult:
     """All nonzero indices of A_s stay out of the dual lattice."""
-    rows = A_s.as_array()
-    res = residues(rows[np.any(rows, axis=1)], z, n)
-    ok, visits = kernels.check_nonzero(res)
-    return VerifyResult(bool(ok), int(visits))
+    return _lookup(kernels.COND_NONZERO, "fourier", A_s, z, n)
 
 
 # ---------------------------------------------------------------------------
@@ -249,14 +264,20 @@ class _Condition:
     integer n must exceed, ``verify(z, n)`` the lookup verifier and
     ``oracle(lattice)`` the naive check, which returns (ok, c_table or
     None).  The auxiliary set A of the generic condition h.z != 0 mod n
-    sizes the bound and lives on only inside the oracle (and, for
-    integration, the verifier); the CBC steps read the base set alone.
+    sizes the bound and lives on only inside the oracle; the verifier and
+    the CBC steps read the rows of the base set alone (:func:`space_rows`).
     """
 
     code: int
     bound: int
     verify: Callable[[object, int], VerifyResult]
     oracle: Callable[[Rank1Lattice], tuple]
+
+
+# kernel condition code of reconstruction under each plan; Fourier
+# reconstruction (no plan) asks for distinct residues, as plan A does
+_PLAN_CODE = {None: kernels.COND_DISTINCT, "A": kernels.COND_DISTINCT,
+              "B": kernels.COND_PLAN_B, "C": kernels.COND_PLAN_C}
 
 
 def _dual_oracle(A: IndexSet):
@@ -268,36 +289,34 @@ def _condition(task: CbcTask) -> _Condition:
     bounds are listed in :func:`required_n`."""
     L = task.base_set
     two_max = 2 * L.max_abs()
+    code = (kernels.COND_NONZERO if task.goal == "integration"
+            else _PLAN_CODE[task.plan])
+    verify = partial(_lookup, code, task.space, L)
     if task.goal == "integration":
         if task.space == "fourier":
             A, kappa = L, (2 if negated(L) == L else 1)
         else:
             A, kappa = mirrored(L), 2  # mirrored sets are centrally symmetric
         size = len(A) - (1 if L.has_zero() else 0)  # 0 in M(L) iff 0 in L
-        return _Condition(kernels.COND_NONZERO,
-                          max(size // kappa + 1, L.max_abs()),
-                          partial(verify_nonzero, A_s=A), _dual_oracle(A))
+        return _Condition(code, max(size // kappa + 1, L.max_abs()), verify,
+                          _dual_oracle(A))
     if task.plan == "C":
         # sign orbits of distinct nonnegative indices are disjoint, so
         # |M(L)| is the sum of 2^|k|_0 over L
-        return _Condition(kernels.COND_PLAN_C,
-                          max(len(L) * L.sum_two_pow(), two_max),
-                          partial(verify_plan_c, Ls=L),
+        return _Condition(code, max(len(L) * L.sum_two_pow(), two_max),
+                          verify,
                           lambda lattice: lattice.plan_c_check_naive(L))
     if task.space == "fourier":
         A = difference_set(L)
-        code, verify, bound = kernels.COND_DISTINCT, verify_fourier, \
-            (len(A) + 1) // 2
+        bound = (len(A) + 1) // 2
     elif task.plan == "A":
         M = mirrored(L)
         A = sum_set(M, M)
-        code, verify, bound = kernels.COND_DISTINCT, verify_plan_a, \
-            (len(A) + 1) // 2
+        bound = (len(A) + 1) // 2
     else:
         A = sum_set(L, mirrored(L))
-        code, verify, bound = kernels.COND_PLAN_B, verify_plan_b, len(A)
-    return _Condition(code, max(bound, two_max), partial(verify, Ls=L),
-                      _dual_oracle(A))
+        bound = len(A)
+    return _Condition(code, max(bound, two_max), verify, _dual_oracle(A))
 
 
 def required_n(task: CbcTask) -> int:
@@ -360,15 +379,16 @@ class _StepFailed(Exception):
 def _prefix_last(rows: np.ndarray, z, n: int, s: int):
     """Residues of the first s - 1 components of the step-s rows under the
     prefix z, and their last components, both mod n."""
-    return residues(rows[:, :s - 1], z, n), rows[:, s - 1] % n
+    return (kernels.dot_mod(rows[:, :s - 1], _z_vector(z, n), int(n)),
+            rows[:, s - 1] % n)
 
 
 class _Builder:
     """Holds the step rows of one task; reused across n escalations.
 
-    Step s reads the projection L_s of the base set alone: its rows are
-    L_s for Fourier and M(L_s) grouped by sign orbit otherwise (the
-    projection of M(L) is M(L_s)), and integration drops the zero row.
+    Step s reads the rows of the projection L_s of the base set in the
+    task's space (:func:`space_rows`: L_s for Fourier, M(L_s) grouped by
+    sign orbit otherwise), without the zero row for integration.
     Elimination pairs lead rows with every row of another key, two leads
     only once: the zero row (key -1) for integration, every row keyed by
     itself for the distinct condition, the orbit leads keyed by row for
@@ -382,8 +402,6 @@ class _Builder:
         L = task.base_set
         self.d = L.dimension
         self.two_max = 2 * L.max_abs()
-        _as_rows(L.as_array())  # 32-bit guard
-        no_groups = np.zeros(1, dtype=np.int64)
         self.step_rows = [None]
         self.step_groups = [None]
         self.step_keys = [None]
@@ -394,15 +412,11 @@ class _Builder:
         self.thresholds = [None]
         for s in range(1, self.d + 1):
             Ls = project(L, s)
-            if task.space == "fourier":
-                rows, groups = Ls.as_array(), no_groups
-            else:
-                rows, groups = mirror_expand(Ls)
+            rows, groups = space_rows(task.space, Ls)
             # brute-force switching threshold: |L_s| or |M(L_s)|
             self.thresholds.append(rows.shape[0])
             if code == kernels.COND_NONZERO:
-                rows, groups = rows[np.any(rows, axis=1)], no_groups
-            rows = _as_rows(rows)
+                rows = rows[np.any(rows, axis=1)]  # its check reads no groups
             R = rows.shape[0]
             keys = np.arange(R, dtype=np.int64)
             if code == kernels.COND_NONZERO:
@@ -434,11 +448,9 @@ class _Builder:
     # -- step condition check for a fixed candidate vector ---------------
 
     def check_step(self, z, n: int, s: int) -> bool:
-        rows = self.step_rows[s]
-        if rows.shape[0] == 0:
-            return True
-        return bool(kernels.check_condition(
-            residues(rows, z, n), self.step_groups[s], int(n), self.cond))
+        res = kernels.dot_mod(self.step_rows[s], _z_vector(z, n), int(n))
+        return bool(kernels.check_condition(res, self.step_groups[s], int(n),
+                                            self.cond))
 
     # -- elimination for one step -----------------------------------------
 
@@ -611,20 +623,16 @@ def _reduce_n(builder: _Builder, n: int, z):
     zero component and the last step check passes; returns the smallest
     such prime (or n) with z reduced mod it.
 
-    The last step's rows, prepared once by the builder, are those of the
-    condition's lookup verifier (L or M(L), without the zero row for
-    integration), so each prime costs only the residues and the check.
+    The last step's rows, prepared once by the builder, are those the
+    condition's lookup verifier reads (L or M(L), without the zero row for
+    integration), so each prime costs only the last step check.
     The verifiers match the oracles, so the caller's single oracle run
     accepts the result.
     """
-    rows = builder.step_rows[builder.d]
-    groups = builder.step_groups[builder.d]
     while True:
         p = _previous_prime(n)
-        if p is None or not all(zj % p for zj in z):
-            break
-        res = kernels.dot_mod(rows, _z_vector(z, p), p)
-        if not kernels.check_condition(res, groups, p, builder.cond):
+        if p is None or not all(zj % p for zj in z) \
+                or not builder.check_step(z, p, builder.d):
             break
         n = p
     return n, [zj % n for zj in z]

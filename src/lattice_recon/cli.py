@@ -147,6 +147,10 @@ def cmd_verify(args) -> int:
 def cmd_reconstruct(args) -> int:
     base_set = indexset.read_indexset(args.input)
     lat, file_c_table = latmod.read_lattice(args.lattice)
+    if lat.dimension != base_set.dimension:
+        # --function samples before the map could report it
+        raise UsageError(f"lattice dimension {lat.dimension} differs from "
+                         f"index set dimension {base_set.dimension}")
     space = args.space
     plan = args.plan
     if space != "fourier" and plan is None:

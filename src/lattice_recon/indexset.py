@@ -249,8 +249,8 @@ class IndexSet:
         """Membership of every row of an (m, d') integer array, by binary
         search on the keys; rows of another length d' are not members."""
         rows = np.asarray(rows, dtype=np.int64)
-        if rows.shape[1] != self.dimension:
-            return np.zeros(rows.shape[0], dtype=bool)
+        if rows.size == 0 or rows.shape[1] != self.dimension:
+            return np.zeros(len(rows), dtype=bool)
         hi = [l + w - 1 for l, w in zip(self._lo, self._widths)]
         inside = np.flatnonzero(np.all((rows >= self._lo) & (rows <= hi),
                                        axis=1))

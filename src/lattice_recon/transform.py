@@ -1,13 +1,14 @@
 """Fast maps between function values at (transformed) lattice points and
 series coefficients.
 
-One length-n DFT does all the work in every space: the coefficient of index
-k sits in spectrum slot (k.z mod n).  For the cosine and Chebyshev spaces
-the sampled value vector is symmetric (f_i = f_{n-i}), so the spectrum is
-real and the forward map reads the real part of the one FFT.  The Chebyshev
-maps are the cosine maps verbatim; only the sampling locations differ.
-:func:`coeffs_from_values` and :func:`values_from_coeffs` dispatch over the
-three spaces.
+One length-n DFT does all the work in every space: the rows of index k
+(:func:`lattice_recon.cbc.space_rows`: k itself for Fourier, its sign
+orbit M(k) for cosine and Chebyshev) sit in spectrum slots (h.z mod n).
+For the cosine and Chebyshev spaces the sampled value vector is symmetric
+(f_i = f_{n-i}), so the spectrum is real and the forward map reads the
+real part of the one FFT.  :func:`coeffs_from_values` and
+:func:`values_from_coeffs` have one body each for the three spaces; the
+per-space functions bind them.
 
 :func:`dft` is numpy's FFT (pocketfft, O(n log n) for every n, primes
 included) with the lattice normalization.
@@ -17,9 +18,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cbc import (residues, verify_fourier, verify_plan_a, verify_plan_b,
-                  verify_plan_c)
-from .indexset import IndexSet, mirror_expand
+from . import kernels
+from .cbc import _PLAN_CODE, PLANS, residues, space_rows
+from .indexset import IndexSet
 from .lattice import Rank1Lattice, TransformKind
 
 
@@ -126,99 +127,43 @@ def _weights(rows: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Fourier maps
+# the two maps, one body each for the three spaces
 
-def fourier_coeffs_from_values(lattice: Rank1Lattice, L: IndexSet, values,
-                               unsafe: bool = False) -> CoefficientTable:
-    """Fourier coefficients on L from samples at the raw lattice points."""
-    values = np.asarray(values, dtype=np.complex128)
-    if values.shape[0] != lattice.n:
-        raise ValueError("value vector length differs from n")
-    if not unsafe and not verify_fourier(lattice.z, lattice.n, L):
-        raise AliasingDetected("two indices share a residue slot")
-    spectrum = dft(values, "forward")
-    slots = residues(L.as_array(), lattice.z, lattice.n)
-    return CoefficientTable("fourier", L.dimension,
-                            dict(zip(L, spectrum[slots].tolist())))
-
-
-def fourier_values_from_coeffs(lattice: Rank1Lattice, L: IndexSet,
-                               coeffs) -> np.ndarray:
-    """Values of the series at the lattice points by slot scatter + IFFT."""
-    spectrum = np.zeros(lattice.n, dtype=np.complex128)
-    np.add.at(spectrum, residues(L.as_array(), lattice.z, lattice.n),
-              _coeff_vector(L, coeffs, np.complex128))
-    return dft(spectrum, "inverse")
-
-
-# ---------------------------------------------------------------------------
-# cosine / Chebyshev maps (one engine; the spaces are isomorphic)
-
-_PLAN_VERIFIERS = {"A": verify_plan_a, "B": verify_plan_b, "C": verify_plan_c}
-
-
-def _check_plan(lattice: Rank1Lattice, L: IndexSet, plan: str) -> None:
-    verifier = _PLAN_VERIFIERS[plan]
-    if not verifier(lattice.z, lattice.n, L):
-        raise AliasingDetected(f"lattice fails the plan {plan} "
-                               "reconstruction condition")
-
-
-def cosine_coeffs_from_values(lattice: Rank1Lattice, L: IndexSet, plan: str,
-                              values, c_table: dict | None = None,
-                              unsafe: bool = False) -> CoefficientTable:
-    """Cosine coefficients on L from samples at tent-transformed points.
-
-    The value vector must satisfy f_i = f_{n-i} (it does when produced by
-    :func:`sample_values`).  Coefficient k is sqrt(2)^|k|_0 F_(k.z mod n),
-    divided by c_k under plan C.
-    """
-    return _folded_coeffs_from_values("cosine", lattice, L, plan, values,
-                                      c_table, unsafe)
-
-
-def chebyshev_coeffs_from_values(lattice: Rank1Lattice, L: IndexSet,
-                                 plan: str, values,
-                                 c_table: dict | None = None,
-                                 unsafe: bool = False) -> CoefficientTable:
-    """Chebyshev coefficients on L from samples at the cosine-of-tent
-    points; numerically identical to the cosine map."""
-    return _folded_coeffs_from_values("chebyshev", lattice, L, plan, values,
-                                      c_table, unsafe)
-
-
-def _folded_coeffs_from_values(space, lattice, L, plan, values, c_table,
-                               unsafe):
-    if plan not in ("A", "B", "C"):
-        raise ValueError(f"unknown plan {plan!r}")
-    if len(L) and L.as_array().min() < 0:
-        raise ValueError(f"{space} indices must be nonnegative")
-    values = np.asarray(values, dtype=np.float64)
+def _coeffs_from_values(space, lattice, L, values, plan, c_table, unsafe):
+    """The forward map of every space; ``unsafe`` skips the aliasing check."""
+    rows, groups = space_rows(space, L)
+    fourier = space == "fourier"
+    if not fourier:
+        if plan not in PLANS:
+            raise ValueError(f"unknown plan {plan!r}")
+        if len(L) and L.as_array().min() < 0:
+            raise ValueError(f"{space} indices must be nonnegative")
+    values = np.asarray(values, np.complex128 if fourier else np.float64)
     if values.shape[0] != lattice.n:
         raise ValueError("value vector length differs from n")
     if plan == "C" and c_table is None:
         raise MissingCTable("plan C needs the c_k table")
-    if not unsafe:
-        _check_plan(lattice, L, plan)
-    # symmetrize i <-> n-i first: a no-op for sampled vectors, and unchanged
-    # coefficients otherwise (the dual functions are even in i), so the
-    # spectrum is real for arbitrary inputs as well
-    sym = values.copy()
-    sym[1:] = 0.5 * (values[1:] + values[:0:-1])
-    spectrum = dft(sym, "forward").real
+    slots = residues(rows, lattice.z, lattice.n)
+    if not unsafe and not kernels.check_condition(
+            slots, groups, lattice.n, _PLAN_CODE[plan]):
+        raise AliasingDetected(
+            "two indices share a residue slot" if fourier else
+            f"lattice fails the plan {plan} reconstruction condition")
+    # for real values Re F_kappa = Re F_(n-kappa), so the real part is the
+    # spectrum of the symmetrized values (f_i + f_(n-i)) / 2 as well
+    spectrum = dft(values, "forward")
+    orbit = spectrum[slots] if fourier else spectrum.real[slots]
     if plan == "A":
         # plan A integrates against the tent-composed basis itself, which
         # is the mean over the sign orbit of the plan-B dual functions, so
         # its coefficient averages the spectrum over the orbit slots (for
         # functions supported on L all orbit slots agree and this reduces
         # to the single lookup)
-        rows, group_start = mirror_expand(L)
-        orbit = spectrum[residues(rows, lattice.z, lattice.n)]
-        raw = (np.add.reduceat(orbit, group_start[:-1])
-               / np.diff(group_start))
+        coeffs = np.add.reduceat(orbit, groups[:-1]) / np.diff(groups)
     else:
-        raw = spectrum[residues(L.as_array(), lattice.z, lattice.n)]
-    coeffs = _weights(L.as_array()) * raw
+        coeffs = orbit[groups[:-1]]
+    if not fourier:
+        coeffs = _weights(L.as_array()) * coeffs
     if plan == "C":
         try:
             coeffs /= np.asarray([c_table[k] for k in L], dtype=np.float64)
@@ -228,52 +173,78 @@ def _folded_coeffs_from_values(space, lattice, L, plan, values, c_table,
     return CoefficientTable(space, L.dimension, dict(zip(L, coeffs.tolist())))
 
 
-def cosine_values_from_coeffs(lattice: Rank1Lattice, L: IndexSet,
-                              coeffs) -> np.ndarray:
-    """Values of the cosine series at the tent-transformed lattice points.
-
-    Every sign change of every index accumulates into its residue slot
-    (plan-C sign orbits may share a slot, hence the unbuffered add), then
-    one inverse FFT evaluates the series at all points.
-    """
-    rows, group_start = mirror_expand(L)
-    scaled = _coeff_vector(L, coeffs, np.float64) / _weights(L.as_array())
-    spectrum = np.zeros(lattice.n, dtype=np.float64)
-    np.add.at(spectrum, residues(rows, lattice.z, lattice.n),
-              np.repeat(scaled, np.diff(group_start)))
-    return dft(spectrum, "inverse").real
-
-
-# Chebyshev values at the cosine-of-tent points: the same series in the
-# isomorphic space
-chebyshev_values_from_coeffs = cosine_values_from_coeffs
-
-
-# ---------------------------------------------------------------------------
-# one dispatch over the three spaces
-
 def coeffs_from_values(space: str, lattice: Rank1Lattice, L: IndexSet,
                        values, plan: str | None = None,
                        c_table: dict | None = None) -> CoefficientTable:
     """Coefficients on L from samples at the points of ``space`` (see
     :func:`sample_values`); ``plan`` and ``c_table`` apply to the cosine
-    and Chebyshev spaces only."""
-    if space == "fourier":
-        return fourier_coeffs_from_values(lattice, L, values)
-    if space not in ("cosine", "chebyshev"):
-        raise ValueError(f"unknown space {space!r}")
-    return _folded_coeffs_from_values(space, lattice, L, plan, values,
-                                      c_table, unsafe=False)
+    and Chebyshev spaces only, where coefficient k is sqrt(2)^|k|_0
+    F_(k.z mod n), divided by c_k under plan C."""
+    return _coeffs_from_values(space, lattice, L, values,
+                               None if space == "fourier" else plan,
+                               c_table, unsafe=False)
 
 
 def values_from_coeffs(space: str, lattice: Rank1Lattice, L: IndexSet,
                        coeffs) -> np.ndarray:
-    """Values of the series on L at the points of ``space``."""
-    if space == "fourier":
-        return fourier_values_from_coeffs(lattice, L, coeffs)
-    if space not in ("cosine", "chebyshev"):
-        raise ValueError(f"unknown space {space!r}")
-    return cosine_values_from_coeffs(lattice, L, coeffs)
+    """Values of the series on L at the points of ``space``: every row of
+    every index accumulates its coefficient (over sqrt(2)^|k|_0 outside
+    Fourier) into its slot, plan-C sign orbits may share one, then one
+    inverse FFT evaluates the series at all points."""
+    rows, groups = space_rows(space, L)
+    fourier = space == "fourier"
+    scaled = _coeff_vector(L, coeffs, np.complex128 if fourier else np.float64)
+    if not fourier:
+        scaled /= _weights(L.as_array())
+    spectrum = np.zeros(lattice.n, dtype=scaled.dtype)
+    np.add.at(spectrum, residues(rows, lattice.z, lattice.n),
+              np.repeat(scaled, np.diff(groups)))
+    values = dft(spectrum, "inverse")
+    return values if fourier else values.real
+
+
+# ---------------------------------------------------------------------------
+# per-space bindings of the two maps
+
+def fourier_coeffs_from_values(lattice: Rank1Lattice, L: IndexSet, values,
+                               unsafe: bool = False) -> CoefficientTable:
+    """Fourier coefficients on L from samples at the raw lattice points."""
+    return _coeffs_from_values("fourier", lattice, L, values, None, None,
+                               unsafe)
+
+
+def cosine_coeffs_from_values(lattice: Rank1Lattice, L: IndexSet, plan: str,
+                              values, c_table: dict | None = None,
+                              unsafe: bool = False) -> CoefficientTable:
+    """Cosine coefficients on L from samples at tent-transformed points."""
+    return _coeffs_from_values("cosine", lattice, L, values, plan, c_table,
+                               unsafe)
+
+
+def chebyshev_coeffs_from_values(lattice: Rank1Lattice, L: IndexSet,
+                                 plan: str, values,
+                                 c_table: dict | None = None,
+                                 unsafe: bool = False) -> CoefficientTable:
+    """Chebyshev coefficients on L from samples at the cosine-of-tent
+    points; numerically identical to the cosine map."""
+    return _coeffs_from_values("chebyshev", lattice, L, values, plan,
+                               c_table, unsafe)
+
+
+def fourier_values_from_coeffs(lattice: Rank1Lattice, L: IndexSet,
+                               coeffs) -> np.ndarray:
+    """Values of the Fourier series at the lattice points."""
+    return values_from_coeffs("fourier", lattice, L, coeffs)
+
+
+def cosine_values_from_coeffs(lattice: Rank1Lattice, L: IndexSet,
+                              coeffs) -> np.ndarray:
+    """Values of the cosine series at the tent-transformed lattice points."""
+    return values_from_coeffs("cosine", lattice, L, coeffs)
+
+
+# the Chebyshev values are the cosine series' in the isomorphic space
+chebyshev_values_from_coeffs = cosine_values_from_coeffs
 
 
 # ---------------------------------------------------------------------------

@@ -112,6 +112,39 @@ def plan_c_check(lattice, L):
     return True, c_table
 
 
+def lookup_check(condition, lattice, L):
+    """(ok, visits, c_table) of a lookup verifier, one index at a time:
+    ``condition`` is "nonzero" (no nonzero index of L in the dual lattice),
+    "fourier" (the residues of L distinct) or plan "A", "B" or "C" on the
+    sign orbits of L.  visits counts the checked rows on success and is 0
+    on failure; c_table comes with plan C only."""
+    n = lattice.n
+    z = lattice.z
+
+    def slot(h):
+        return sum(hj * zj for hj, zj in zip(h, z)) % n
+
+    if condition == "C":
+        ok, c_table = plan_c_check(lattice, L)
+        rows = sum(len(unique_sign_changes(k)) for k in L)
+        return ok, rows if ok else 0, c_table
+    if condition == "nonzero":
+        rows = [slot(h) for h in L if any(h)]
+        ok = 0 not in rows
+    elif condition in ("fourier", "A"):
+        rows = [slot(h) for k in L
+                for h in ([k] if condition == "fourier"
+                          else unique_sign_changes(k))]
+        ok = len(set(rows)) == len(rows)
+    else:
+        plain = [slot(k) for k in L]
+        signs = [slot(h) for k in L for h in unique_sign_changes(k)
+                 if tuple(h) != tuple(k)]
+        rows = plain + signs
+        ok = len(set(plain)) == len(plain) and not set(signs) & set(plain)
+    return ok, len(rows) if ok else 0, None
+
+
 # ---------------------------------------------------------------------------
 # index-set algebra on tuples
 

@@ -9,10 +9,12 @@ from lattice_recon import (CbcTask, EmptyCandidateSet, IndexSet, InvalidTask,
                            Rank1Lattice, RetryLimitExceeded, cbc_construct,
                            difference_set, is_prime, mirrored, next_prime,
                            project, properties, required_n, sum_set,
-                           verify_fourier, verify_plan_a, verify_plan_b,
-                           verify_plan_c)
-from lattice_recon.cbc import SPACES
+                           verify_fourier, verify_nonzero, verify_plan_a,
+                           verify_plan_b, verify_plan_c)
+from lattice_recon.cbc import SPACES, space_rows
+from lattice_recon.indexset import mirror_expand
 from conftest import random_downward, random_nonneg_set, random_signed_set
+from reference import lookup_check
 
 
 # ---------------------------------------------------------------------------
@@ -302,6 +304,76 @@ def test_condition_nesting(rng):
         if b:
             assert c.ok
             assert all(v == 1 for v in c.c_table.values())
+
+
+# ---------------------------------------------------------------------------
+# the rows of a set in each space, and the one lookup over them
+
+SET_KINDS = ("downward", "nonneg", "signed")
+
+
+def _random_set(kind, rng, d, size):
+    if kind == "downward":
+        return random_downward(rng, d, size)
+    if kind == "nonneg":
+        return random_nonneg_set(rng, d, size, 3)
+    return random_signed_set(rng, d, size, 3)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 4),
+       size=st.integers(1, 12), kind=st.sampled_from(SET_KINDS))
+def test_space_rows_are_the_set_or_its_sign_orbits(seed, d, size, kind):
+    L = _random_set(kind, np.random.default_rng(seed), d, size)
+    rows, groups = space_rows("fourier", L)
+    assert rows.dtype == np.int64 and np.array_equal(rows, L.as_array())
+    assert np.array_equal(groups, np.arange(len(L) + 1))
+    orbit_rows, orbit_groups = mirror_expand(L)
+    for space in ("cosine", "chebyshev"):
+        rows, groups = space_rows(space, L)
+        assert rows.dtype == np.int64 and np.array_equal(rows, orbit_rows)
+        assert np.array_equal(groups, orbit_groups)
+
+
+def test_space_rows_rejects_unknown_spaces_and_wide_components():
+    with pytest.raises(ValueError, match="unknown space 'legendre'"):
+        space_rows("legendre", IndexSet([(1,)]))
+    for space in SPACES:
+        with pytest.raises(ValueError, match="32 bits"):
+            space_rows(space, IndexSet([(0, 1), (2**31, 0)]))
+
+
+VERIFIERS = {"nonzero": verify_nonzero, "fourier": verify_fourier,
+             "A": verify_plan_a, "B": verify_plan_b, "C": verify_plan_c}
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 3),
+       size=st.integers(1, 10), kind=st.sampled_from(SET_KINDS),
+       n=st.integers(2, 80))
+def test_verifiers_match_the_reference_formulas(seed, d, size, kind, n):
+    # n up to 80 makes aliasing lattices common; every field of the result
+    # follows the one-index-at-a-time formulas, and each task's condition
+    # binds the same lookup
+    rng = np.random.default_rng(seed)
+    L = _random_set(kind, rng, d, size)
+    z = tuple(int(v) for v in rng.integers(1, n, size=d))
+    lattice = Rank1Lattice(n, z)
+    for condition, verifier in VERIFIERS.items():
+        result = verifier(z, n, L)
+        assert (result.ok, result.visits, result.c_table) == \
+            lookup_check(condition, lattice, L)
+    if kind == "signed":
+        return  # the cosine and Chebyshev tasks take nonnegative sets
+    for space, goal, plan in EVERY_TASK:
+        task = CbcTask(space, goal, L, plan=plan)
+        if goal == "integration":
+            A = L if space == "fourier" else mirrored(L)
+            expected = lookup_check("nonzero", lattice, A)
+        else:
+            expected = lookup_check(plan or "fourier", lattice, L)
+        result = cbc_module._condition(task).verify(z, n)
+        assert (result.ok, result.visits, result.c_table) == expected
 
 
 # ---------------------------------------------------------------------------

@@ -204,6 +204,22 @@ def test_reconstruct_builtin_function(tmp_path):
                "-o", tmp_path / "c.txt") == 0
 
 
+def test_lattice_and_set_of_different_dimension_exit_2(tmp_path, capsys):
+    idx = tmp_path / "s.idx"
+    lat = tmp_path / "s.lat"
+    write_indexset(IndexSet([(0, 0), (1, 0), (0, 1), (1, 1), (2, 0)],
+                            domain="nonneg"), idx)
+    write_lattice(Rank1Lattice(11, (1, 3, 5)), lat)
+    message = "lattice dimension 3 differs from index set dimension 2"
+    assert run("verify", "--space", "cosine", "--plan", "B", "-i", idx,
+               "--lattice", lat) == 2
+    assert message in capsys.readouterr().err
+    assert run("reconstruct", "--space", "fourier", "--lattice", lat,
+               "-i", idx, "--function", "geometric",
+               "-o", tmp_path / "c.txt") == 2
+    assert message in capsys.readouterr().err
+
+
 def _experiment_config(tmp_path, **overrides):
     config = {
         "space": "cosine",

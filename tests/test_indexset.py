@@ -373,6 +373,9 @@ def test_key_algebra_matches_tuple_algebra(kind, other, seed, d, size,
     for k in probes | set(members):
         assert (k in L) == (k in set(members))
     assert (1,) * (d + 1) not in L
+    for empty in ([], np.zeros((0, d), dtype=np.int64)):
+        found = L.contains_rows(empty)
+        assert found.dtype == bool and found.shape == (0,)
     assert is_downward_closed(L) == is_downward_closed_tuples(members)
     for s in range(1, d + 1):
         assert list(project(L, s)) == project_tuples(members, s)

@@ -11,8 +11,11 @@ from lattice_recon import (AliasingDetected, CbcTask, CoefficientTable,
                            dft, fourier_coeffs_from_values,
                            fourier_values_from_coeffs, read_coefficients,
                            read_values, sample_values, unique_sign_changes,
-                           values_from_coeffs, verify_plan_c,
-                           write_coefficients, write_values, zero_count)
+                           values_from_coeffs, verify_plan_b,
+                           verify_plan_c, write_coefficients, write_values,
+                           zero_count)
+import lattice_recon.cbc as cbc_module
+import lattice_recon.kernels as kernels_module
 from lattice_recon.transform import (chebyshev_coeffs_from_values,
                                      chebyshev_values_from_coeffs,
                                      cosine_coeffs_from_values,
@@ -336,6 +339,43 @@ def test_aliasing_detected_for_all_plans():
                                       {k: 1 for k in L})
 
 
+SPACE_PLANS = [("fourier", None), ("cosine", "A"), ("cosine", "B"),
+               ("cosine", "C"), ("chebyshev", "A"), ("chebyshev", "B"),
+               ("chebyshev", "C")]
+
+
+@pytest.mark.parametrize("space,plan", SPACE_PLANS)
+def test_forward_map_expands_and_reduces_once(space, plan, monkeypatch):
+    # the aliasing check and the coefficient lookup read the same slot
+    # residues: one sign expansion (none for Fourier) and one dot product
+    L = random_downward(np.random.default_rng(2), 3, 10)
+    result = cbc_construct(CbcTask(space, "reconstruction", L, plan=plan))
+    lat = result.lattice()
+    values = values_from_coeffs(space, lat, L, {k: 1.0 for k in L})
+    calls = []
+    for module, name in ((cbc_module, "mirror_expand"),
+                         (kernels_module, "dot_mod")):
+        original = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, _f=original,
+                            _name=name: calls.append(_name) or _f(*args))
+    coeffs_from_values(space, lat, L, values, plan, result.c_table)
+    assert calls.count("dot_mod") == 1
+    assert calls.count("mirror_expand") == (0 if space == "fourier" else 1)
+
+
+def test_lattice_and_set_of_different_dimension():
+    L = IndexSet([(0, 0), (1, 0), (0, 1), (1, 1), (2, 0)], domain="nonneg")
+    lat = Rank1Lattice(11, (1, 3, 5))
+    message = "lattice dimension 3 differs from index set dimension 2"
+    with pytest.raises(ValueError, match=message):
+        verify_plan_b(lat.z, lat.n, L)
+    for space, plan in (("fourier", None), ("cosine", "B")):
+        with pytest.raises(ValueError, match=message):
+            coeffs_from_values(space, lat, L, np.zeros(lat.n), plan)
+        with pytest.raises(ValueError, match=message):
+            values_from_coeffs(space, lat, L, {})
+
+
 # ---------------------------------------------------------------------------
 # files
 
@@ -375,20 +415,25 @@ def test_coefficient_file_roundtrip(tmp_path, rng):
 def test_plan_c_forward_matches_naive_dual_cubature(rng):
     # eq-for-eq agreement with the bi-orthonormal cubature: coefficient k is
     # the lattice average of f against sqrt(2)^|k|_0 cos(2 pi k.x), divided
-    # by the self-aliasing count
-    L = random_downward(rng, 2, 7)
+    # by the self-aliasing count; also for values of no series on L (random
+    # and not even symmetric), where the slots of an orbit such as that of
+    # (1, 1) differ
+    L = IndexSet(list(itertools.product(range(3), repeat=2)),
+                 domain="nonneg")
     result = cbc_construct(CbcTask("cosine", "reconstruction", L, plan="C"))
     lat = result.lattice()
     coeffs = {k: float(rng.standard_normal()) for k in L}
-    values = cosine_values_from_coeffs(lat, L, coeffs)
-    table = cosine_coeffs_from_values(lat, L, "C", values, result.c_table)
     t = lat.points(TransformKind.IDENTITY)
-    for k in L:
-        scale = math.sqrt(2.0) ** zero_count(k)
-        naive = np.mean(values * scale
-                        * np.cos(2 * np.pi * (t @ np.array(k))))
-        naive /= result.c_table[k]
-        assert abs(table[k] - naive) < 1e-12
+    for values in (cosine_values_from_coeffs(lat, L, coeffs),
+                   rng.standard_normal(lat.n)):
+        table = cosine_coeffs_from_values(lat, L, "C", values,
+                                          result.c_table)
+        for k in L:
+            scale = math.sqrt(2.0) ** zero_count(k)
+            naive = np.mean(values * scale
+                            * np.cos(2 * np.pi * (t @ np.array(k))))
+            naive /= result.c_table[k]
+            assert abs(table[k] - naive) < 1e-12
 
 
 def test_plan_c_shared_slot_synthesis_roundtrip(rng):
