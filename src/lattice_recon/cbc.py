@@ -27,6 +27,7 @@ checks of :class:`lattice_recon.lattice.Rank1Lattice` before it is returned.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable
@@ -44,6 +45,8 @@ PLANS = ("A", "B", "C")
 STRATEGIES = ("brute_force", "elimination", "mixed")
 
 _INT32_LIMIT = 2**31
+
+_log = logging.getLogger(__name__)
 
 
 class InvalidTask(ValueError):
@@ -612,6 +615,9 @@ def cbc_construct(task: CbcTask) -> CbcResult:
             continue
         stats.steps = steps
         stats.switch_step = switch_step
+        _log.info("%s %s: n=%d z=%s after %d restarts", task.space,
+                  task.goal if task.plan is None else f"plan {task.plan}",
+                  m, ",".join(map(str, z)), stats.restarts)
         return CbcResult(tuple(z), m, c_table, stats)
     raise RetryLimitExceeded(
         f"no valid vector after {task.retry_limit} attempts; last failure: "

@@ -8,9 +8,11 @@ Exit codes: 0 success, 1 internal failure, 2 invalid arguments or config,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import json
+import logging
 import sys
 
 import numpy as np
@@ -286,7 +288,9 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true",
                         help="machine-parseable JSON on stdout")
-    common.add_argument("-v", "--verbose", action="count", default=0)
+    common.add_argument("-v", "--verbose", action="count", default=0,
+                        help="log progress to stderr: the lattice built, "
+                             "and n, slot count and route of each map")
 
     parser = argparse.ArgumentParser(
         prog="lattice-recon",
@@ -362,25 +366,47 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextlib.contextmanager
+def _progress_log(verbose: int):
+    """With -v, the package's INFO records go to stderr for the duration
+    of one command."""
+    if not verbose:
+        yield
+        return
+    logger = logging.getLogger("lattice_recon")
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(name)s: %(message)s"))
+    level = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.INFO)
+    try:
+        yield
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except (ValueError, FileNotFoundError, json.JSONDecodeError) as exc:
-        # covers UsageError, InvalidTask, MissingCTable and the file-format
-        # and rule validation errors: all user input problems
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except cbc.RetryLimitExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RETRY
-    except transform.AliasingDetected as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ALIASING
-    except Exception as exc:  # pragma: no cover - defensive
-        print(f"internal error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
+    with _progress_log(args.verbose):
+        try:
+            return args.func(args)
+        except (ValueError, FileNotFoundError, json.JSONDecodeError) as exc:
+            # covers UsageError, InvalidTask, MissingCTable and the
+            # file-format and rule validation errors: all user input
+            # problems
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+        except cbc.RetryLimitExceeded as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_RETRY
+        except transform.AliasingDetected as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_ALIASING
+        except Exception as exc:  # pragma: no cover - defensive
+            print(f"internal error: {exc}", file=sys.stderr)
+            return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -247,8 +247,13 @@ class IndexSet:
 
     def contains_rows(self, rows) -> np.ndarray:
         """Membership of every row of an (m, d') integer array, by binary
-        search on the keys; rows of another length d' are not members."""
+        search on the keys; rows of another length d' are not members.
+        A nonempty query of another shape, such as one flat row, raises
+        ValueError."""
         rows = np.asarray(rows, dtype=np.int64)
+        if rows.size and rows.ndim != 2:
+            raise ValueError(f"contains_rows expects an (m, d) array of "
+                             f"rows, got shape {rows.shape}")
         if rows.size == 0 or rows.shape[1] != self.dimension:
             return np.zeros(len(rows), dtype=bool)
         hi = [l + w - 1 for l, w in zip(self._lo, self._widths)]
@@ -408,8 +413,11 @@ def mirror_expand(L: IndexSet) -> tuple[np.ndarray, np.ndarray]:
     # too, but flipping them changes nothing
     bit = count[:, None] - np.cumsum(arr != 0, axis=1)
     for j in range(L.dimension):
-        flip = ((pattern >> np.repeat(bit[:, j], sizes)) & 1).astype(bool)
-        np.negative(rows[:, j], out=rows[:, j], where=flip)
+        flip = (pattern >> np.repeat(bit[:, j], sizes)) & 1
+        # a sign factor, not np.negative(..., where=flip): on numpy 2.4.6
+        # the masked ufunc misreads a column view whose row stride in
+        # elements equals the itemsize (int64 rows of 8 columns)
+        rows[:, j] *= 1 - 2 * flip
     return rows, group_start
 
 

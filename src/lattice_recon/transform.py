@@ -1,20 +1,38 @@
 """Fast maps between function values at (transformed) lattice points and
 series coefficients.
 
-One length-n DFT does all the work in every space: the rows of index k
-(:func:`lattice_recon.cbc.space_rows`: k itself for Fourier, its sign
-orbit M(k) for cosine and Chebyshev) sit in spectrum slots (h.z mod n).
-For the cosine and Chebyshev spaces the sampled value vector is symmetric
-(f_i = f_{n-i}), so the spectrum is real and the forward map reads the
-real part of the one FFT.  :func:`coeffs_from_values` and
-:func:`values_from_coeffs` have one body each for the three spaces; the
-per-space functions bind them.
+Both maps are one length-n DFT read or written at a few spectrum slots:
+the rows of index k (:func:`lattice_recon.cbc.space_rows`: k itself for
+Fourier, its sign orbit M(k) for cosine and Chebyshev) sit in slots
+(h.z mod n), and the maps touch only those.  :func:`coeffs_from_values`
+and :func:`values_from_coeffs` have one body each for the three spaces;
+the per-space functions bind them.
 
-:func:`dft` is numpy's FFT (pocketfft, O(n log n) for every n, primes
-included) with the lattice normalization.
+Each map takes one of two routes to the slots it uses, by the rule of
+:func:`_direct_pays` on n and the number of distinct slots:
+
+* :func:`dft`, numpy's FFT (pocketfft, O(n log n) for every n, primes
+  included) with the lattice normalization, over all n slots;
+* in the cosine and Chebyshev spaces, the blocked direct DFT
+  (:func:`_spectrum_direct`, :func:`_values_direct`), which evaluates only
+  the used slots.  There values and spectrum are real: the forward map
+  reads Re F, which is even in kappa, and synthesis returns the real part,
+  which is even in i.  So it works on one slot of each (kappa, n - kappa)
+  pair and on the m = n/2 + 1 points j <= n/2 only: the forward map adds
+  f_(n-j) onto f_j, synthesis mirrors.  With the points blocked as
+  j = a*B + b, B = ceil(sqrt(m)), each map is one real BLAS matrix product
+  of the blocked vector with a factor matrix of e^(+-2 pi i r/n) over
+  (b, slot), plus a weighting by a second factor matrix over (a, slot);
+  r is the exact integer residue.  Its cost is about m * slots
+  multiply-adds.
+
+Fourier maps always take the FFT.
 """
 
 from __future__ import annotations
+
+import logging
+import math
 
 import numpy as np
 
@@ -22,6 +40,8 @@ from . import kernels
 from .cbc import _PLAN_CODE, PLANS, residues, space_rows
 from .indexset import IndexSet
 from .lattice import Rank1Lattice, TransformKind
+
+_log = logging.getLogger(__name__)
 
 
 class AliasingDetected(RuntimeError):
@@ -50,6 +70,134 @@ def dft(x, direction: str = "forward") -> np.ndarray:
     if direction == "forward":
         return np.fft.fft(x, norm="forward")
     return np.fft.ifft(x, norm="forward")
+
+
+def _direct_pays(what: str, n: int, slots: int, real: bool) -> bool:
+    """Whether the blocked direct DFT computes a map of a length-n transform
+    that uses ``slots`` distinct slots (slot pairs for real spectra): for
+    real spectra when slots <= 2 sqrt(n), never for complex ones.  The
+    choice is logged with its inputs.
+
+    The direct route does about n/2 * slots multiply-adds in one real BLAS
+    matrix product, the FFT O(n log n) work at a much larger constant (at a
+    prime n, pocketfft's Bluestein convolution runs FFTs of a smooth length
+    of at least 2n - 1).  Measured on real spectra with BLAS at one thread,
+    at slots = 2 sqrt(n) the direct route takes 0.26 / 1.1 / 3.7 / 14 /
+    230 ms against the FFT's 0.20 / 1.7 / 7.5 / 42 / 820 ms at prime n of
+    about 2e3 / 8.6e3 / 5e4 / 2e5 / 1.9e6; at twice as many slots the FFT
+    wins below n = 5e4.  The bound also keeps both factor matrices, about
+    sqrt(n) x slots entries each, linear in n.  Complex (Fourier) spectra
+    would need all n points and a complex product, about four times the
+    work per slot, and are not measured against the FFT, so they keep it.
+    """
+    direct = real and slots * slots <= 4 * n
+    _log.info("%s: n=%d, %d distinct %s, %s", what, n, slots,
+              "slot pairs" if real else "slots",
+              "blocked direct DFT" if direct else "FFT")
+    return direct
+
+
+def _split(m: int) -> tuple[int, int]:
+    """Rows A and width B, B = ceil(sqrt(m)), of the blocks j = a*B + b
+    that cover the points 0 <= j < m."""
+    width = math.isqrt(m - 1) + 1
+    return -(-m // width), width
+
+
+def _twiddles(count: int, step: int, slots: np.ndarray, n: int,
+              sign: int) -> np.ndarray:
+    """e^(sign 2 pi i r / n) for r = k * step * kappa mod n, one row per
+    k < count and one column per kappa in ``slots``.
+
+    With k blocked as k1 * W + k2 (:func:`_split`), each entry is the
+    product of two entries of small tables, for k1 * W * step and for
+    k2 * step, so only about 2 sqrt(count) rows take complex exponentials:
+    on recon-large-n an operation takes 0.39-0.41 s, against 0.58-0.60 s
+    with one exponential per entry.  The angles come from exact int64
+    residues: offsets and slots are below n < 2^31, so the products stay
+    below 2^62.
+    """
+    height, width = _split(count)
+    angle = sign * 2j * np.pi / n
+
+    def table(offsets):
+        return np.exp(angle * (np.multiply.outer(offsets, slots) % n))
+
+    coarse = table(np.arange(height, dtype=np.int64) * (width * step))
+    fine = table(np.arange(width, dtype=np.int64) * step)
+    product = coarse[:, None, :] * fine[None, :, :]
+    return product.reshape(height * width, slots.size)[:count]
+
+
+def _spectrum_direct(x: np.ndarray, slots: np.ndarray, n: int) -> np.ndarray:
+    """Re (1/n) sum_j x_j e^(-2 pi i j kappa / n) over the points j < len(x)
+    of the real vector x, at every kappa in ``slots``: one real matrix
+    product of the blocked x with the interleaved parts of the (b, slot)
+    factors sums each block row over b, then a sum over a weighted by the
+    (a, slot) factors."""
+    m = x.shape[0]
+    height, width = _split(m)
+    blocks = np.zeros(height * width)
+    blocks[:m] = x
+    inner = (blocks.reshape(height, width)
+             @ _twiddles(width, 1, slots, n, -1).view(np.float64))
+    left = _twiddles(height, width, slots, n, -1)
+    return np.einsum("as,as->s", left, inner.view(np.complex128)).real / n
+
+
+def _values_direct(amps: np.ndarray, slots: np.ndarray, n: int,
+                   m: int) -> np.ndarray:
+    """Re sum_kappa amps_kappa e^(+2 pi i j kappa / n) at the points j < m
+    for real ``amps``: one real matrix product of the (a, slot) factors
+    scaled by ``amps`` with the (b, slot) factors."""
+    height, width = _split(m)
+    left = amps * _twiddles(height, width, slots, n, 1)
+    right = _twiddles(width, 1, slots, n, 1)
+    # Re(P Q^T) = [Re P, -Im P] [Re Q, Im Q]^T on interleaved parts
+    out = np.conj(left).view(np.float64) @ right.view(np.float64).T
+    return out.ravel()[:m]
+
+
+def _mirror(head: np.ndarray, n: int) -> np.ndarray:
+    """The length-n vector with f_i = head_i for i <= n/2 and
+    f_(n-i) = f_i."""
+    half = n // 2
+    values = np.empty(n, dtype=head.dtype)
+    values[:half + 1] = head
+    values[half + 1:] = values[1:n - half][::-1]
+    return values
+
+
+def _spectrum_at(values: np.ndarray, slots: np.ndarray, n: int,
+                 real: bool) -> np.ndarray:
+    """The forward spectrum F at ``slots``; Re F for real values."""
+    # Re F is even in kappa, so real spectra need one slot of each pair
+    folded = np.minimum(slots, n - slots) if real else slots
+    distinct, where = np.unique(folded, return_inverse=True)
+    if not _direct_pays("forward map", n, distinct.size, real):
+        spectrum = dft(values, "forward")
+        return (spectrum.real if real else spectrum)[slots]
+    # Re F_kappa sums (f_j + f_(n-j)) cos(2 pi j kappa / n) over j <= n/2
+    head = values[:n // 2 + 1].copy()
+    head[1:(n + 1) // 2] += values[n - 1:n // 2:-1]
+    return _spectrum_direct(head, distinct, n)[where]
+
+
+def _values_at_points(amps: np.ndarray, slots: np.ndarray, n: int,
+                      real: bool) -> np.ndarray:
+    """x_i = sum_r amps_r e^(+2 pi i i slots_r / n) at all n points; the
+    real part for real ``amps``."""
+    folded = np.minimum(slots, n - slots) if real else slots
+    distinct, where = np.unique(folded, return_inverse=True)
+    if not _direct_pays("synthesis", n, distinct.size, real):
+        spectrum = np.zeros(n, dtype=amps.dtype)
+        np.add.at(spectrum, slots, amps)
+        values = dft(spectrum, "inverse")
+        return values.real if real else values
+    total = np.zeros(distinct.size)
+    np.add.at(total, where, amps)
+    # cos(2 pi i kappa / n) is even in kappa and in i
+    return _mirror(_values_direct(total, distinct, n, n // 2 + 1), n)
 
 
 # ---------------------------------------------------------------------------
@@ -105,12 +253,7 @@ def sample_values(f, lattice: Rank1Lattice, kind: TransformKind) -> np.ndarray:
     n = lattice.n
     if kind == TransformKind.IDENTITY:
         return np.asarray(f(lattice.points(kind)))
-    half = n // 2
-    head = np.asarray(f(lattice.points(kind, 0, half + 1)))
-    values = np.empty(n, dtype=head.dtype)
-    values[:half + 1] = head
-    values[half + 1:] = values[1:n - half][::-1]
-    return values
+    return _mirror(np.asarray(f(lattice.points(kind, 0, n // 2 + 1))), n)
 
 
 def _coeff_vector(L: IndexSet, coeffs, dtype) -> np.ndarray:
@@ -151,17 +294,17 @@ def _coeffs_from_values(space, lattice, L, values, plan, c_table, unsafe):
             f"lattice fails the plan {plan} reconstruction condition")
     # for real values Re F_kappa = Re F_(n-kappa), so the real part is the
     # spectrum of the symmetrized values (f_i + f_(n-i)) / 2 as well
-    spectrum = dft(values, "forward")
-    orbit = spectrum[slots] if fourier else spectrum.real[slots]
     if plan == "A":
         # plan A integrates against the tent-composed basis itself, which
         # is the mean over the sign orbit of the plan-B dual functions, so
         # its coefficient averages the spectrum over the orbit slots (for
         # functions supported on L all orbit slots agree and this reduces
         # to the single lookup)
+        orbit = _spectrum_at(values, slots, lattice.n, not fourier)
         coeffs = np.add.reduceat(orbit, groups[:-1]) / np.diff(groups)
     else:
-        coeffs = orbit[groups[:-1]]
+        coeffs = _spectrum_at(values, slots[groups[:-1]], lattice.n,
+                              not fourier)
     if not fourier:
         coeffs = _weights(L.as_array()) * coeffs
     if plan == "C":
@@ -179,7 +322,13 @@ def coeffs_from_values(space: str, lattice: Rank1Lattice, L: IndexSet,
     """Coefficients on L from samples at the points of ``space`` (see
     :func:`sample_values`); ``plan`` and ``c_table`` apply to the cosine
     and Chebyshev spaces only, where coefficient k is sqrt(2)^|k|_0
-    F_(k.z mod n), divided by c_k under plan C."""
+    Re F_(k.z mod n), divided by c_k under plan C, and plan A averages
+    over the orbit slots.
+
+    After the aliasing check, only the slots read are used: |L| of them
+    (all orbit slots under plan A).  The FFT computes them, or outside
+    Fourier, as :func:`_direct_pays` chooses, the blocked direct DFT
+    evaluates just those slots, folded to slot pairs."""
     return _coeffs_from_values(space, lattice, L, values,
                                None if space == "fourier" else plan,
                                c_table, unsafe=False)
@@ -189,18 +338,18 @@ def values_from_coeffs(space: str, lattice: Rank1Lattice, L: IndexSet,
                        coeffs) -> np.ndarray:
     """Values of the series on L at the points of ``space``: every row of
     every index accumulates its coefficient (over sqrt(2)^|k|_0 outside
-    Fourier) into its slot, plan-C sign orbits may share one, then one
-    inverse FFT evaluates the series at all points."""
+    Fourier) into its slot, plan-C sign orbits may share one, then the
+    inverse DFT of those nonzero slots is evaluated at all points, by the
+    FFT or, outside Fourier and as :func:`_direct_pays` chooses, by the
+    blocked direct DFT at the points i <= n/2, mirrored."""
     rows, groups = space_rows(space, L)
     fourier = space == "fourier"
     scaled = _coeff_vector(L, coeffs, np.complex128 if fourier else np.float64)
     if not fourier:
         scaled /= _weights(L.as_array())
-    spectrum = np.zeros(lattice.n, dtype=scaled.dtype)
-    np.add.at(spectrum, residues(rows, lattice.z, lattice.n),
-              np.repeat(scaled, np.diff(groups)))
-    values = dft(spectrum, "inverse")
-    return values if fourier else values.real
+    return _values_at_points(np.repeat(scaled, np.diff(groups)),
+                             residues(rows, lattice.z, lattice.n), lattice.n,
+                             not fourier)
 
 
 # ---------------------------------------------------------------------------

@@ -786,3 +786,38 @@ def test_construction_is_deterministic(rng):
     first = cbc_construct(task)
     second = cbc_construct(task)
     assert first.z == second.z and first.n == second.n
+
+
+def _sign_products(L, z, n):
+    """sigma . (k * z) mod n for every sign vector sigma in {1, -1}^d
+    (rows, all-plus first) and k in L (columns), enumerated by
+    itertools.product rather than by the library's sign orbits."""
+    signs = np.asarray(list(itertools.product((1, -1), repeat=L.dimension)))
+    terms = L.as_array() * np.asarray(z, dtype=np.int64) % n
+    return signs, (signs @ terms.T) % n
+
+
+@pytest.mark.parametrize("space", ("cosine", "chebyshev"))
+@pytest.mark.parametrize("goal", ("integration", "reconstruction"))
+def test_eight_column_sign_orbits_give_valid_lattices(space, goal):
+    # int64 rows of 8 columns once made masked negation misread the sign
+    # orbits; check the lattices by sign products of their own: no nonzero
+    # sign change of an index is in the dual lattice (integration), and
+    # no index shares its slot with a sign change of another one or with a
+    # sign change of itself other than itself (plan B)
+    rng = np.random.default_rng(6)
+    for _ in range(3):
+        L = random_downward(rng, 8, int(rng.integers(40, 80)))
+        plan = None if goal == "integration" else "B"
+        result = cbc_construct(CbcTask(space, goal, L, plan=plan))
+        signs, slots = _sign_products(L, result.z, result.n)
+        arr = L.as_array()
+        if goal == "integration":
+            assert np.all(slots[:, np.any(arr, axis=1)] != 0)
+            continue
+        # [sigma, k, h]: slot of k equals the slot of sigma(h) ...
+        hit = slots[0][None, :, None] == slots[:, None, :]
+        # ... which is allowed only when sigma(h) is k itself
+        keeps_k = np.all((signs[:, None, :] == 1) | (arr[None] == 0), axis=2)
+        same = keeps_k[:, :, None] & np.eye(len(L), dtype=bool)[None]
+        assert not np.any(hit & ~same)

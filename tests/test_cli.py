@@ -145,6 +145,36 @@ def test_reconstruct_roundtrip(tmp_path):
     assert max(abs(back[k] - table[k]) for k in L) < 1e-11
 
 
+def test_verbose_reports_the_lattice_and_the_map_routes(tmp_path, capsys):
+    idx = tmp_path / "s.idx"
+    lat = tmp_path / "s.lat"
+    write_indexset(IndexSet([(0, 0), (1, 0), (0, 1), (2, 0)],
+                            domain="nonneg"), idx)
+    assert run("cbc", "--space", "cosine", "--plan", "C", "-i", idx,
+               "-o", lat) == 0
+    assert capsys.readouterr().err == ""
+    assert run("cbc", "--space", "cosine", "--plan", "C", "-i", idx,
+               "-o", lat, "-v") == 0
+    lattice, _ = read_lattice(lat)
+    assert capsys.readouterr().err == (
+        f"lattice_recon.cbc: cosine plan C: n={lattice.n} "
+        f"z={','.join(map(str, lattice.z))} after 0 restarts\n")
+    from lattice_recon.transform import cosine_values_from_coeffs
+    values = tmp_path / "v.txt"
+    write_values(cosine_values_from_coeffs(lattice, read_indexset(idx),
+                                           {(1, 0): 1.0}), values)
+    assert run("reconstruct", "--space", "cosine", "--plan", "C",
+               "--lattice", lat, "-i", idx, "-V", values,
+               "-o", tmp_path / "c.txt", "--roundtrip", "-v") == 0
+    # 4 indices in 4 slot pairs forward, 7 sign-orbit rows in 4 pairs back
+    err = capsys.readouterr().err.splitlines()
+    assert err == [
+        f"lattice_recon.transform: forward map: n={lattice.n}, 4 distinct "
+        "slot pairs, blocked direct DFT",
+        f"lattice_recon.transform: synthesis: n={lattice.n}, 4 distinct "
+        "slot pairs, blocked direct DFT"]
+
+
 def test_reconstruct_fourier_roundtrip(tmp_path):
     idx = tmp_path / "s.idx"
     lat = tmp_path / "s.lat"

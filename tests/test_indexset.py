@@ -218,14 +218,15 @@ def test_mirror_expand_groups():
     assert rows[1].tolist() == [1, 2]  # identity sign first
 
 
-@settings(max_examples=100, deadline=None, database=None)
-@given(d=st.integers(1, 4),
-       rows=st.lists(st.lists(st.integers(-3, 3), min_size=4, max_size=4),
+@settings(max_examples=200, deadline=None, database=None)
+@given(d=st.integers(1, 9),
+       rows=st.lists(st.lists(st.integers(-3, 3), min_size=9, max_size=9),
                      max_size=12),
        with_zero=st.booleans())
 def test_mirror_expand_matches_unique_sign_changes(d, rows, with_zero):
     # the vectorized expansion stacks the orbits of unique_sign_changes in
-    # set order, with int64 group offsets; the empty set included
+    # set order, with int64 group offsets; the empty set included.  d runs
+    # past 8, where int64 rows have a stride of 8 elements
     arr = [r[:d] for r in rows] + ([[0] * d] if with_zero else [])
     L = IndexSet(arr, dimension=d)
     expanded, starts = mirror_expand(L)
@@ -383,6 +384,15 @@ def test_key_algebra_matches_tuple_algebra(kind, other, seed, d, size,
                  domain="signed" if other == "signed" else "nonneg")
     assert list(sum_set(L, B)) == sum_set_tuples(members, list(B))
     assert list(difference_set(L)) == difference_set_tuples(members)
+
+
+def test_contains_rows_rejects_a_flat_row():
+    # one row must come as a (1, d) array; a flat (d,) row names the shape
+    L = IndexSet([(0, 0), (1, 2)], domain="nonneg")
+    assert L.contains_rows([[1, 2]]).tolist() == [True]
+    with pytest.raises(ValueError, match=r"\(m, d\) array of rows, got "
+                                         r"shape \(2,\)"):
+        L.contains_rows([1, 2])
 
 
 def _box_set(rng, d):

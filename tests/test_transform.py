@@ -16,6 +16,7 @@ from lattice_recon import (AliasingDetected, CbcTask, CoefficientTable,
                            zero_count)
 import lattice_recon.cbc as cbc_module
 import lattice_recon.kernels as kernels_module
+import lattice_recon.transform as transform_module
 from lattice_recon.transform import (chebyshev_coeffs_from_values,
                                      chebyshev_values_from_coeffs,
                                      cosine_coeffs_from_values,
@@ -455,8 +456,9 @@ def test_plan_c_shared_slot_synthesis_roundtrip(rng):
 
 
 def test_large_n_roundtrip_relaxed_tolerance(rng):
-    # a large prime n exercises numpy's prime-length FFT; the tolerance
-    # ladder relaxes to 1e-9 above n = 1e4
+    # a large prime n, where the maps take the blocked direct DFT (110 slot
+    # pairs against 2 sqrt(n) = 283); the tolerance ladder relaxes to 1e-9
+    # above n = 1e4
     from lattice_recon import next_prime
 
     L = random_downward(rng, 3, 60)
@@ -469,3 +471,116 @@ def test_large_n_roundtrip_relaxed_tolerance(rng):
     values = cosine_values_from_coeffs(lat, L, coeffs)
     back = cosine_coeffs_from_values(lat, L, "A", values)
     assert max(abs(back[k] - coeffs[k]) for k in L) < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# the blocked direct DFT against the FFT
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(n=st.one_of(st.sampled_from((2, 3, 4, 97, 128, 1009, 1024, 2310)),
+                   st.integers(2, 3000)),
+       seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_direct_dft_matches_the_fft(n, seed, data):
+    # both directions at the slots a map uses, repeats included: Re F for
+    # real values (not symmetric ones only) and the real part of the
+    # synthesis for real amplitudes, as the cosine maps read them
+    rng = np.random.default_rng(seed)
+    count = data.draw(st.integers(0, 2 * math.isqrt(n) + 2))
+    slots = rng.integers(0, n, size=count)
+    values = rng.standard_normal(n)
+    amps = rng.standard_normal(count)
+    want_forward = dft(values, "forward").real[slots]
+    grid = np.zeros(n)
+    np.add.at(grid, slots, amps)
+    want_values = dft(grid, "inverse").real
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(transform_module, "_direct_pays", lambda *args: True)
+        mp.setattr(transform_module, "dft", None)  # the FFT is not called
+        got_forward = transform_module._spectrum_at(values, slots, n, True)
+        got_values = transform_module._values_at_points(amps, slots, n, True)
+    assert got_forward.shape == want_forward.shape
+    assert np.max(np.abs(got_forward - want_forward), initial=0) < 1e-12
+    assert got_values.shape == (n,) and np.isrealobj(got_values)
+    assert np.max(np.abs(got_values - want_values)) < 1e-12
+
+
+def test_direct_pays_rule():
+    # real spectra go direct up to 2 sqrt(n) distinct slot pairs, the FFT
+    # above; complex spectra always take the FFT
+    rule = transform_module._direct_pays
+    assert rule("synthesis", 1_939_901, 2785, True)
+    assert not rule("synthesis", 1_939_901, 2786, True)
+    assert rule("forward map", 100, 20, True)
+    assert not rule("forward map", 100, 21, True)
+    assert not rule("forward map", 1_939_901, 1, False)
+
+
+def _maps(space, plan, lat, L, coeffs, c_table):
+    values = values_from_coeffs(space, lat, L, coeffs)
+    return values, coeffs_from_values(space, lat, L, values, plan, c_table)
+
+
+@pytest.mark.parametrize("space,plan", SPACE_PLANS[1:])
+def test_direct_maps_match_the_fft_maps(space, plan, rng, monkeypatch,
+                                        caplog):
+    # at n = 10007 the few slots of a 20-index set take the direct route
+    # (a spy sees no FFT); forcing the FFT gives the same values and tables
+    L = random_downward(rng, 3, 20)
+    task = CbcTask(space, "reconstruction", L, plan=plan, n=10007)
+    result = cbc_construct(task)
+    lat = result.lattice()
+    coeffs = {k: float(rng.standard_normal()) for k in L}
+    ffts = []
+    monkeypatch.setattr(transform_module, "dft", lambda *args, _f=dft:
+                        ffts.append(1) or _f(*args))
+    with caplog.at_level("INFO", logger="lattice_recon.transform"):
+        values, table = _maps(space, plan, lat, L, coeffs, result.c_table)
+    assert ffts == []
+    assert [r.getMessage().endswith("blocked direct DFT")
+            for r in caplog.records] == [True, True]
+    monkeypatch.setattr(transform_module, "_direct_pays", lambda *args: False)
+    fft_values, fft_table = _maps(space, plan, lat, L, coeffs,
+                                  result.c_table)
+    assert len(ffts) == 2
+    assert np.max(np.abs(values - fft_values)) < 1e-12
+    assert max(abs(table[k] - fft_table[k]) for k in L) < 1e-12
+    assert max(abs(table[k] - coeffs[k]) for k in L) < 1e-12
+
+
+@pytest.mark.parametrize("space,plan", [("fourier", None), ("cosine", "A"),
+                                        ("chebyshev", "A")])
+def test_small_n_stays_on_the_fft(space, plan, monkeypatch, caplog):
+    # the box {0..3}^3 at its required n: 64 slots (Fourier, n = 173) and
+    # 172 slot pairs (plan A, n = 1103) are above 2 sqrt(n)
+    L = IndexSet(list(itertools.product(range(4), repeat=3)),
+                 domain="nonneg")
+    result = cbc_construct(CbcTask(space, "reconstruction", L, plan=plan))
+    ffts = []
+    monkeypatch.setattr(transform_module, "dft", lambda *args, _f=dft:
+                        ffts.append(1) or _f(*args))
+    coeffs = {k: 1.0 for k in L}
+    with caplog.at_level("INFO", logger="lattice_recon.transform"):
+        _, table = _maps(space, plan, result.lattice(), L, coeffs, None)
+    assert len(ffts) == 2
+    assert [r.getMessage().endswith(", FFT")
+            for r in caplog.records] == [True, True]
+    assert max(abs(table[k] - 1.0) for k in L) < 1e-12
+
+
+def test_fourier_maps_keep_the_fft(rng, monkeypatch, caplog):
+    # 20 slots at n = 10007 are below 2 sqrt(n), yet complex spectra take
+    # the FFT
+    L = random_downward(rng, 3, 20)
+    result = cbc_construct(CbcTask("fourier", "reconstruction", L, n=10007))
+    coeffs = {k: complex(rng.standard_normal(), rng.standard_normal())
+              for k in L}
+    ffts = []
+    monkeypatch.setattr(transform_module, "dft", lambda *args, _f=dft:
+                        ffts.append(1) or _f(*args))
+    with caplog.at_level("INFO", logger="lattice_recon.transform"):
+        _, table = _maps("fourier", None, result.lattice(), L, coeffs, None)
+    assert len(ffts) == 2
+    assert [r.getMessage() for r in caplog.records] == [
+        "synthesis: n=10007, 20 distinct slots, FFT",
+        "forward map: n=10007, 20 distinct slots, FFT"]
+    assert max(abs(table[k] - coeffs[k]) for k in L) < 1e-12
