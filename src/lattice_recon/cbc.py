@@ -36,7 +36,7 @@ import numpy as np
 
 from . import kernels
 from .indexset import (IndexSet, difference_set, mirror_expand, mirrored,
-                       negated, project, sum_set)
+                       negated, sum_set)
 from .lattice import Rank1Lattice
 
 SPACES = ("fourier", "cosine", "chebyshev")
@@ -297,12 +297,17 @@ def _condition(task: CbcTask) -> _Condition:
     verify = partial(_lookup, code, task.space, L)
     if task.goal == "integration":
         if task.space == "fourier":
-            A, kappa = L, (2 if negated(L) == L else 1)
+            size, kappa = len(L), (2 if negated(L) == L else 1)
+            oracle = _dual_oracle(L)
         else:
-            A, kappa = mirrored(L), 2  # mirrored sets are centrally symmetric
-        size = len(A) - (1 if L.has_zero() else 0)  # 0 in M(L) iff 0 in L
+            # sign orbits of distinct nonnegative indices are disjoint, so
+            # |M(L)| is the sum of 2^|k|_0 over L; M(L) is centrally
+            # symmetric
+            size, kappa = L.sum_two_pow(), 2
+            oracle = lambda lattice: (lattice.orbit_dual_check(L), None)
+        size -= 1 if L.has_zero() else 0  # 0 in M(L) iff 0 in L
         return _Condition(code, max(size // kappa + 1, L.max_abs()), verify,
-                          _dual_oracle(A))
+                          oracle)
     if task.plan == "C":
         # sign orbits of distinct nonnegative indices are disjoint, so
         # |M(L)| is the sum of 2^|k|_0 over L
@@ -379,19 +384,75 @@ class _StepFailed(Exception):
         self.reason = reason
 
 
-def _prefix_last(rows: np.ndarray, z, n: int, s: int):
-    """Residues of the first s - 1 components of the step-s rows under the
-    prefix z, and their last components, both mod n."""
-    return (kernels.dot_mod(rows[:, :s - 1], _z_vector(z, n), int(n)),
-            rows[:, s - 1] % n)
+def _step_chain(space: str, L: IndexSet):
+    """The rows of every projection L_s in ``space`` (the rows of
+    :func:`space_rows`, zero row included) as a chain: yields, for
+    s = 1..d, (parent, last, groups), where row i of step s is row
+    parent[i] of step s - 1 extended by the component last[i].  Step 0 has
+    one row, the empty prefix, at index 0.
+
+    project(L, s) lists the distinct s-prefixes of L's rows in L's order,
+    so the first row of every run of equal s-prefixes stands for an index
+    of L_s, and its parent index is the number of runs of (s-1)-prefixes
+    up to it, less one.  In a sign orbit, bit 0 of the row number flips
+    the last nonzero component (:func:`mirror_expand`), so row r of the
+    orbit of k has its parent at row r >> 1 of the orbit of k[:s-1] when
+    k_s != 0 (r odd flips k_s), and at row r when k_s = 0.
+    """
+    arr = L.as_array()
+    if np.abs(arr).max() >= _INT32_LIMIT:
+        raise ValueError("index components must fit in 32 bits")
+    orbits = space != "fourier"
+    first = np.zeros(len(L), dtype=bool)
+    first[0] = True  # one run of 0-prefixes
+    sizes = np.ones(1, dtype=np.int64)  # the empty prefix's orbit
+    starts = np.zeros(1, dtype=np.int64)
+    for s in range(L.dimension):
+        col = arr[:, s]
+        up = np.cumsum(first) - 1
+        first = first.copy()
+        first[1:] |= col[1:] != col[:-1]
+        at = np.flatnonzero(first)
+        parent, k = up[at], col[at]
+        if not orbits:
+            yield parent, k, np.arange(k.shape[0] + 1, dtype=np.int64)
+            continue
+        flips = (k != 0).astype(np.int64)
+        sizes = sizes[parent] << flips
+        groups = np.zeros(k.shape[0] + 1, dtype=np.int64)
+        np.cumsum(sizes, out=groups[1:])
+        r = np.arange(groups[-1], dtype=np.int64) \
+            - np.repeat(groups[:-1], sizes)
+        flips = np.repeat(flips, sizes)
+        yield (np.repeat(starts[parent], sizes) + (r >> flips),
+               np.repeat(k, sizes) * (1 - 2 * (r & flips)), groups)
+        starts = groups[:-1]
+
+
+def _carry(prefix, last, zs: int, n: int) -> np.ndarray:
+    """Residues (prefix + last zs) mod n of one step's rows, followed by
+    the zero row's residue 0 (the parent index one past the rows)."""
+    full = np.zeros(prefix.shape[0] + 1, dtype=np.int64)
+    np.multiply(last, zs, out=full[:-1])
+    full[:-1] += prefix
+    full[:-1] %= n
+    return full
 
 
 class _Builder:
-    """Holds the step rows of one task; reused across n escalations.
+    """Holds the step chain of one task; reused across n escalations.
 
     Step s reads the rows of the projection L_s of the base set in the
-    task's space (:func:`space_rows`: L_s for Fourier, M(L_s) grouped by
-    sign orbit otherwise), without the zero row for integration.
+    task's space (the rows of :func:`space_rows`: L_s for Fourier, M(L_s)
+    grouped by sign orbit otherwise), without the zero row for
+    integration.  No row is stored: a step-s row is a step-(s-1) row, its
+    parent, extended by one component (:func:`_step_chain`), so per step
+    the builder keeps ``last[s]``, the signed s-th components,
+    ``parent[s]``, each row's parent index among the step-(s-1) rows, and
+    the groups.  The residues of step s are those of the parents plus
+    last * z_s mod n (:func:`_carry`), and the parent index one past the
+    step-(s-1) rows is the zero row of residue 0: the empty prefix of
+    step 1, and for integration the zero row the steps drop.
     Elimination pairs lead rows with every row of another key, two leads
     only once: the zero row (key -1) for integration, every row keyed by
     itself for the distinct condition, the orbit leads keyed by row for
@@ -405,7 +466,8 @@ class _Builder:
         L = task.base_set
         self.d = L.dimension
         self.two_max = 2 * L.max_abs()
-        self.step_rows = [None]
+        self.parent = [None]
+        self.last = [None]
         self.step_groups = [None]
         self.step_keys = [None]
         self.lead_index = [None]
@@ -413,14 +475,20 @@ class _Builder:
         self.row_leads = [None]
         self.pairs = [None]
         self.thresholds = [None]
-        for s in range(1, self.d + 1):
-            Ls = project(L, s)
-            rows, groups = space_rows(task.space, Ls)
+        # integration: step 0's row, and every step's zero row, maps to the
+        # zero index one past the rows the step keeps
+        renumber, zero = np.zeros(1, dtype=np.int64), 0
+        for parent, last, groups in _step_chain(task.space, L):
             # brute-force switching threshold: |L_s| or |M(L_s)|
-            self.thresholds.append(rows.shape[0])
+            self.thresholds.append(last.shape[0])
             if code == kernels.COND_NONZERO:
-                rows = rows[np.any(rows, axis=1)]  # its check reads no groups
-            R = rows.shape[0]
+                parent = renumber[parent]
+                nonzero = (parent != zero) | (last != 0)
+                parent, last = parent[nonzero], last[nonzero]
+                zero = last.shape[0]
+                renumber = np.cumsum(nonzero) - 1
+                renumber[~nonzero] = zero
+            R = last.shape[0]
             keys = np.arange(R, dtype=np.int64)
             if code == kernels.COND_NONZERO:
                 # one zero lead, which is no step row, against every row
@@ -430,7 +498,8 @@ class _Builder:
                 leads = keys if code == kernels.COND_DISTINCT \
                     else groups[:-1]
                 if code == kernels.COND_PLAN_C:
-                    keys = np.repeat(np.arange(len(Ls), dtype=np.int64),
+                    keys = np.repeat(np.arange(groups.shape[0] - 1,
+                                               dtype=np.int64),
                                      np.diff(groups))
                 G = leads.shape[0]
                 lead_keys = keys[leads]
@@ -440,7 +509,8 @@ class _Builder:
                 # of another key
                 pairs = G * (G - 1) // 2 + (
                     G - 1 if code == kernels.COND_PLAN_C else G) * (R - G)
-            self.step_rows.append(rows)
+            self.parent.append(parent)
+            self.last.append(last)
             self.step_groups.append(groups)
             self.step_keys.append(keys)
             self.lead_index.append(leads)
@@ -448,10 +518,26 @@ class _Builder:
             self.row_leads.append(row_leads)
             self.pairs.append(pairs)
 
+    # -- residues along the chain -------------------------------------------
+
+    def _terms(self, full, n: int, s: int):
+        """Residues of the step-s rows under the prefix z, gathered from
+        the step-(s-1) residues ``full``, and their last components, both
+        mod n."""
+        return full[self.parent[s]], self.last[s] % n
+
+    def _residues(self, z, n: int, s: int) -> np.ndarray:
+        """Residues of the step-s rows under z[:s], followed by the zero
+        row's 0 (:func:`_carry`); step 0 has the zero row alone."""
+        full = np.zeros(1, dtype=np.int64)
+        for t in range(1, s + 1):
+            full = _carry(*self._terms(full, n, t), int(z[t - 1]) % n, n)
+        return full
+
     # -- step condition check for a fixed candidate vector ---------------
 
     def check_step(self, z, n: int, s: int) -> bool:
-        res = kernels.dot_mod(self.step_rows[s], _z_vector(z, n), int(n))
+        res = self._residues(z, n, s)[:-1]
         return bool(kernels.check_condition(res, self.step_groups[s], int(n),
                                             self.cond))
 
@@ -462,7 +548,8 @@ class _Builder:
         raises :class:`EmptyCandidateSet` when nothing survives."""
         if not is_prime(n):
             raise ValueError("elimination needs a prime n")
-        bad = self._marks(*_prefix_last(self.step_rows[s], z, n, s), n, s)
+        full = self._residues(z, n, s - 1)
+        bad = self._marks(*self._terms(full, n, s), n, s)
         survivors = np.flatnonzero(~bad)
         if survivors.shape[0] == 0:
             raise EmptyCandidateSet(_all_eliminated(n))
@@ -496,11 +583,12 @@ class _Builder:
         if not self.check_step(z, n, 1):
             raise _StepFailed(1, "z_1 = 1 violates the step condition "
                                  "(n too small)")
+        full = self._residues(z, n, 1)
         steps = [StepStats(1, "elimination" if eliminating
                            else "brute_force")]
         switch_step: int | None = None
         for s in range(2, self.d + 1):
-            prefix, last = _prefix_last(self.step_rows[s], z, n, s)
+            prefix, last = self._terms(full, n, s)
             bad = None
             brute_fails = 0
             if not eliminating:
@@ -523,6 +611,7 @@ class _Builder:
                         zs, n_fail = -1, max_fail + 1
                 if zs > 0:
                     z.append(int(zs))
+                    full = _carry(prefix, last, z[-1], n)
                     steps.append(StepStats(s, "brute_force", n_fail=int(n_fail)))
                     continue
                 if task.strategy == "mixed" and n_fail > max_fail:
@@ -539,6 +628,7 @@ class _Builder:
             if bad[zs]:
                 raise _StepFailed(s, _all_eliminated(n))
             z.append(zs)
+            full = _carry(prefix, last, zs, n)
             steps.append(StepStats(s, "elimination", n_fail=brute_fails,
                                    eliminated=int(np.count_nonzero(bad)) - 1))
         return z, steps, switch_step
@@ -629,9 +719,10 @@ def _reduce_n(builder: _Builder, n: int, z):
     zero component and the last step check passes; returns the smallest
     such prime (or n) with z reduced mod it.
 
-    The last step's rows, prepared once by the builder, are those the
+    The last step's rows, chained once by the builder, are those the
     condition's lookup verifier reads (L or M(L), without the zero row for
-    integration), so each prime costs only the last step check.
+    integration), so each prime costs only the residues along the chain
+    and the last step check.
     The verifiers match the oracles, so the caller's single oracle run
     accepts the result.
     """

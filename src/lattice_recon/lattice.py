@@ -1,11 +1,15 @@
 """Rank-1 lattices: point generation, tent/cosine point transforms,
 equal-weight cubature and the naive exactness checks.
 
-The exactness checks (`character`, `dual_check`, `plan_c_check_naive`) are
-deliberately independent from the accelerated verifiers in
-:mod:`lattice_recon.cbc` and serve as the oracles the fast paths are tested
-against: `character` runs in pure Python integer arithmetic, `dual_check`
-and `plan_c_check_naive` in blocked int64 numpy arithmetic of their own.
+The exactness checks (`character`, `dual_check`, `orbit_dual_check`,
+`plan_c_check_naive`) are deliberately independent from the accelerated
+verifiers and the CBC steps of :mod:`lattice_recon.cbc` and serve as the
+oracles the fast paths are tested against: `character` runs in pure Python
+integer arithmetic, the others in blocked int64 numpy arithmetic of their
+own.  `dual_check` reads an auxiliary set row by row; `orbit_dual_check`
+(cosine and Chebyshev integration) and `plan_c_check_naive` build the sign
+changes of a base set themselves, one coordinate at a time, sharing no
+code with :func:`lattice_recon.indexset.mirror_expand`.
 """
 
 from __future__ import annotations
@@ -17,8 +21,9 @@ import numpy as np
 from .indexset import IndexSet
 
 _INT32_LIMIT = 2**31
-# rows of the auxiliary set checked at once by the dual-lattice oracle, and
-# residue comparisons made at once by the plan-C oracle
+# rows of the auxiliary set checked at once by the dual-lattice oracle, sign
+# changes built at once by the orbit oracle, and residue comparisons made at
+# once by the plan-C oracle
 ORACLE_BLOCK = 1 << 14
 
 
@@ -170,6 +175,32 @@ class Rank1Lattice:
                 return False
         return True
 
+    def orbit_dual_check(self, L: IndexSet) -> bool:
+        """True iff no nonzero sign change of an index of L lies in the
+        dual lattice: the dual-lattice check of M(L), without M(L).
+
+        The orbit residues are built from L one coordinate at a time
+        (:func:`_orbit_residues`), over blocks of L whose orbits hold about
+        ORACLE_BLOCK residues.
+        """
+        if L.dimension != self.dimension:
+            raise ValueError("index set dimension mismatch")
+        n = self.n
+        arr = L.as_array()
+        arr = arr[np.any(arr != 0, axis=1)]  # the zero orbit is {0}
+        terms = (arr % n) * np.asarray(self.z, dtype=np.int64) % n
+        ends = np.cumsum(1 << np.count_nonzero(arr, axis=1))
+        lo = 0
+        while lo < arr.shape[0]:
+            done = ends[lo - 1] if lo else 0
+            hi = max(lo + 1, int(np.searchsorted(ends, done + ORACLE_BLOCK,
+                                                 side="right")))
+            orbit, _ = _orbit_residues(arr[lo:hi], terms[lo:hi], n)
+            if not orbit.all():
+                return False
+            lo = hi
+        return True
+
     def plan_c_check_naive(self, L: IndexSet):
         """Pairwise check of the self-aliasing reconstruction condition;
         returns (ok, c_table or None).
@@ -177,9 +208,9 @@ class Rank1Lattice:
         Requires sigma(k').z != k.z mod n for all k != k' in L and all
         sign changes sigma; on success c_table[k] counts the sign changes
         of k aliasing to k itself.  The orbit residues are built one
-        coordinate at a time, each nonzero k_j z_j mod n added with both
-        signs, and every plain residue is compared with every orbit
-        residue, about ORACLE_BLOCK comparisons at once.
+        coordinate at a time (:func:`_orbit_residues`), and every plain
+        residue is compared with every orbit residue, about ORACLE_BLOCK
+        comparisons at once.
         """
         if L.dimension != self.dimension:
             raise ValueError("index set dimension mismatch")
@@ -187,13 +218,7 @@ class Rank1Lattice:
         arr = L.as_array()
         terms = (arr % n) * np.asarray(self.z, dtype=np.int64) % n
         plain = terms.sum(axis=1) % n
-        orbit = np.zeros(arr.shape[0], dtype=np.int64)
-        owner = np.arange(arr.shape[0])
-        for j in range(arr.shape[1]):
-            flip = arr[owner, j] != 0
-            t = terms[owner, j]
-            orbit = np.concatenate(((orbit + t) % n, (orbit - t)[flip] % n))
-            owner = np.concatenate((owner, owner[flip]))
+        orbit, owner = _orbit_residues(arr, terms, n)
         step = max(1, ORACLE_BLOCK // max(1, orbit.shape[0]))
         for lo in range(0, arr.shape[0], step):
             k = np.arange(lo, min(lo + step, arr.shape[0]))
@@ -220,6 +245,23 @@ class Rank1Lattice:
 
     def to_line(self) -> str:
         return f"n={self.n} z=" + ",".join(str(zj) for zj in self.z)
+
+
+def _orbit_residues(arr: np.ndarray, terms: np.ndarray, n: int):
+    """Residues sigma(k).z mod n of the sign changes of the rows k of
+    ``arr``, from their terms k_j z_j mod n, built one coordinate at a
+    time: the term of a nonzero component is added with both signs, that
+    of a zero component once.
+    Returns (orbit, owner), owner the row of arr each residue belongs to;
+    every row contributes 2^|k|_0 residues."""
+    orbit = np.zeros(arr.shape[0], dtype=np.int64)
+    owner = np.arange(arr.shape[0])
+    for j in range(arr.shape[1]):
+        flip = arr[:, j][owner] != 0
+        t = terms[:, j][owner]
+        orbit = np.concatenate(((orbit + t) % n, (orbit - t)[flip] % n))
+        owner = np.concatenate((owner, owner[flip]))
+    return orbit, owner
 
 
 def lattice_from_line(line: str) -> Rank1Lattice:

@@ -11,7 +11,7 @@ from lattice_recon import (CbcTask, EmptyCandidateSet, IndexSet, InvalidTask,
                            project, properties, required_n, sum_set,
                            verify_fourier, verify_nonzero, verify_plan_a,
                            verify_plan_b, verify_plan_c)
-from lattice_recon.cbc import SPACES, space_rows
+from lattice_recon.cbc import SPACES, residues, space_rows
 from lattice_recon.indexset import mirror_expand
 from conftest import random_downward, random_nonneg_set, random_signed_set
 from reference import lookup_check
@@ -158,22 +158,23 @@ def test_auxiliary_set_built_once_per_construction(space, plan, reduce_n,
 
 @pytest.mark.parametrize("space,plan", [("cosine", "A"), ("chebyshev", "B"),
                                         ("cosine", "C")])
-def test_reduce_n_expands_the_base_set_once(space, plan, monkeypatch):
-    # the descent checks every prime on the rows the builder prepared for
-    # the last step, so the base set is sign-expanded once per construction
+def test_reduce_n_expands_no_sign_orbits(space, plan, monkeypatch):
+    # the descent checks every prime on the step chain the builder prepared
+    # for the last step, and the chain carries residues from parent rows, so
+    # neither the construction nor the descent sign-expands a set or runs
+    # the lookup verifier
     L = random_downward(np.random.default_rng(5), 3, 10)
     task = CbcTask(space, "reconstruction", L, plan=plan)
     task = CbcTask(space, "reconstruction", L, plan=plan,
                    n=next_prime(8 * required_n(task)), reduce_n=True)
-    expanded = []
-    original = cbc_module.mirror_expand
-    monkeypatch.setattr(
-        cbc_module, "mirror_expand",
-        lambda Ls: expanded.append(Ls.dimension) or original(Ls))
+    calls = []
+    for name in ("mirror_expand", "space_rows"):
+        original = getattr(cbc_module, name)
+        monkeypatch.setattr(cbc_module, name, lambda *args, _f=original,
+                            _name=name: calls.append(_name) or _f(*args))
     result = cbc_construct(task)
     assert result.n < task.n
-    assert expanded.count(L.dimension) == 1
-
+    assert calls == []
 
 
 def _verifier_descent(cond, n, z):
@@ -451,14 +452,25 @@ def test_eliminated_candidates_fail_the_condition(seed, d, size, downward,
             z.append(passing[int(rng.integers(len(passing)))])
 
 
+def _chain_rows(builder, s):
+    # the step-s rows the chain implies: each row is its parent row of step
+    # s - 1 extended by its last component; the parent index one past the
+    # step-(s-1) rows is the zero row
+    rows = np.zeros((1, 0), dtype=np.int64)
+    for t in range(1, s + 1):
+        rows = np.vstack((rows, np.zeros((1, t - 1), dtype=np.int64)))
+        rows = np.column_stack((rows[builder.parent[t]], builder.last[t]))
+    return rows
+
+
 @settings(max_examples=60, deadline=None, database=None)
 @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 4),
        size=st.integers(1, 12), downward=st.booleans())
 def test_integration_step_rows_are_the_projected_auxiliary_set(
         seed, d, size, downward):
-    # the step rows read from L_s equal the nonzero rows of the projected
-    # auxiliary set A = L or M(L), and the switching threshold is |L_s| or
-    # |M(L_s)|
+    # the step rows the chain implies equal the nonzero rows of the
+    # projected auxiliary set A = L or M(L), and the switching threshold is
+    # |L_s| or |M(L_s)|
     rng = np.random.default_rng(seed)
     L = random_downward(rng, d, size)
     signed = random_signed_set(rng, d, size, 3)
@@ -470,7 +482,7 @@ def test_integration_step_rows_are_the_projected_auxiliary_set(
             builder = _builder(CbcTask(space, "integration", base))
             A = base if space == "fourier" else mirrored(base)
             for s in range(1, d + 1):
-                rows = builder.step_rows[s]
+                rows = _chain_rows(builder, s)
                 assert rows.shape[1] == s
                 reference = set(project(A, s)) - {(0,) * s}
                 assert set(map(tuple, rows.tolist())) == reference
@@ -478,6 +490,35 @@ def test_integration_step_rows_are_the_projected_auxiliary_set(
                 Ls = project(base, s)
                 assert builder.thresholds[s] == (
                     len(Ls) if space == "fourier" else Ls.sum_two_pow())
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 9),
+       size=st.integers(1, 40), kind=st.sampled_from(SET_KINDS),
+       data=st.data())
+def test_step_chain_is_the_space_rows_of_every_projection(seed, d, size,
+                                                          kind, data):
+    # at every step the rows the chain implies are the rows of space_rows
+    # on the projection, row for row (without the zero row for
+    # integration), with its groups, and the residues carried from the
+    # parents are those of the rows; d up to 9 draws rows of 8 columns
+    rng = np.random.default_rng(seed)
+    L = _random_set(kind, rng, d, size)
+    n = data.draw(st.sampled_from((2, 3, 5, 101, 10007, 2**31 - 1)))
+    z = [int(v) for v in rng.integers(1, 2**31, size=d)]
+    for space, goal, plan in EVERY_TASK:
+        if space != "fourier" and kind == "signed":
+            continue
+        builder = _builder(CbcTask(space, goal, L, plan=plan))
+        for s in range(1, d + 1):
+            rows, groups = space_rows(space, project(L, s))
+            if goal == "integration":
+                rows = rows[np.any(rows, axis=1)]
+            assert np.array_equal(_chain_rows(builder, s), rows)
+            assert np.array_equal(builder.step_groups[s], groups)
+            carried = builder._residues(z, n, s)
+            assert carried[-1] == 0
+            assert np.array_equal(carried[:-1], residues(rows, z[:s], n))
 
 
 def test_plan_c_elimination_matches_verifier(rng):

@@ -4,8 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 import lattice_recon.lattice as lattice_module
 from lattice_recon import (IndexSet, Rank1Lattice, TransformKind,
-                           lattice_from_line, read_lattice, tent,
-                           write_lattice)
+                           lattice_from_line, mirrored, read_lattice, tent,
+                           unique_sign_changes, write_lattice)
 from reference import dual_check as dual_check_reference
 from reference import plan_c_check as plan_c_check_reference
 
@@ -176,6 +176,50 @@ def test_dual_check_matches_pure_python_oracle(n, data, alias, block):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lattice_module, "ORACLE_BLOCK", block)
         assert lat.dual_check(A) == expected
+
+
+def test_orbit_dual_check_matches_the_check_of_the_mirrored_set():
+    # the orbit oracle, which builds the sign changes of L itself, agrees
+    # with the pure-Python dual-lattice check of M(L) on accepted and on
+    # rejected lattices, in every block size and with rows of 8 columns.
+    # M(L) = -M(L), so half of every orbit decides the verdict; the orbit
+    # residues, which the plan-C oracle shares, are compared in full
+    rng = np.random.default_rng(12)
+    verdicts = []
+    for trial in range(400):
+        d = int(rng.integers(1, 10))
+        n = int(rng.integers(2, 120))
+        rows = rng.integers(0, 4, size=(int(rng.integers(1, 8)), d))
+        if trial % 4 == 0:
+            rows[0, 0] = int(rng.integers(0, 2**31))  # far beyond n
+        L = IndexSet(rows, domain="nonneg")
+        lat = Rank1Lattice(n, rng.integers(1, n, size=d) if n > 2 else
+                           np.ones(d, dtype=np.int64))
+        expected = dual_check_reference(lat, mirrored(L))
+        arr = L.as_array()
+        orbit, owner = lattice_module._orbit_residues(
+            arr, arr % n * np.asarray(lat.z) % n, n)
+        assert sorted(zip(owner.tolist(), orbit.tolist())) == sorted(
+            (i, sum(hj * zj for hj, zj in zip(h, lat.z)) % n)
+            for i, k in enumerate(L) for h in unique_sign_changes(k))
+        block = (1, 3, 7, lattice_module.ORACLE_BLOCK)[trial % 4]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lattice_module, "ORACLE_BLOCK", block)
+            assert lat.orbit_dual_check(L) == expected
+        verdicts.append(expected)
+    assert verdicts.count(True) >= 50 and verdicts.count(False) >= 50
+
+
+def test_orbit_dual_check_examples():
+    # (1, 1) passes at n = 5 with z = (1, 2): residues 3, 1, 4, 2; its sign
+    # change (1, -1) is in the dual lattice of z = (1, 1)
+    L = IndexSet([(0, 0), (1, 1)], domain="nonneg")
+    assert Rank1Lattice(5, (1, 2)).orbit_dual_check(L)
+    assert not Rank1Lattice(5, (1, 1)).orbit_dual_check(L)
+    assert Rank1Lattice(2, (1, 1)).orbit_dual_check(
+        IndexSet([(0, 0)], domain="nonneg"))  # only the excluded zero
+    with pytest.raises(ValueError, match="dimension"):
+        Rank1Lattice(5, (1,)).orbit_dual_check(L)
 
 
 @settings(max_examples=200, deadline=None, database=None)
