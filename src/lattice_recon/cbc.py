@@ -8,8 +8,10 @@ the self-aliasing condition of plan C, with three search strategies:
   cyclically from z_{s-1} + 1, that passes the step check on the full
   projections,
 * ``elimination`` removes, per pair of the rows the step check prepares,
-  the single candidate that makes the pair collide, via a modular inverse
-  (prime n only), and takes the smallest survivor,
+  the single candidate that makes the pair collide, via the inverse of
+  the pair's last difference mod n, read from a table with one Fermat
+  inverse per distinct difference (prime n only), and takes the smallest
+  survivor,
 * ``mixed`` answers as brute force until the failure count at a step
   exceeds a threshold, and as elimination from that step on.
 
@@ -384,12 +386,12 @@ class _StepFailed(Exception):
         self.reason = reason
 
 
-def _step_chain(space: str, L: IndexSet):
+def _step_chain(space: str, L: IndexSet, half: bool = False):
     """The rows of every projection L_s in ``space`` (the rows of
     :func:`space_rows`, zero row included) as a chain: yields, for
-    s = 1..d, (parent, last, groups), where row i of step s is row
-    parent[i] of step s - 1 extended by the component last[i].  Step 0 has
-    one row, the empty prefix, at index 0.
+    s = 1..d, (parent, codes, values, groups), where row i of step s is
+    row parent[i] of step s - 1 extended by the component
+    values[codes[i]].  Step 0 has one row, the empty prefix, at index 0.
 
     project(L, s) lists the distinct s-prefixes of L's rows in L's order,
     so the first row of every run of equal s-prefixes stands for an index
@@ -397,7 +399,16 @@ def _step_chain(space: str, L: IndexSet):
     up to it, less one.  In a sign orbit, bit 0 of the row number flips
     the last nonzero component (:func:`mirror_expand`), so row r of the
     orbit of k has its parent at row r >> 1 of the orbit of k[:s-1] when
-    k_s != 0 (r odd flips k_s), and at row r when k_s = 0.
+    k_s != 0 (r odd flips k_s), and at row r when k_s = 0.  The values
+    are the distinct s-th components of L, and in a sign orbit their
+    negatives too: -values[::-1] followed by values, so that the code c of
+    a component stands for m + c and of its negative for m - 1 - c.
+
+    ``half`` keeps, of the sign orbits, the zero row and the rows whose
+    first nonzero component is positive.  The top bit of the row number
+    flips the first nonzero component, so these are the first half of the
+    orbit of every nonzero k, and a nonzero k_s doubles that half only
+    when k[:s-1] is nonzero too.
     """
     arr = L.as_array()
     if np.abs(arr).max() >= _INT32_LIMIT:
@@ -407,6 +418,7 @@ def _step_chain(space: str, L: IndexSet):
     first[0] = True  # one run of 0-prefixes
     sizes = np.ones(1, dtype=np.int64)  # the empty prefix's orbit
     starts = np.zeros(1, dtype=np.int64)
+    nonzero = np.zeros(1, dtype=bool)  # the empty prefix is zero
     for s in range(L.dimension):
         col = arr[:, s]
         up = np.cumsum(first) - 1
@@ -414,18 +426,26 @@ def _step_chain(space: str, L: IndexSet):
         first[1:] |= col[1:] != col[:-1]
         at = np.flatnonzero(first)
         parent, k = up[at], col[at]
+        values, codes = np.unique(k, return_inverse=True)
         if not orbits:
-            yield parent, k, np.arange(k.shape[0] + 1, dtype=np.int64)
+            yield parent, codes, values, np.arange(k.shape[0] + 1,
+                                                   dtype=np.int64)
             continue
-        flips = (k != 0).astype(np.int64)
+        flips = k != 0
+        if half:
+            flips, nonzero = flips & nonzero[parent], flips | nonzero[parent]
+        flips = flips.astype(np.int64)
         sizes = sizes[parent] << flips
         groups = np.zeros(k.shape[0] + 1, dtype=np.int64)
         np.cumsum(sizes, out=groups[1:])
         r = np.arange(groups[-1], dtype=np.int64) \
             - np.repeat(groups[:-1], sizes)
         flips = np.repeat(flips, sizes)
+        codes = np.repeat(codes, sizes)
+        m = values.shape[0]
         yield (np.repeat(starts[parent], sizes) + (r >> flips),
-               np.repeat(k, sizes) * (1 - 2 * (r & flips)), groups)
+               m + codes - (r & flips) * (2 * codes + 1),
+               np.concatenate((-values[::-1], values)), groups)
         starts = groups[:-1]
 
 
@@ -445,19 +465,24 @@ class _Builder:
     Step s reads the rows of the projection L_s of the base set in the
     task's space (the rows of :func:`space_rows`: L_s for Fourier, M(L_s)
     grouped by sign orbit otherwise), without the zero row for
-    integration.  No row is stored: a step-s row is a step-(s-1) row, its
-    parent, extended by one component (:func:`_step_chain`), so per step
-    the builder keeps ``last[s]``, the signed s-th components,
-    ``parent[s]``, each row's parent index among the step-(s-1) rows, and
-    the groups.  The residues of step s are those of the parents plus
-    last * z_s mod n (:func:`_carry`), and the parent index one past the
-    step-(s-1) rows is the zero row of residue 0: the empty prefix of
-    step 1, and for integration the zero row the steps drop.
-    Elimination pairs lead rows with every row of another key, two leads
-    only once: the zero row (key -1) for integration, every row keyed by
-    itself for the distinct condition, the orbit leads keyed by row for
-    plan B and keyed by orbit for plan C.  ``pairs`` counts the pairs,
-    which price one elimination for the brute-force probe.
+    integration.  Cosine and Chebyshev integration chain one row of each
+    pair +-r of M(L_s) = -M(L_s), the one whose first nonzero component is
+    positive (``half`` of :func:`_step_chain`): r and -r have residues 0
+    together, and as elimination pairs with the zero row they mark the
+    same candidate.  No row is stored: a step-s row is a step-(s-1) row,
+    its parent, extended by one component (:func:`_step_chain`), so per
+    step the builder keeps ``codes[s]`` into ``values[s]``, the signed
+    s-th components, ``parent[s]``, each row's parent index among the
+    step-(s-1) rows, and the groups (none for integration, whose check
+    reads none).  The residues of step s are those of the parents plus
+    values[codes] * z_s mod n (:func:`_carry`), and the parent index one
+    past the step-(s-1) rows is the zero row of residue 0: the empty
+    prefix of step 1, and for integration the zero row the steps drop.
+    Elimination pairs lead rows with every row, two leads only once: the
+    zero row for integration, every row for the distinct condition, the
+    orbit leads for plans B and C, where plan C keys the rows by orbit and
+    pairs no two rows of one orbit.  ``pairs`` counts the pairs, which
+    price one elimination for the brute-force probe.
     """
 
     def __init__(self, task: CbcTask, code: int):
@@ -467,7 +492,8 @@ class _Builder:
         self.d = L.dimension
         self.two_max = 2 * L.max_abs()
         self.parent = [None]
-        self.last = [None]
+        self.codes = [None]
+        self.values = [None]
         self.step_groups = [None]
         self.step_keys = [None]
         self.lead_index = [None]
@@ -477,40 +503,41 @@ class _Builder:
         self.thresholds = [None]
         # integration: step 0's row, and every step's zero row, maps to the
         # zero index one past the rows the step keeps
+        half = code == kernels.COND_NONZERO and task.space != "fourier"
         renumber, zero = np.zeros(1, dtype=np.int64), 0
-        for parent, last, groups in _step_chain(task.space, L):
-            # brute-force switching threshold: |L_s| or |M(L_s)|
-            self.thresholds.append(last.shape[0])
+        for parent, codes, values, groups in _step_chain(task.space, L,
+                                                         half):
+            raw = codes.shape[0]
             if code == kernels.COND_NONZERO:
                 parent = renumber[parent]
-                nonzero = (parent != zero) | (last != 0)
-                parent, last = parent[nonzero], last[nonzero]
-                zero = last.shape[0]
+                nonzero = (parent != zero) | (values != 0)[codes]
+                parent, codes, groups = parent[nonzero], codes[nonzero], None
+                zero = codes.shape[0]
                 renumber = np.cumsum(nonzero) - 1
                 renumber[~nonzero] = zero
-            R = last.shape[0]
-            keys = np.arange(R, dtype=np.int64)
+            R = codes.shape[0]
+            # brute-force switching threshold: |L_s| or |M(L_s)|, of which
+            # the half chain keeps the zero row and one row of each +-r
+            self.thresholds.append(raw + R if half else raw)
+            leads = lead_keys = keys = row_leads = None
             if code == kernels.COND_NONZERO:
-                # one zero lead, which is no step row, against every row
-                leads, lead_keys, row_leads = None, np.full(1, -1), None
-                pairs = R
+                pairs = R  # one zero lead, which is no step row
             else:
-                leads = keys if code == kernels.COND_DISTINCT \
+                leads = np.arange(R) if code == kernels.COND_DISTINCT \
                     else groups[:-1]
-                if code == kernels.COND_PLAN_C:
-                    keys = np.repeat(np.arange(groups.shape[0] - 1,
-                                               dtype=np.int64),
-                                     np.diff(groups))
                 G = leads.shape[0]
-                lead_keys = keys[leads]
+                if code == kernels.COND_PLAN_C:
+                    lead_keys = np.arange(G)
+                    keys = np.repeat(lead_keys, np.diff(groups))
                 row_leads = np.full(R, G, dtype=np.int64)
                 row_leads[leads] = np.arange(G)
                 # each pair of leads once, each lead with the other rows
-                # of another key
+                # of another orbit under plan C
                 pairs = G * (G - 1) // 2 + (
                     G - 1 if code == kernels.COND_PLAN_C else G) * (R - G)
             self.parent.append(parent)
-            self.last.append(last)
+            self.codes.append(codes)
+            self.values.append(values)
             self.step_groups.append(groups)
             self.step_keys.append(keys)
             self.lead_index.append(leads)
@@ -524,7 +551,7 @@ class _Builder:
         """Residues of the step-s rows under the prefix z, gathered from
         the step-(s-1) residues ``full``, and their last components, both
         mod n."""
-        return full[self.parent[s]], self.last[s] % n
+        return full[self.parent[s]], (self.values[s] % n)[self.codes[s]]
 
     def _residues(self, z, n: int, s: int) -> np.ndarray:
         """Residues of the step-s rows under z[:s], followed by the zero
@@ -548,27 +575,32 @@ class _Builder:
         raises :class:`EmptyCandidateSet` when nothing survives."""
         if not is_prime(n):
             raise ValueError("elimination needs a prime n")
-        full = self._residues(z, n, s - 1)
-        bad = self._marks(*self._terms(full, n, s), n, s)
+        bad = self._marks(self._residues(z, n, s - 1)[self.parent[s]], n, s)
         survivors = np.flatnonzero(~bad)
         if survivors.shape[0] == 0:
             raise EmptyCandidateSet(_all_eliminated(n))
         return survivors
 
-    def _marks(self, prefix, last, n: int, s: int) -> np.ndarray:
+    def _marks(self, prefix, n: int, s: int) -> np.ndarray:
         """Length-n mask of the candidates step s rules out, from the
-        residues of its rows under the prefix z and their last components
-        (prime n); the non-candidate 0 is marked too."""
-        leads = self.lead_index[s]
+        residues of its rows under the prefix z (prime n); the
+        non-candidate 0 is marked too."""
+        leads, codes, values = (self.lead_index[s], self.codes[s],
+                                self.values[s])
         if leads is None:
-            p_prefix = p_last = np.zeros(1, dtype=np.int64)
+            # the zero row: prefix 0 and last component 0
+            p_prefix = p_values = np.zeros(1, dtype=np.int64)
+            p_codes = np.zeros(1, dtype=np.intp)
         else:
-            p_prefix, p_last = prefix[leads], last[leads]
+            p_prefix, p_codes, p_values = prefix[leads], codes[leads], values
+        inverses = kernels.inverse_table(p_values, values, int(n))
+        _log.info("step %d at n=%d: %d rows, %d pairs, %d x %d inverses",
+                  s, n, codes.shape[0], self.pairs[s], *inverses.shape)
         bad = np.zeros(n, dtype=bool)
         bad[0] = True
-        kernels.mark_bad_pairs(p_prefix, p_last, self.lead_keys[s],
-                               prefix, last, self.step_keys[s], int(n), bad,
-                               self.row_leads[s])
+        kernels.mark_bad_pairs(p_prefix, p_codes, prefix, codes, inverses,
+                               int(n), bad, self.row_leads[s],
+                               self.lead_keys[s], self.step_keys[s])
         return bad
 
     # -- one full pass at a fixed n ---------------------------------------
@@ -605,7 +637,7 @@ class _Builder:
                     prefix, last, self.step_groups[s], int(n),
                     int(z[-1] + 1), int(probe), int(self.cond))
                 if zs < 0 and n_fail > probe and probe < max_fail:
-                    bad = self._marks(prefix, last, n, s)
+                    bad = self._marks(prefix, n, s)
                     zs, n_fail = _first_unmarked(bad, z[-1] + 1)
                     if n_fail > max_fail:
                         zs, n_fail = -1, max_fail + 1
@@ -623,7 +655,7 @@ class _Builder:
                                          "candidates")
             # elimination path (strategy, or mixed after the switch)
             if bad is None:
-                bad = self._marks(prefix, last, n, s)
+                bad = self._marks(prefix, n, s)
             zs = int(bad.argmin())
             if bad[zs]:
                 raise _StepFailed(s, _all_eliminated(n))
@@ -655,14 +687,19 @@ def _first_unmarked(bad: np.ndarray, start: int):
 # Cost model of the brute-force probe, in units of one candidate residue of
 # one step row.  A candidate costs its residues and, under every condition
 # but the nonzero one, a sort of them, about one more residue per row.
-# Elimination inverts each of its pairs by Fermat, about 2 log2 n
-# multiply-mods, and with the pair's differences, masks and mark one pair
-# costs (2 bitlen(n) + 8) / 3 residues; it also allocates and scans an
+# One elimination pair (a gather from the table of inverses, the prefix
+# difference, the masks and one multiply-mod for its mark) took 0.5 to 3.5
+# residues, 2 in the median, timed against the candidates at the steps of
+# integration and reconstruction tasks with |L| from 80 to 9,000.  A probe
+# that stops shortly before its walk would have ended pays for the probe
+# and the elimination both, so a pair is priced at 8: reconstruction steps
+# at the required n end their walks within a few hundred candidates, which
+# prices of 2 and 4 cut short often enough to cost some constructions a
+# third more, while the probes of integration steps stay a few candidates
+# long at any of these prices.  Elimination also allocates and scans an
 # n-byte mark array, 8 bytes per residue.
 SORT_RESIDUES = 1
-INVERSE_MULMODS_PER_BIT = 2
-PAIR_MULMODS = 8
-MULMODS_PER_RESIDUE = 3
+PAIR_RESIDUES = 8
 MARK_BYTES_PER_RESIDUE = 8
 
 
@@ -671,8 +708,7 @@ def _probe_budget(pairs: int, rows: int, n: int, cond: int) -> int:
     spent what one elimination over ``pairs`` pairs at n costs."""
     candidate = max(1, rows) * (
         1 if cond == kernels.COND_NONZERO else 1 + SORT_RESIDUES)
-    pair = INVERSE_MULMODS_PER_BIT * n.bit_length() + PAIR_MULMODS
-    return (pairs * pair // (MULMODS_PER_RESIDUE * candidate)
+    return (pairs * PAIR_RESIDUES // candidate
             + n // (MARK_BYTES_PER_RESIDUE * candidate) + 1)
 
 

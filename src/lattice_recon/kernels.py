@@ -17,8 +17,8 @@ code  condition on the residues of the prepared rows
 ====  =========================================================
 
 The one elimination kernel, :func:`mark_bad_pairs`, serves all four codes:
-they differ only in which rows lead the pairs and which keys a pair must
-not share.
+they differ only in which rows lead the pairs and, for plan C, which keys
+a pair must not share.
 """
 
 import numpy as np
@@ -152,6 +152,15 @@ def _mod_pow(base, exp, n):
     return result
 
 
+def inverse_table(p_values, q_values, n):
+    """(q_values[b] - p_values[a])^-1 mod n at [a, b] for a prime n, by
+    Fermat; 0 where the difference is 0 mod n."""
+    beta = (q_values[None, :] - p_values[:, None]) % n
+    inverses = _mod_pow(beta, n - 2, n)
+    inverses[beta == 0] = 0  # 0^(n-2) is 1 at n = 2
+    return inverses
+
+
 # ---------------------------------------------------------------------------
 # elimination kernel
 #
@@ -159,29 +168,34 @@ def _mod_pow(base, exp, n):
 # with different keys gets equal residues, or, for the nonzero condition,
 # when some row q gets the residue of the zero row.  For a pair whose last
 # and prefix differences are both nonzero mod n that happens for the single
-# candidate solving (q_last - p_last) z_s = -(q_prefix - p_prefix) mod n.
+# candidate solving (q_last - p_last) z_s = p_prefix - q_prefix mod n.
 # (A pair with both differences 0 mod n would collide for every candidate;
 # it cannot occur once the prefix passes the earlier steps and n exceeds
 # twice the largest index component.)
-# Prefixes are the dot products with the fixed prefix z (mod n), lasts the
-# last components (mod n).  Two orders of one pair mark the same candidate,
-# so a row q that is itself a lead is paired only with the leads before it:
-# q_lead[j] is the position among the leads of a row q_j that is one, and
-# the lead count for any other row.  The leads p are processed in blocks so
-# that at most PAIR_BLOCK pairs are held at once.
+# Prefixes are the dot products with the fixed prefix z (mod n).  A step's
+# last components take few distinct values, so the rows carry codes into
+# them, and a pair reads the inverse of its last difference from the table
+# of :func:`inverse_table` over the distinct lead and row values: one
+# Fermat inverse per distinct difference, not one per pair.  Two orders of
+# one pair mark the same candidate, so a row q that is itself a lead is
+# paired only with the leads before it: q_lead[j] is the position among
+# the leads of a row q_j that is one, and the lead count for any other
+# row.  The leads p are processed in blocks so that at most PAIR_BLOCK
+# pairs are held at once.
 
 PAIR_BLOCK = 1 << 22
 
 
-def mark_bad_pairs(p_prefix, p_last, p_key, q_prefix, q_last, q_key, n, bad,
-                   q_lead=None):
+def mark_bad_pairs(p_prefix, p_code, q_prefix, q_code, inverses, n, bad,
+                   q_lead=None, p_key=None, q_key=None):
     """Mark in ``bad`` the candidate of every pair of a lead p and a row q
-    with different keys (and, given ``q_lead``, q no lead at or before p);
-    returns the number of pairs inverted."""
-    step = max(1, PAIR_BLOCK // max(1, q_key.shape[0]))
-    inverted = 0
-    for lo in range(0, p_key.shape[0], step):
-        hi = min(lo + step, p_key.shape[0])
+    (given ``q_lead``, q no lead at or before p; given keys, q of another
+    key than p), where ``inverses[p_code, q_code]`` is the inverse of the
+    pair's last difference; returns the number of pairs that mark."""
+    step = max(1, PAIR_BLOCK // max(1, q_prefix.shape[0]))
+    marked = 0
+    for lo in range(0, p_prefix.shape[0], step):
+        hi = min(lo + step, p_prefix.shape[0])
         q = slice(None)
         if q_lead is not None:
             # rows before the first one any lead of the block pairs with
@@ -189,14 +203,17 @@ def mark_bad_pairs(p_prefix, p_last, p_key, q_prefix, q_last, q_key, n, bad,
             if not later.any():
                 break
             q = slice(int(np.argmax(later)), None)
-        beta = (q_last[None, q] - p_last[lo:hi, None]) % n
-        gamma = (q_prefix[None, q] - p_prefix[lo:hi, None]) % n
-        mask = (beta != 0) & (gamma != 0) \
-            & (q_key[None, q] != p_key[lo:hi, None])
+        inv = np.take(inverses[p_code[lo:hi]], q_code[q], axis=1)
+        # p_prefix - q_prefix + n lies in (0, 2n): nonnegative, where
+        # numpy's int64 % is about three times faster, and its product
+        # with an inverse below n stays below 2^63 for n < 2^31
+        gamma = (p_prefix[lo:hi, None] + n) - q_prefix[None, q]
+        mask = (inv != 0) & (gamma != n)
+        if p_key is not None:
+            mask &= q_key[None, q] != p_key[lo:hi, None]
         if q_lead is not None:
             mask &= q_lead[None, q] > np.arange(lo, hi)[:, None]
-        if mask.any():
-            inv = _mod_pow(beta[mask], n - 2, n)
-            bad[(n - gamma[mask]) * inv % n] = True
-            inverted += inv.shape[0]
-    return inverted
+        gamma = gamma[mask]
+        bad[gamma * inv[mask] % n] = True
+        marked += gamma.shape[0]
+    return marked

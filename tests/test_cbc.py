@@ -1,4 +1,6 @@
 import itertools
+import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from lattice_recon import (CbcTask, EmptyCandidateSet, IndexSet, InvalidTask,
                            project, properties, required_n, sum_set,
                            verify_fourier, verify_nonzero, verify_plan_a,
                            verify_plan_b, verify_plan_c)
-from lattice_recon.cbc import SPACES, residues, space_rows
+from lattice_recon.cbc import SPACES, STRATEGIES, residues, space_rows
 from lattice_recon.indexset import mirror_expand
 from conftest import random_downward, random_nonneg_set, random_signed_set
 from reference import lookup_check
@@ -459,8 +461,16 @@ def _chain_rows(builder, s):
     rows = np.zeros((1, 0), dtype=np.int64)
     for t in range(1, s + 1):
         rows = np.vstack((rows, np.zeros((1, t - 1), dtype=np.int64)))
-        rows = np.column_stack((rows[builder.parent[t]], builder.last[t]))
+        rows = np.column_stack((rows[builder.parent[t]],
+                                builder.values[t][builder.codes[t]]))
     return rows
+
+
+def _first_nonzero_positive(rows):
+    # per row, whether its first nonzero component is positive
+    nonzero = rows != 0
+    first = rows[np.arange(rows.shape[0]), nonzero.argmax(axis=1)]
+    return nonzero.any(axis=1) & (first > 0)
 
 
 @settings(max_examples=60, deadline=None, database=None)
@@ -468,9 +478,10 @@ def _chain_rows(builder, s):
        size=st.integers(1, 12), downward=st.booleans())
 def test_integration_step_rows_are_the_projected_auxiliary_set(
         seed, d, size, downward):
-    # the step rows the chain implies equal the nonzero rows of the
-    # projected auxiliary set A = L or M(L), and the switching threshold is
-    # |L_s| or |M(L_s)|
+    # the step rows the chain implies are the nonzero rows of the
+    # projected auxiliary set: all of L_s for Fourier, and one of each pair
+    # +-r of M(L)_s, the one whose first nonzero component is positive, for
+    # cosine and Chebyshev; the switching threshold is |L_s| or |M(L_s)|
     rng = np.random.default_rng(seed)
     L = random_downward(rng, d, size)
     signed = random_signed_set(rng, d, size, 3)
@@ -484,9 +495,16 @@ def test_integration_step_rows_are_the_projected_auxiliary_set(
             for s in range(1, d + 1):
                 rows = _chain_rows(builder, s)
                 assert rows.shape[1] == s
+                R = set(map(tuple, rows.tolist()))
+                assert rows.shape[0] == len(R)
                 reference = set(project(A, s)) - {(0,) * s}
-                assert set(map(tuple, rows.tolist())) == reference
-                assert rows.shape[0] == len(reference)
+                if space == "fourier":
+                    assert R == reference
+                else:
+                    minus_R = set(map(tuple, (-rows).tolist()))
+                    assert R | minus_R == reference
+                    assert not R & minus_R
+                    assert _first_nonzero_positive(rows).all()
                 Ls = project(base, s)
                 assert builder.thresholds[s] == (
                     len(Ls) if space == "fourier" else Ls.sum_two_pow())
@@ -499,9 +517,11 @@ def test_integration_step_rows_are_the_projected_auxiliary_set(
 def test_step_chain_is_the_space_rows_of_every_projection(seed, d, size,
                                                           kind, data):
     # at every step the rows the chain implies are the rows of space_rows
-    # on the projection, row for row (without the zero row for
-    # integration), with its groups, and the residues carried from the
-    # parents are those of the rows; d up to 9 draws rows of 8 columns
+    # on the projection, row for row, with its groups, and the residues
+    # carried from the parents are those of the rows; integration keeps the
+    # nonzero rows, in the cosine and Chebyshev spaces only those whose
+    # first nonzero component is positive, and no groups.  d up to 9 draws
+    # rows of 8 columns
     rng = np.random.default_rng(seed)
     L = _random_set(kind, rng, d, size)
     n = data.draw(st.sampled_from((2, 3, 5, 101, 10007, 2**31 - 1)))
@@ -513,12 +533,30 @@ def test_step_chain_is_the_space_rows_of_every_projection(seed, d, size,
         for s in range(1, d + 1):
             rows, groups = space_rows(space, project(L, s))
             if goal == "integration":
-                rows = rows[np.any(rows, axis=1)]
+                rows = rows[np.any(rows, axis=1) if space == "fourier"
+                            else _first_nonzero_positive(rows)]
+                groups = None
             assert np.array_equal(_chain_rows(builder, s), rows)
             assert np.array_equal(builder.step_groups[s], groups)
             carried = builder._residues(z, n, s)
             assert carried[-1] == 0
             assert np.array_equal(carried[:-1], residues(rows, z[:s], n))
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("space", SPACES)
+def test_integration_steps_without_rows(space, strategy):
+    # L_1 and L_2 hold the zero index alone, so integration steps 1 and 2
+    # have no rows: every candidate passes, and elimination marks none
+    L = IndexSet([(0, 0, 0), (0, 0, 1)], domain="nonneg")
+    task = CbcTask(space, "integration", L, strategy=strategy)
+    builder = _builder(task)
+    assert [builder.codes[s].shape[0] for s in (1, 2)] == [0, 0]
+    n = required_n(task)
+    assert builder.eliminate([1], n, 2).tolist() == list(range(1, n))
+    result = cbc_construct(task)
+    assert result.z[:2] == ((1, 1) if strategy == "elimination" else (1, 2))
+    assert _oracle_ok(task, result.lattice())
 
 
 def test_plan_c_elimination_matches_verifier(rng):
@@ -862,3 +900,29 @@ def test_eight_column_sign_orbits_give_valid_lattices(space, goal):
         keeps_k = np.all((signs[:, None, :] == 1) | (arr[None] == 0), axis=2)
         same = keeps_k[:, :, None] & np.eye(len(L), dtype=bool)[None]
         assert not np.any(hit & ~same)
+
+
+# ---------------------------------------------------------------------------
+# recorded outputs
+
+RECORDED = pathlib.Path(__file__).with_name("recorded_lattices.json")
+
+
+def test_lattices_match_recorded_outputs():
+    # (n, z, c_table, stats) of a scattered d=4 set under every condition
+    # and strategy, from the required n and from a prime near a third of
+    # it (so that n escalates), with mixed switching at a tenth of its
+    # threshold (so that it switches), as an earlier version of the search
+    # returned them; a faster search must return the same
+    recorded = json.loads(RECORDED.read_text())
+    L = IndexSet([tuple(k) for k in recorded["base_set"]], domain="nonneg")
+    assert len(recorded["tasks"]) == 60
+    for entry in recorded["tasks"]:
+        task = CbcTask(entry["space"], entry["goal"], L, plan=entry["plan"],
+                       n=entry["n"], strategy=entry["strategy"],
+                       mixed_switch_factor=recorded["mixed_switch_factor"])
+        r = cbc_construct(task)
+        c_table = None if r.c_table is None else sorted(
+            [list(k), c] for k, c in r.c_table.items())
+        assert {"n": r.n, "z": list(r.z), "c_table": c_table,
+                "stats": r.stats.to_dict()} == entry["result"], entry

@@ -175,6 +175,25 @@ def test_verbose_reports_the_lattice_and_the_map_routes(tmp_path, capsys):
         "slot pairs, blocked direct DFT"]
 
 
+def test_verbose_reports_each_elimination_step(tmp_path, capsys):
+    # cosine integration chains one row of each +-r of M(L_2) \ {0}:
+    # (1, 0), (2, 0) and (0, 1), each paired with the zero row, whose
+    # inverses come from a 1 x 4 table over the signed components -1, 0, 0
+    # and 1 of the second coordinate
+    idx = tmp_path / "s.idx"
+    lat = tmp_path / "s.lat"
+    write_indexset(IndexSet([(0, 0), (1, 0), (0, 1), (2, 0)],
+                            domain="nonneg"), idx)
+    assert run("cbc", "--space", "cosine", "--goal", "integration",
+               "--strategy", "elimination", "-i", idx, "-o", lat, "-v") == 0
+    lattice, _ = read_lattice(lat)
+    assert capsys.readouterr().err.splitlines() == [
+        f"lattice_recon.cbc: step 2 at n={lattice.n}: 3 rows, 3 pairs, "
+        "1 x 4 inverses",
+        f"lattice_recon.cbc: cosine integration: n={lattice.n} "
+        f"z={','.join(map(str, lattice.z))} after 0 restarts"]
+
+
 def test_reconstruct_fourier_roundtrip(tmp_path):
     idx = tmp_path / "s.idx"
     lat = tmp_path / "s.lat"

@@ -2,7 +2,10 @@
 follow the canonical scans of the lookup algorithms; the references below
 are test-local and deliberately naive."""
 
+from unittest import mock
+
 import numpy as np
+from hypothesis import given, settings, strategies as st
 
 from lattice_recon import mirror_expand, next_prime
 from lattice_recon import kernels as K
@@ -133,21 +136,34 @@ def _mark_bad_generic_ref(prefix, last, n, bad):
         bad[(n - p) * _mod_pow_scalar(l, n - 2, n) % n] = True
 
 
-def _mark_bad_plan_c_ref(lead_prefix, lead_last, mir_prefix, mir_last,
-                         mir_group, n, bad):
-    for g in range(lead_prefix.shape[0]):
-        lp = int(lead_prefix[g])
-        ll = int(lead_last[g])
-        for r in range(mir_prefix.shape[0]):
-            if mir_group[r] == g:
+def _mark_pairs_ref(p_prefix, p_last, q_prefix, q_last, n, bad, q_lead=None,
+                    p_key=None, q_key=None):
+    # every pair by itself, with its own Fermat inverse
+    marked = 0
+    for i in range(p_prefix.shape[0]):
+        for j in range(q_prefix.shape[0]):
+            if p_key is not None and p_key[i] == q_key[j]:
                 continue
-            beta = (int(mir_last[r]) - ll) % n
-            if beta == 0:
+            if q_lead is not None and q_lead[j] <= i:
                 continue
-            gamma = (int(mir_prefix[r]) - lp) % n
-            if gamma == 0:
+            beta = (int(q_last[j]) - int(p_last[i])) % n
+            gamma = (int(q_prefix[j]) - int(p_prefix[i])) % n
+            if beta == 0 or gamma == 0:
                 continue
             bad[(n - gamma) * _mod_pow_scalar(beta, n - 2, n) % n] = True
+            marked += 1
+    return marked
+
+
+def _mark_coded(p_prefix, p_last, q_prefix, q_last, n, bad, q_lead=None,
+                p_key=None, q_key=None):
+    # the kernel on codes into the distinct lead and row components
+    p_values, p_code = np.unique(p_last, return_inverse=True)
+    q_values, q_code = np.unique(q_last, return_inverse=True)
+    inverses = K.inverse_table(p_values, q_values, n)
+    assert inverses.shape == (p_values.shape[0], q_values.shape[0])
+    return K.mark_bad_pairs(p_prefix, p_code, q_prefix, q_code, inverses, n,
+                            bad, q_lead, p_key, q_key)
 
 
 # ---------------------------------------------------------------------------
@@ -232,8 +248,8 @@ def test_mod_pow_matches_reference(rng):
 
 
 def test_mark_bad_generic_matches_reference(rng):
-    # the nonzero condition: one zero lead row with a key of its own
-    zero, lead_key = np.zeros(1, dtype=np.int64), np.full(1, -1)
+    # the nonzero condition: one zero lead row, no keys
+    zero = np.zeros(1, dtype=np.int64)
     for _ in range(50):
         n = next_prime(int(rng.integers(5, 150)))
         m = int(rng.integers(1, 40))
@@ -241,8 +257,7 @@ def test_mark_bad_generic_matches_reference(rng):
         last = np.asarray(rng.integers(0, n, size=m), dtype=np.int64)
         bad_k = np.zeros(n, dtype=bool)
         bad_r = np.zeros(n, dtype=bool)
-        K.mark_bad_pairs(zero, zero, lead_key, prefix, last, np.arange(m),
-                         n, bad_k)
+        _mark_coded(zero, zero, prefix, last, n, bad_k)
         _mark_bad_generic_ref(prefix, last, n, bad_r)
         assert np.array_equal(bad_k, bad_r)
 
@@ -252,9 +267,9 @@ def _plan_c_pairs(rng):
     G = int(rng.integers(1, 8))
     R = int(rng.integers(G, 25))
     lead_prefix = np.asarray(rng.integers(0, n, size=G), dtype=np.int64)
-    lead_last = np.asarray(rng.integers(0, n, size=G), dtype=np.int64)
+    lead_last = np.asarray(rng.integers(-9, 10, size=G), dtype=np.int64)
     mir_prefix = np.asarray(rng.integers(0, n, size=R), dtype=np.int64)
-    mir_last = np.asarray(rng.integers(0, n, size=R), dtype=np.int64)
+    mir_last = np.asarray(rng.integers(-9, 10, size=R), dtype=np.int64)
     mir_group = np.sort(np.asarray(rng.integers(0, G, size=R),
                                    dtype=np.int64))
     return (lead_prefix, lead_last, mir_prefix, mir_last, mir_group), n
@@ -265,13 +280,13 @@ def test_mark_bad_plan_c_matches_reference(rng):
     for _ in range(30):
         (lead_prefix, lead_last, mir_prefix, mir_last, mir_group), n = \
             _plan_c_pairs(rng)
+        keys = (np.arange(lead_prefix.shape[0]), mir_group)
         bad_k = np.zeros(n, dtype=bool)
         bad_r = np.zeros(n, dtype=bool)
-        K.mark_bad_pairs(lead_prefix, lead_last,
-                         np.arange(lead_prefix.shape[0]), mir_prefix,
-                         mir_last, mir_group, n, bad_k)
-        _mark_bad_plan_c_ref(lead_prefix, lead_last, mir_prefix, mir_last,
-                             mir_group, n, bad_r)
+        _mark_coded(lead_prefix, lead_last, mir_prefix, mir_last, n, bad_k,
+                    None, *keys)
+        _mark_pairs_ref(lead_prefix, lead_last, mir_prefix, mir_last, n,
+                        bad_r, None, *keys)
         assert np.array_equal(bad_k, bad_r)
 
 
@@ -280,15 +295,15 @@ def test_mark_bad_pairs_blocks_agree(rng, monkeypatch):
     unblocked = []
     for (lp, ll, mp, ml, mg), n in cases:
         bad = np.zeros(n, dtype=bool)
-        K.mark_bad_pairs(lp, ll, np.arange(lp.shape[0]), mp, ml, mg, n, bad)
+        _mark_coded(lp, ll, mp, ml, n, bad, None, np.arange(lp.shape[0]), mg)
         unblocked.append(bad)
     # a budget below one lead row still processes one lead per block
     for budget in (1, 7, 30):
         monkeypatch.setattr(K, "PAIR_BLOCK", budget)
         for ((lp, ll, mp, ml, mg), n), expected in zip(cases, unblocked):
             bad = np.zeros(n, dtype=bool)
-            K.mark_bad_pairs(lp, ll, np.arange(lp.shape[0]), mp, ml, mg, n,
-                             bad)
+            _mark_coded(lp, ll, mp, ml, n, bad, None,
+                        np.arange(lp.shape[0]), mg)
             assert np.array_equal(bad, expected)
 
 
@@ -298,7 +313,7 @@ def _lead_pairs(rng, keyed_by):
     n = next_prime(int(rng.integers(10, 300)))
     R = int(rng.integers(1, 40))
     prefix = np.asarray(rng.integers(0, n, size=R), dtype=np.int64)
-    last = np.asarray(rng.integers(0, n, size=R), dtype=np.int64)
+    last = np.asarray(rng.integers(-9, 10, size=R), dtype=np.int64)
     if keyed_by == "distinct":
         leads = np.arange(R)
         keys = np.arange(R)
@@ -309,26 +324,72 @@ def _lead_pairs(rng, keyed_by):
         keys = np.arange(R) if keyed_by == "row" else group
     row_leads = np.full(R, leads.shape[0], dtype=np.int64)
     row_leads[leads] = np.arange(leads.shape[0])
-    return (prefix[leads], last[leads], keys[leads], prefix, last, keys, n,
-            row_leads)
+    return (prefix[leads], last[leads], prefix, last, n, row_leads,
+            keys[leads], keys)
 
 
 def test_mark_bad_pairs_takes_each_pair_of_leads_once(rng, monkeypatch):
     # pairing a lead row only with the leads before it marks what the
     # visit of both orders marks, and on the distinct condition, where
-    # every row leads, it inverts half the pairs
+    # every row leads, it marks with half the pairs; keyed by row, the
+    # order of the leads alone keeps a row from pairing with itself
     for keyed_by in ("distinct", "row", "group"):
         for _ in range(40):
-            *args, n, row_leads = _lead_pairs(rng, keyed_by)
+            *args, n, row_leads, p_key, q_key = _lead_pairs(rng, keyed_by)
             twice = np.zeros(n, dtype=bool)
-            inverted_twice = K.mark_bad_pairs(*args, n, twice)
+            marked_twice = _mark_coded(*args, n, twice, None, p_key, q_key)
             for budget in (1, 7, K.PAIR_BLOCK):
                 monkeypatch.setattr(K, "PAIR_BLOCK", budget)
                 once = np.zeros(n, dtype=bool)
-                inverted_once = K.mark_bad_pairs(*args, n, once, row_leads)
+                marked_once = _mark_coded(*args, n, once, row_leads, p_key,
+                                          q_key)
                 monkeypatch.undo()
                 assert np.array_equal(once, twice)
+                if keyed_by != "group":
+                    unkeyed = np.zeros(n, dtype=bool)
+                    assert _mark_coded(*args, n, unkeyed, row_leads) \
+                        == marked_once
+                    assert np.array_equal(unkeyed, once)
                 if keyed_by == "distinct":
-                    assert inverted_twice == 2 * inverted_once
+                    assert marked_twice == 2 * marked_once
                 else:
-                    assert inverted_once <= inverted_twice
+                    assert marked_once <= marked_twice
+
+
+COMPONENTS = {"narrow": st.integers(-4, 4),
+              "wide": st.integers(-(2**31 - 1), 2**31 - 1)}
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(n=st.sampled_from((2, 3, 5, 7, 13, 101, 1009)),
+       width=st.sampled_from(sorted(COMPONENTS)), keyed=st.booleans(),
+       ordered=st.booleans(), budget=st.sampled_from((1, 5, 1 << 22)),
+       data=st.data())
+def test_table_marks_equal_per_pair_fermat_marks(n, width, keyed, ordered,
+                                                 budget, data):
+    # one inverse per distinct difference marks what one Fermat inverse
+    # per pair marks, also where distinct components agree mod n, where
+    # wide components make the table as large as the pairs, and with no
+    # leads or no rows
+    G = data.draw(st.integers(0, 6))
+    R = data.draw(st.integers(0, 12))
+
+    def column(size, values):
+        return np.asarray(data.draw(st.lists(values, min_size=size,
+                                             max_size=size)), dtype=np.int64)
+
+    p_prefix = column(G, st.integers(0, n - 1))
+    q_prefix = column(R, st.integers(0, n - 1))
+    p_last = column(G, COMPONENTS[width])
+    q_last = column(R, COMPONENTS[width])
+    q_lead = column(R, st.integers(0, G)) if ordered else None
+    keys = (column(G, st.integers(0, 2)), column(R, st.integers(0, 2))) \
+        if keyed else (None, None)
+    bad_k = np.zeros(n, dtype=bool)
+    bad_r = np.zeros(n, dtype=bool)
+    with mock.patch.object(K, "PAIR_BLOCK", budget):
+        marked = _mark_coded(p_prefix, p_last, q_prefix, q_last, n, bad_k,
+                             q_lead, *keys)
+    assert marked == _mark_pairs_ref(p_prefix, p_last, q_prefix, q_last, n,
+                                     bad_r, q_lead, *keys)
+    assert np.array_equal(bad_k, bad_r)
