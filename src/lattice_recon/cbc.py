@@ -37,8 +37,7 @@ from typing import Callable
 import numpy as np
 
 from . import kernels
-from .indexset import (IndexSet, difference_set, mirror_expand, mirrored,
-                       negated, sum_set)
+from .indexset import IndexSet, difference_set, mirrored, negated, sum_set
 from .lattice import Rank1Lattice
 
 SPACES = ("fourier", "cosine", "chebyshev")
@@ -162,6 +161,101 @@ class CbcTask:
 
 
 # ---------------------------------------------------------------------------
+# the rows of a set in each space, as a chain over its projections
+
+def _step_chain(space: str, L: IndexSet, half: bool = False):
+    """The rows of every projection L_s in ``space`` (L_s itself for
+    Fourier, its sign orbits M(L_s) grouped by index otherwise, zero row
+    included) as a chain: yields, for s = 1..d, (parent, codes, values,
+    groups), where row i of step s is row parent[i] of step s - 1 extended
+    by the component values[codes[i]].  Step 0 has one row, the empty
+    prefix, at index 0.  An empty set yields steps without rows.
+
+    project(L, s) lists the distinct s-prefixes of L's rows in L's order,
+    so the first row of every run of equal s-prefixes stands for an index
+    of L_s, and its parent index is the number of runs of (s-1)-prefixes
+    up to it, less one.  Row r of the sign orbit of an index with c nonzero
+    components flips the i-th of them (0-based, from the left) when bit
+    c-1-i of r is set.  Bit 0 flips the last nonzero component, so row r
+    of the orbit of k has its parent at row r >> 1 of the orbit of k[:s-1]
+    when k_s != 0 (r odd flips k_s), and at row r when k_s = 0.  The values
+    are the distinct s-th components of L, and in a sign orbit their
+    negatives too: -values[::-1] followed by values, so that the code c of
+    a component stands for m + c and of its negative for m - 1 - c.
+
+    ``half`` keeps, of the sign orbits, the zero row and the rows whose
+    first nonzero component is positive.  The top bit of the row number
+    flips the first nonzero component, so these are the first half of the
+    orbit of every nonzero k, and a nonzero k_s doubles that half only
+    when k[:s-1] is nonzero too.
+    """
+    arr = L.as_array()
+    if np.abs(arr).max(initial=0) >= _INT32_LIMIT:
+        raise ValueError("index components must fit in 32 bits")
+    orbits = space != "fourier"
+    first = np.zeros(len(L), dtype=bool)
+    first[:1] = True  # one run of 0-prefixes, none in an empty set
+    sizes = np.ones(1, dtype=np.int64)  # the empty prefix's orbit
+    starts = np.zeros(1, dtype=np.int64)
+    nonzero = np.zeros(1, dtype=bool)  # the empty prefix is zero
+    for s in range(L.dimension):
+        col = arr[:, s]
+        up = np.cumsum(first) - 1
+        first = first.copy()
+        first[1:] |= col[1:] != col[:-1]
+        at = np.flatnonzero(first)
+        parent, k = up[at], col[at]
+        values, codes = np.unique(k, return_inverse=True)
+        if not orbits:
+            yield parent, codes, values, np.arange(k.shape[0] + 1,
+                                                   dtype=np.int64)
+            continue
+        flips = k != 0
+        if half:
+            flips, nonzero = flips & nonzero[parent], flips | nonzero[parent]
+        flips = flips.astype(np.int64)
+        sizes = sizes[parent] << flips
+        groups = np.zeros(k.shape[0] + 1, dtype=np.int64)
+        np.cumsum(sizes, out=groups[1:])
+        r = np.arange(groups[-1], dtype=np.int64) \
+            - np.repeat(groups[:-1], sizes)
+        flips = np.repeat(flips, sizes)
+        codes = np.repeat(codes, sizes)
+        m = values.shape[0]
+        yield (np.repeat(starts[parent], sizes) + (r >> flips),
+               m + codes - (r & flips) * (2 * codes + 1),
+               np.concatenate((-values[::-1], values)), groups)
+        starts = groups[:-1]
+
+
+def _carry(prefix, last, zs: int, n: int) -> np.ndarray:
+    """Residues (prefix + last zs) mod n of one step's rows, followed by
+    the zero row's residue 0 (the parent index one past the rows)."""
+    full = np.zeros(prefix.shape[0] + 1, dtype=np.int64)
+    np.multiply(last, zs, out=full[:-1])
+    full[:-1] += prefix
+    full[:-1] %= n
+    return full
+
+
+def slot_residues(space: str, L: IndexSet, z, n: int):
+    """Residue slots (r . z) mod n, as int64, of the rows r of L in
+    ``space`` (the last step of :func:`_step_chain`), carried along the
+    chain as the CBC steps carry theirs, and the groups: index g of L
+    occupies res[groups[g]:groups[g+1]]."""
+    if space not in SPACES:
+        raise ValueError(f"unknown space {space!r}")
+    if len(z) != L.dimension:
+        raise ValueError(f"lattice dimension {len(z)} differs from index "
+                         f"set dimension {L.dimension}")
+    n = int(n)
+    full = np.zeros(1, dtype=np.int64)
+    for zs, (parent, codes, values, groups) in zip(z, _step_chain(space, L)):
+        full = _carry(full[parent], (values % n)[codes], int(zs) % n, n)
+    return full[:-1], groups
+
+
+# ---------------------------------------------------------------------------
 # verifiers (lookup algorithms on full projections)
 
 @dataclass(frozen=True)
@@ -181,54 +275,20 @@ class VerifyResult:
         return self.ok
 
 
-def _z_vector(z, n: int) -> np.ndarray:
-    return np.asarray([int(zj) % n for zj in z], dtype=np.int64)
-
-
-def space_rows(space: str, L: IndexSet) -> tuple[np.ndarray, np.ndarray]:
-    """The rows an index set occupies in the residue slots of ``space``.
-
-    Returns (rows, groups): group g occupies rows[groups[g]:groups[g+1]].
-    A Fourier index sits in its own slot, so the rows are L, one row per
-    group; a cosine or Chebyshev index sits in the slots of its sign orbit
-    M(k), so the rows are :func:`mirror_expand` of L.  The rows are int64
-    and checked to fit in 32 bits.
-    """
-    if space == "fourier":
-        rows, groups = L.as_array(), np.arange(len(L) + 1, dtype=np.int64)
-    elif space in ("cosine", "chebyshev"):
-        rows, groups = mirror_expand(L)
-    else:
-        raise ValueError(f"unknown space {space!r}")
-    rows = np.ascontiguousarray(rows, dtype=np.int64)
-    if rows.size and np.abs(rows).max() >= _INT32_LIMIT:
-        raise ValueError("index components must fit in 32 bits")
-    return rows, groups
-
-
-def residues(rows: np.ndarray, z, n: int) -> np.ndarray:
-    """Residue slots (r . z) mod n of the rows of :func:`space_rows`, as
-    int64; raises ValueError if the rows and z differ in dimension."""
-    if rows.shape[1] != len(z):
-        raise ValueError(f"lattice dimension {len(z)} differs from index "
-                         f"set dimension {rows.shape[1]}")
-    return kernels.dot_mod(rows, _z_vector(z, n), int(n))
-
-
 def _lookup(code: int, space: str, L: IndexSet, z, n: int) -> VerifyResult:
     """The lookup verifier of condition ``code`` on L in ``space``: the
-    residues of its rows (without the zero row under the nonzero
-    condition), then the kernel check."""
-    rows, groups = space_rows(space, L)
-    if code == kernels.COND_NONZERO:
-        rows = rows[np.any(rows, axis=1)]  # its check reads no groups
-    res = residues(rows, z, n)
-    if code != kernels.COND_PLAN_C:
-        ok = kernels.check_condition(res, groups, int(n), code)
-        return VerifyResult(bool(ok), res.shape[0] if ok else 0)
-    ok, visits, c = kernels.check_plan_c(res, groups, int(n))
-    return VerifyResult(bool(ok), int(visits),
-                        dict(zip(L, c.tolist())) if ok else None)
+    kernel check on the slot residues of L's rows.  The zero row sits in
+    slot 0 for every z; the nonzero condition allows it that slot alone
+    and does not visit it."""
+    res, groups = slot_residues(space, L, z, n)
+    if code == kernels.COND_PLAN_C:
+        ok, c = kernels.check_plan_c(res, groups)
+        return VerifyResult(ok, res.shape[0] if ok else 0,
+                            dict(zip(L, c.tolist())) if ok else None)
+    zero = int(code == kernels.COND_NONZERO and L.has_zero())
+    ok = (np.count_nonzero(res == 0) == zero if code == kernels.COND_NONZERO
+          else kernels.check_condition(res, groups, code))
+    return VerifyResult(bool(ok), res.shape[0] - zero if ok else 0)
 
 
 def verify_fourier(z, n: int, Ls: IndexSet) -> VerifyResult:
@@ -270,7 +330,9 @@ class _Condition:
     ``oracle(lattice)`` the naive check, which returns (ok, c_table or
     None).  The auxiliary set A of the generic condition h.z != 0 mod n
     sizes the bound and lives on only inside the oracle; the verifier and
-    the CBC steps read the rows of the base set alone (:func:`space_rows`).
+    the CBC steps read the rows of the base set alone, from one chain
+    (:func:`_step_chain`): the verifier its last step's slot residues
+    (:func:`slot_residues`), the steps every step's.
     """
 
     code: int
@@ -386,85 +448,12 @@ class _StepFailed(Exception):
         self.reason = reason
 
 
-def _step_chain(space: str, L: IndexSet, half: bool = False):
-    """The rows of every projection L_s in ``space`` (the rows of
-    :func:`space_rows`, zero row included) as a chain: yields, for
-    s = 1..d, (parent, codes, values, groups), where row i of step s is
-    row parent[i] of step s - 1 extended by the component
-    values[codes[i]].  Step 0 has one row, the empty prefix, at index 0.
-
-    project(L, s) lists the distinct s-prefixes of L's rows in L's order,
-    so the first row of every run of equal s-prefixes stands for an index
-    of L_s, and its parent index is the number of runs of (s-1)-prefixes
-    up to it, less one.  In a sign orbit, bit 0 of the row number flips
-    the last nonzero component (:func:`mirror_expand`), so row r of the
-    orbit of k has its parent at row r >> 1 of the orbit of k[:s-1] when
-    k_s != 0 (r odd flips k_s), and at row r when k_s = 0.  The values
-    are the distinct s-th components of L, and in a sign orbit their
-    negatives too: -values[::-1] followed by values, so that the code c of
-    a component stands for m + c and of its negative for m - 1 - c.
-
-    ``half`` keeps, of the sign orbits, the zero row and the rows whose
-    first nonzero component is positive.  The top bit of the row number
-    flips the first nonzero component, so these are the first half of the
-    orbit of every nonzero k, and a nonzero k_s doubles that half only
-    when k[:s-1] is nonzero too.
-    """
-    arr = L.as_array()
-    if np.abs(arr).max() >= _INT32_LIMIT:
-        raise ValueError("index components must fit in 32 bits")
-    orbits = space != "fourier"
-    first = np.zeros(len(L), dtype=bool)
-    first[0] = True  # one run of 0-prefixes
-    sizes = np.ones(1, dtype=np.int64)  # the empty prefix's orbit
-    starts = np.zeros(1, dtype=np.int64)
-    nonzero = np.zeros(1, dtype=bool)  # the empty prefix is zero
-    for s in range(L.dimension):
-        col = arr[:, s]
-        up = np.cumsum(first) - 1
-        first = first.copy()
-        first[1:] |= col[1:] != col[:-1]
-        at = np.flatnonzero(first)
-        parent, k = up[at], col[at]
-        values, codes = np.unique(k, return_inverse=True)
-        if not orbits:
-            yield parent, codes, values, np.arange(k.shape[0] + 1,
-                                                   dtype=np.int64)
-            continue
-        flips = k != 0
-        if half:
-            flips, nonzero = flips & nonzero[parent], flips | nonzero[parent]
-        flips = flips.astype(np.int64)
-        sizes = sizes[parent] << flips
-        groups = np.zeros(k.shape[0] + 1, dtype=np.int64)
-        np.cumsum(sizes, out=groups[1:])
-        r = np.arange(groups[-1], dtype=np.int64) \
-            - np.repeat(groups[:-1], sizes)
-        flips = np.repeat(flips, sizes)
-        codes = np.repeat(codes, sizes)
-        m = values.shape[0]
-        yield (np.repeat(starts[parent], sizes) + (r >> flips),
-               m + codes - (r & flips) * (2 * codes + 1),
-               np.concatenate((-values[::-1], values)), groups)
-        starts = groups[:-1]
-
-
-def _carry(prefix, last, zs: int, n: int) -> np.ndarray:
-    """Residues (prefix + last zs) mod n of one step's rows, followed by
-    the zero row's residue 0 (the parent index one past the rows)."""
-    full = np.zeros(prefix.shape[0] + 1, dtype=np.int64)
-    np.multiply(last, zs, out=full[:-1])
-    full[:-1] += prefix
-    full[:-1] %= n
-    return full
-
-
 class _Builder:
     """Holds the step chain of one task; reused across n escalations.
 
     Step s reads the rows of the projection L_s of the base set in the
-    task's space (the rows of :func:`space_rows`: L_s for Fourier, M(L_s)
-    grouped by sign orbit otherwise), without the zero row for
+    task's space (the step-s rows of :func:`_step_chain`: L_s for Fourier,
+    M(L_s) grouped by sign orbit otherwise), without the zero row for
     integration.  Cosine and Chebyshev integration chain one row of each
     pair +-r of M(L_s) = -M(L_s), the one whose first nonzero component is
     positive (``half`` of :func:`_step_chain`): r and -r have residues 0
@@ -565,7 +554,7 @@ class _Builder:
 
     def check_step(self, z, n: int, s: int) -> bool:
         res = self._residues(z, n, s)[:-1]
-        return bool(kernels.check_condition(res, self.step_groups[s], int(n),
+        return bool(kernels.check_condition(res, self.step_groups[s],
                                             self.cond))
 
     # -- elimination for one step -----------------------------------------

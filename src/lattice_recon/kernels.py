@@ -30,27 +30,7 @@ COND_PLAN_C = 3
 
 
 # ---------------------------------------------------------------------------
-# dot products mod n
-
-def dot_mod(rows, z, n):
-    if rows.shape[0] == 0:
-        return np.empty(0, dtype=np.int64)
-    # |h_j| < 2^31 and z_j mod n < n <= 2^31, so each product fits in int64
-    terms = rows * np.mod(z, n) % n
-    return terms.sum(axis=1) % n
-
-
-# ---------------------------------------------------------------------------
 # verifier checks on precomputed residues
-#
-# `visits` is the number of residues the canonical scan examines; it equals
-# len(res) on success and is reported as 0 on failure.
-
-def check_nonzero(res):
-    if np.any(res == 0):
-        return False, 0
-    return True, int(res.shape[0])
-
 
 def _has_equal(sorted_res):
     # a neighbour compare after np.sort; np.unique on int64 is hash-based
@@ -58,37 +38,30 @@ def _has_equal(sorted_res):
     return bool(np.any(sorted_res[1:] == sorted_res[:-1]))
 
 
-def check_distinct(res, n):
-    if _has_equal(np.sort(res)):
-        return False, 0
-    return True, int(res.shape[0])
-
-
-def check_plan_b(res, group_start, n):
+def check_plan_b(res, group_start):
     """Plain residues (the first row of each group) pairwise distinct, and
     no sign residue equal to any plain residue, its own included."""
     leads = np.sort(res[group_start[:-1]])
     if _has_equal(leads):
-        return False, 0
+        return False
     is_lead = np.zeros(res.shape[0], dtype=bool)
     is_lead[group_start[:-1]] = True
     signs = res[~is_lead]
     pos = np.minimum(np.searchsorted(leads, signs), leads.shape[0] - 1)
-    if np.any(leads[pos] == signs):
-        return False, 0
-    return True, int(res.shape[0])
+    return not np.any(leads[pos] == signs)
 
 
-def check_plan_c(res, group_start, n):
+def check_plan_c(res, group_start):
     """Plan B with self-aliasing: a sign residue may equal the plain residue
-    of its own group; c counts, per group, the rows hitting that residue."""
+    of its own group; returns (ok, c), where c counts, per group, the rows
+    hitting that residue."""
     ngroups = group_start.shape[0] - 1
     c = np.ones(ngroups, dtype=np.int64)
     leads = res[group_start[:-1]]
     order = np.argsort(leads, kind="stable")
     sorted_leads = leads[order]
     if _has_equal(sorted_leads):
-        return False, 0, c
+        return False, c
     is_lead = np.zeros(res.shape[0], dtype=bool)
     is_lead[group_start[:-1]] = True
     sign_rows = np.flatnonzero(~is_lead)
@@ -99,21 +72,21 @@ def check_plan_c(res, group_start, n):
     hit_group = order[pos[hit]]
     own = hit_group == sign_group[hit]
     if np.any(~own):
-        return False, 0, c
+        return False, c
     np.add.at(c, hit_group[own], 1)
-    return True, int(res.shape[0]), c
+    return True, c
 
 
-def check_condition(res, group_start, n, cond):
+def check_condition(res, group_start, cond):
     """True when the residues satisfy condition ``cond``; ``group_start``
     is read by the grouped conditions (plans B and C) only."""
     if cond == COND_NONZERO:
-        return check_nonzero(res)[0]
+        return not np.any(res == 0)
     if cond == COND_DISTINCT:
-        return check_distinct(res, n)[0]
+        return not _has_equal(np.sort(res))
     if cond == COND_PLAN_B:
-        return check_plan_b(res, group_start, n)[0]
-    return check_plan_c(res, group_start, n)[0]
+        return check_plan_b(res, group_start)
+    return check_plan_c(res, group_start)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +102,7 @@ def brute_force_step(prefix, last, group_start, n, start, max_fail, cond):
     n_fail = 0
     for t in range(n - 1):
         zs = (start - 1 + t) % (n - 1) + 1
-        if check_condition((prefix + last * zs) % n, group_start, n, cond):
+        if check_condition((prefix + last * zs) % n, group_start, cond):
             return zs, n_fail
         n_fail += 1
         if n_fail > max_fail:

@@ -2,11 +2,12 @@
 series coefficients.
 
 Both maps are one length-n DFT read or written at a few spectrum slots:
-the rows of index k (:func:`lattice_recon.cbc.space_rows`: k itself for
-Fourier, its sign orbit M(k) for cosine and Chebyshev) sit in slots
-(h.z mod n), and the maps touch only those.  :func:`coeffs_from_values`
-and :func:`values_from_coeffs` have one body each for the three spaces;
-the per-space functions bind them.
+the rows of index k (k itself for Fourier, its sign orbit M(k) for cosine
+and Chebyshev) sit in slots (h.z mod n), and the maps touch only those.
+:func:`lattice_recon.cbc.slot_residues` computes the slots along the
+chain of projections the CBC steps read, as the lookup verifiers do.
+:func:`coeffs_from_values` and :func:`values_from_coeffs` have one body
+each for the three spaces; the per-space functions bind them.
 
 Each map takes one of two routes to the slots it uses, by the rule of
 :func:`_direct_pays` on n and the number of distinct slots:
@@ -37,7 +38,7 @@ import math
 import numpy as np
 
 from . import kernels
-from .cbc import _PLAN_CODE, PLANS, residues, space_rows
+from .cbc import _PLAN_CODE, PLANS, slot_residues
 from .indexset import IndexSet
 from .lattice import Rank1Lattice, TransformKind
 
@@ -274,7 +275,7 @@ def _weights(rows: np.ndarray) -> np.ndarray:
 
 def _coeffs_from_values(space, lattice, L, values, plan, c_table, unsafe):
     """The forward map of every space; ``unsafe`` skips the aliasing check."""
-    rows, groups = space_rows(space, L)
+    slots, groups = slot_residues(space, L, lattice.z, lattice.n)
     fourier = space == "fourier"
     if not fourier:
         if plan not in PLANS:
@@ -286,9 +287,8 @@ def _coeffs_from_values(space, lattice, L, values, plan, c_table, unsafe):
         raise ValueError("value vector length differs from n")
     if plan == "C" and c_table is None:
         raise MissingCTable("plan C needs the c_k table")
-    slots = residues(rows, lattice.z, lattice.n)
-    if not unsafe and not kernels.check_condition(
-            slots, groups, lattice.n, _PLAN_CODE[plan]):
+    if not unsafe and not kernels.check_condition(slots, groups,
+                                                  _PLAN_CODE[plan]):
         raise AliasingDetected(
             "two indices share a residue slot" if fourier else
             f"lattice fails the plan {plan} reconstruction condition")
@@ -342,14 +342,13 @@ def values_from_coeffs(space: str, lattice: Rank1Lattice, L: IndexSet,
     inverse DFT of those nonzero slots is evaluated at all points, by the
     FFT or, outside Fourier and as :func:`_direct_pays` chooses, by the
     blocked direct DFT at the points i <= n/2, mirrored."""
-    rows, groups = space_rows(space, L)
+    slots, groups = slot_residues(space, L, lattice.z, lattice.n)
     fourier = space == "fourier"
     scaled = _coeff_vector(L, coeffs, np.complex128 if fourier else np.float64)
     if not fourier:
         scaled /= _weights(L.as_array())
-    return _values_at_points(np.repeat(scaled, np.diff(groups)),
-                             residues(rows, lattice.z, lattice.n), lattice.n,
-                             not fourier)
+    return _values_at_points(np.repeat(scaled, np.diff(groups)), slots,
+                             lattice.n, not fourier)
 
 
 # ---------------------------------------------------------------------------

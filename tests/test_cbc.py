@@ -7,13 +7,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import lattice_recon.cbc as cbc_module
+import lattice_recon.indexset as indexset_module
 from lattice_recon import (CbcTask, EmptyCandidateSet, IndexSet, InvalidTask,
                            Rank1Lattice, RetryLimitExceeded, cbc_construct,
                            difference_set, is_prime, mirrored, next_prime,
                            project, properties, required_n, sum_set,
                            verify_fourier, verify_nonzero, verify_plan_a,
                            verify_plan_b, verify_plan_c)
-from lattice_recon.cbc import SPACES, STRATEGIES, residues, space_rows
+from lattice_recon.cbc import SPACES, STRATEGIES, slot_residues
 from lattice_recon.indexset import mirror_expand
 from conftest import random_downward, random_nonneg_set, random_signed_set
 from reference import lookup_check
@@ -163,20 +164,22 @@ def test_auxiliary_set_built_once_per_construction(space, plan, reduce_n,
 def test_reduce_n_expands_no_sign_orbits(space, plan, monkeypatch):
     # the descent checks every prime on the step chain the builder prepared
     # for the last step, and the chain carries residues from parent rows, so
-    # neither the construction nor the descent sign-expands a set or runs
-    # the lookup verifier
+    # neither the steps nor the descent sign-expands a set or runs the
+    # lookup verifier: only the auxiliary set of plans A and B, which sizes
+    # n and feeds the oracle, is built on M(L)
     L = random_downward(np.random.default_rng(5), 3, 10)
     task = CbcTask(space, "reconstruction", L, plan=plan)
     task = CbcTask(space, "reconstruction", L, plan=plan,
                    n=next_prime(8 * required_n(task)), reduce_n=True)
     calls = []
-    for name in ("mirror_expand", "space_rows"):
-        original = getattr(cbc_module, name)
-        monkeypatch.setattr(cbc_module, name, lambda *args, _f=original,
+    for module, name in ((cbc_module, "slot_residues"),
+                         (indexset_module, "mirror_expand")):
+        original = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, _f=original,
                             _name=name: calls.append(_name) or _f(*args))
     result = cbc_construct(task)
     assert result.n < task.n
-    assert calls == []
+    assert calls == ([] if plan == "C" else ["mirror_expand"])
 
 
 def _verifier_descent(cond, n, z):
@@ -323,27 +326,61 @@ def _random_set(kind, rng, d, size):
     return random_signed_set(rng, d, size, 3)
 
 
-@settings(max_examples=60, deadline=None, database=None)
-@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 4),
-       size=st.integers(1, 12), kind=st.sampled_from(SET_KINDS))
-def test_space_rows_are_the_set_or_its_sign_orbits(seed, d, size, kind):
-    L = _random_set(kind, np.random.default_rng(seed), d, size)
-    rows, groups = space_rows("fourier", L)
-    assert rows.dtype == np.int64 and np.array_equal(rows, L.as_array())
-    assert np.array_equal(groups, np.arange(len(L) + 1))
-    orbit_rows, orbit_groups = mirror_expand(L)
-    for space in ("cosine", "chebyshev"):
-        rows, groups = space_rows(space, L)
-        assert rows.dtype == np.int64 and np.array_equal(rows, orbit_rows)
-        assert np.array_equal(groups, orbit_groups)
+def _space_rows(space, L):
+    # the rows of L in a space and their groups: L itself, one row per
+    # group, for Fourier, its sign orbits grouped by index otherwise
+    if space == "fourier":
+        return L.as_array(), np.arange(len(L) + 1)
+    return mirror_expand(L)
 
 
-def test_space_rows_rejects_unknown_spaces_and_wide_components():
+def _dot_ref(rows, z, n):
+    # (r . z) mod n per row in Python integers
+    return (rows.astype(object) @ np.asarray(z, dtype=object) % n).tolist()
+
+
+def _wide_set(rng, d, size, nonneg):
+    low = 0 if nonneg else -(2**31 - 1)
+    return IndexSet(rng.integers(low, 2**31, size=(size, d)),
+                    domain="nonneg" if nonneg else "signed")
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 9),
+       size=st.integers(1, 12),
+       kind=st.sampled_from(SET_KINDS + ("wide",)),
+       n=st.sampled_from((2, 3, 101)) | st.integers(2, 2**31 - 1),
+       data=st.data())
+def test_slot_residues_are_the_dot_products_of_the_rows(seed, d, size, kind,
+                                                        n, data):
+    # the slots of the rows of a set in each space, row for row, with their
+    # groups, are exact dot products with z mod n for z, n and components
+    # up to 2^31 - 1; d up to 9 draws rows of 8 columns
+    rng = np.random.default_rng(seed)
+    z = data.draw(st.lists(st.integers(1, 2**31 - 1), min_size=d,
+                           max_size=d))
+    for space in SPACES:
+        if kind == "wide":
+            L = _wide_set(rng, d, size, space != "fourier")
+        elif kind == "signed" and space != "fourier":
+            continue
+        else:
+            L = _random_set(kind, rng, d, size)
+        rows, groups = _space_rows(space, L)
+        res, res_groups = slot_residues(space, L, z, n)
+        assert res.dtype == np.int64 and res.tolist() == _dot_ref(rows, z, n)
+        assert np.array_equal(res_groups, groups)
+
+
+def test_slot_residues_rejects_unknown_spaces_and_wide_components():
     with pytest.raises(ValueError, match="unknown space 'legendre'"):
-        space_rows("legendre", IndexSet([(1,)]))
+        slot_residues("legendre", IndexSet([(1,)]), (1,), 5)
+    message = "lattice dimension 1 differs from index set dimension 2"
     for space in SPACES:
         with pytest.raises(ValueError, match="32 bits"):
-            space_rows(space, IndexSet([(0, 1), (2**31, 0)]))
+            slot_residues(space, IndexSet([(0, 1), (2**31, 0)]), (1, 1), 5)
+        with pytest.raises(ValueError, match=message):
+            slot_residues(space, IndexSet([(0, 1)]), (1,), 5)
 
 
 VERIFIERS = {"nonzero": verify_nonzero, "fourier": verify_fourier,
@@ -516,9 +553,10 @@ def test_integration_step_rows_are_the_projected_auxiliary_set(
        data=st.data())
 def test_step_chain_is_the_space_rows_of_every_projection(seed, d, size,
                                                           kind, data):
-    # at every step the rows the chain implies are the rows of space_rows
-    # on the projection, row for row, with its groups, and the residues
-    # carried from the parents are those of the rows; integration keeps the
+    # at every step the rows the chain implies are the rows of the
+    # projection in the space (the projection or its sign orbits, built
+    # without the chain), row for row, with their groups, and the residues
+    # carried from the parents are their dot products; integration keeps the
     # nonzero rows, in the cosine and Chebyshev spaces only those whose
     # first nonzero component is positive, and no groups.  d up to 9 draws
     # rows of 8 columns
@@ -531,7 +569,7 @@ def test_step_chain_is_the_space_rows_of_every_projection(seed, d, size,
             continue
         builder = _builder(CbcTask(space, goal, L, plan=plan))
         for s in range(1, d + 1):
-            rows, groups = space_rows(space, project(L, s))
+            rows, groups = _space_rows(space, project(L, s))
             if goal == "integration":
                 rows = rows[np.any(rows, axis=1) if space == "fourier"
                             else _first_nonzero_positive(rows)]
@@ -540,7 +578,7 @@ def test_step_chain_is_the_space_rows_of_every_projection(seed, d, size,
             assert np.array_equal(builder.step_groups[s], groups)
             carried = builder._residues(z, n, s)
             assert carried[-1] == 0
-            assert np.array_equal(carried[:-1], residues(rows, z[:s], n))
+            assert carried[:-1].tolist() == _dot_ref(rows, z[:s], n)
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)

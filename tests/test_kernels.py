@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from lattice_recon import mirror_expand, next_prime
 from lattice_recon import kernels as K
-from conftest import random_nonneg_set, random_signed_set
+from conftest import random_nonneg_set
 
 
 # ---------------------------------------------------------------------------
@@ -28,8 +28,8 @@ def _dot_mod_ref(rows, z, n):
 def _check_nonzero_ref(res):
     for i in range(res.shape[0]):
         if res[i] == 0:
-            return False, 0
-    return True, res.shape[0]
+            return False
+    return True
 
 
 def _check_distinct_ref(res, n):
@@ -37,9 +37,9 @@ def _check_distinct_ref(res, n):
     for i in range(res.shape[0]):
         a = res[i]
         if seen[a]:
-            return False, 0
+            return False
         seen[a] = 1
-    return True, res.shape[0]
+    return True
 
 
 def _check_plan_b_ref(res, group_start, n):
@@ -53,15 +53,15 @@ def _check_plan_b_ref(res, group_start, n):
         hi = group_start[g + 1]
         a = res[lo]
         if s2[a]:
-            return False, 0
+            return False
         s2[a] = 1
         s1[a] = 1
         for r in range(lo + 1, hi):
             a2 = res[r]
             if s1[a2]:
-                return False, 0
+                return False
             s2[a2] = 1
-    return True, res.shape[0]
+    return True
 
 
 def _check_plan_c_ref(res, group_start, n):
@@ -77,26 +77,26 @@ def _check_plan_c_ref(res, group_start, n):
         hi = group_start[g + 1]
         a = res[lo]
         if s2[a]:
-            return False, 0, c
+            return False, c
         s2[a] = 1
         for r in range(lo + 1, hi):
             a2 = res[r]
             if a2 == a:
                 c[g] += 1
             if s1[a2]:
-                return False, 0, c
+                return False, c
             s2[a2] = 1
         s1[a] = 1
-    return True, res.shape[0], c
+    return True, c
 
 
 def _check_ref(res, group_start, n, cond):
     if cond == K.COND_NONZERO:
-        return _check_nonzero_ref(res)[0]
+        return _check_nonzero_ref(res)
     if cond == K.COND_DISTINCT:
-        return _check_distinct_ref(res, n)[0]
+        return _check_distinct_ref(res, n)
     if cond == K.COND_PLAN_B:
-        return _check_plan_b_ref(res, group_start, n)[0]
+        return _check_plan_b_ref(res, group_start, n)
     return _check_plan_c_ref(res, group_start, n)[0]
 
 
@@ -169,57 +169,38 @@ def _mark_coded(p_prefix, p_last, q_prefix, q_last, n, bad, q_lead=None,
 # ---------------------------------------------------------------------------
 # comparisons on random inputs
 
-def _residue_fixture(rng, grouped=False):
+def _residue_fixture(rng):
     d = int(rng.integers(1, 5))
     n = int(rng.integers(2, 120))
-    if grouped:
-        L = random_nonneg_set(rng, d, int(rng.integers(1, 10)), 4)
-        rows, group_start = mirror_expand(L)
-    else:
-        L = random_signed_set(rng, d, int(rng.integers(1, 14)), 6)
-        rows = L.as_array()
-        group_start = np.zeros(1, dtype=np.int64)
+    L = random_nonneg_set(rng, d, int(rng.integers(1, 10)), 4)
+    rows, group_start = mirror_expand(L)
     z = np.asarray(rng.integers(1, n, size=d), dtype=np.int64)
-    rows = np.ascontiguousarray(rows, dtype=np.int64)
     return rows, group_start, z, n
-
-
-def test_dot_mod_matches_reference(rng):
-    for _ in range(50):
-        rows, _, z, n = _residue_fixture(rng)
-        a = K.dot_mod(rows, z, n)
-        assert np.array_equal(a, _dot_mod_ref(rows, z, n))
-        # exactness against Python big-int arithmetic
-        expected = [sum(int(h) * int(zj) for h, zj in zip(row, z)) % n
-                    for row in rows]
-        assert a.tolist() == expected
 
 
 def test_check_kernels_match_reference(rng):
     for _ in range(300):
-        rows, group_start, z, n = _residue_fixture(rng, grouped=True)
-        res = K.dot_mod(rows, z, n)
-        assert K.check_nonzero(res)[0] == _check_nonzero_ref(res)[0]
-        assert K.check_distinct(res, n) == _check_distinct_ref(res, n)
-        assert (K.check_plan_b(res, group_start, n)
-                == _check_plan_b_ref(res, group_start, n))
-        ok_k, vis_k, c_k = K.check_plan_c(res, group_start, n)
-        ok_r, vis_r, c_r = _check_plan_c_ref(res, group_start, n)
-        assert (ok_k, vis_k) == (ok_r, vis_r)
+        rows, group_start, z, n = _residue_fixture(rng)
+        res = _dot_mod_ref(rows, z, n)
+        assert (K.check_plan_b(res, group_start)
+                is _check_plan_b_ref(res, group_start, n))
+        ok_k, c_k = K.check_plan_c(res, group_start)
+        ok_r, c_r = _check_plan_c_ref(res, group_start, n)
+        assert ok_k is ok_r
         if ok_r:
             assert np.array_equal(c_k, c_r)
         for cond in (K.COND_NONZERO, K.COND_DISTINCT, K.COND_PLAN_B,
                      K.COND_PLAN_C):
-            assert (K.check_condition(res, group_start, n, cond)
-                    == _check_ref(res, group_start, n, cond))
+            assert (K.check_condition(res, group_start, cond)
+                    is _check_ref(res, group_start, n, cond))
 
 
 def test_brute_force_step_matches_reference(rng):
     for _ in range(60):
-        rows, group_start, z, n = _residue_fixture(rng, grouped=True)
+        rows, group_start, z, n = _residue_fixture(rng)
         if rows.shape[1] < 2:
             continue
-        prefix = K.dot_mod(np.ascontiguousarray(rows[:, :-1]), z[:-1], n)
+        prefix = _dot_mod_ref(rows[:, :-1], z[:-1], n)
         last = rows[:, -1] % n
         start = int(rng.integers(1, n))
         for cond in (K.COND_NONZERO, K.COND_DISTINCT, K.COND_PLAN_B,

@@ -15,6 +15,7 @@ from lattice_recon import (AliasingDetected, CbcTask, CoefficientTable,
                            verify_plan_c, write_coefficients, write_values,
                            zero_count)
 import lattice_recon.cbc as cbc_module
+import lattice_recon.indexset as indexset_module
 import lattice_recon.kernels as kernels_module
 import lattice_recon.transform as transform_module
 from lattice_recon.transform import (chebyshev_coeffs_from_values,
@@ -348,20 +349,41 @@ SPACE_PLANS = [("fourier", None), ("cosine", "A"), ("cosine", "B"),
 @pytest.mark.parametrize("space,plan", SPACE_PLANS)
 def test_forward_map_expands_and_reduces_once(space, plan, monkeypatch):
     # the aliasing check and the coefficient lookup read the same slot
-    # residues: one sign expansion (none for Fourier) and one dot product
+    # residues, and so does synthesis: one walk of the step chain per map,
+    # which carries the sign orbits itself, so no map sign-expands a set
     L = random_downward(np.random.default_rng(2), 3, 10)
     result = cbc_construct(CbcTask(space, "reconstruction", L, plan=plan))
     lat = result.lattice()
-    values = values_from_coeffs(space, lat, L, {k: 1.0 for k in L})
     calls = []
-    for module, name in ((cbc_module, "mirror_expand"),
-                         (kernels_module, "dot_mod")):
+    for module, name in ((cbc_module, "_step_chain"),
+                         (indexset_module, "mirror_expand")):
         original = getattr(module, name)
         monkeypatch.setattr(module, name, lambda *args, _f=original,
                             _name=name: calls.append(_name) or _f(*args))
+    values = values_from_coeffs(space, lat, L, {k: 1.0 for k in L})
+    assert calls == ["_step_chain"]
     coeffs_from_values(space, lat, L, values, plan, result.c_table)
-    assert calls.count("dot_mod") == 1
-    assert calls.count("mirror_expand") == (0 if space == "fourier" else 1)
+    assert calls == ["_step_chain"] * 2
+
+
+def test_empty_sets_pass_every_lookup_and_map_to_nothing():
+    # an empty set walks a step chain without rows: every lookup passes
+    # without visits, synthesis gives n zeros and the forward map an empty
+    # table, in every space and under every plan
+    lat = Rank1Lattice(11, (1, 3, 5))
+    empty = IndexSet([], dimension=3, domain="nonneg")
+    codes = (kernels_module.COND_NONZERO, kernels_module.COND_DISTINCT,
+             kernels_module.COND_PLAN_B, kernels_module.COND_PLAN_C)
+    for space in ("fourier", "cosine", "chebyshev"):
+        for code in codes:
+            result = cbc_module._lookup(code, space, empty, lat.z, lat.n)
+            assert (result.ok, result.visits, result.c_table) == (
+                True, 0, {} if code == kernels_module.COND_PLAN_C else None)
+    for space, plan in SPACE_PLANS:
+        values = values_from_coeffs(space, lat, empty, {})
+        assert values.shape == (lat.n,) and not values.any()
+        table = coeffs_from_values(space, lat, empty, values, plan, {})
+        assert (table.space, table.dimension, len(table)) == (space, 3, 0)
 
 
 def test_lattice_and_set_of_different_dimension():
