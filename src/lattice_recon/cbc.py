@@ -38,14 +38,12 @@ import numpy as np
 
 from . import kernels
 from .indexset import IndexSet, difference_set, mirrored, negated, sum_set
-from .lattice import Rank1Lattice
+from .lattice import _INT32_LIMIT, Rank1Lattice
 
 SPACES = ("fourier", "cosine", "chebyshev")
 GOALS = ("integration", "reconstruction")
 PLANS = ("A", "B", "C")
 STRATEGIES = ("brute_force", "elimination", "mixed")
-
-_INT32_LIMIT = 2**31
 
 _log = logging.getLogger(__name__)
 
@@ -73,7 +71,7 @@ _MR_VALID_BELOW = 341550071728321  # first composite passing these witnesses
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17):
+    for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
     if n >= _MR_VALID_BELOW:

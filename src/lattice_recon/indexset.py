@@ -16,6 +16,7 @@ here mutates.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -345,50 +346,43 @@ def make_weighted_set(rule: WeightedSetRule, d: int,
                       cap: int = 10**7) -> IndexSet:
     """Enumerate the weighted index set of the rule in dimension d.
 
-    The result is downward closed and lives in N_0^d.  Enumeration walks a
-    coordinate box with pruning and aborts once more than ``cap`` indices
-    were produced.
+    The result is downward closed and lives in N_0^d.  Int64 prefix
+    columns grow one coordinate at a time, k_j over 0..floor(beta_j m +
+    1e-9), keeping a prefix while the rule's value stays within
+    m (1 + 1e-9); "max" keeps the box.  A prefix never outnumbers its
+    completions (k_j = 0 keeps the value), so the count is checked against
+    ``cap`` as it grows: an over-cap rule raises before it allocates more.
     """
     if d < 1:
         raise ValueError("dimension must be at least 1")
     m = rule.degree
     tol = 1e-9
-    limits = [int(math.floor(rule.beta(j) * m + tol)) for j in range(d)]
-
-    if rule.kind == "max":
-        total = 1
-        for lim in limits:
-            total *= lim + 1
-            if total > cap:
-                raise ValueError(f"weighted set exceeds cap of {cap} indices")
-        grid = [np.arange(lim + 1, dtype=np.int64) for lim in limits]
-        arr = np.stack(np.meshgrid(*grid, indexing="ij"),
-                       axis=-1).reshape(-1, d)
-        return IndexSet(arr, dimension=d, domain=DOMAIN_NONNEG)
-
-    # grow the prefixes one coordinate at a time, in lexicographic order;
-    # a prefix never outnumbers its completions (k_j = 0 keeps the value),
-    # so no level holds more than the set.  A loop, not a recursive
-    # closure, whose reference cycle would keep every index alive until
-    # the cyclic garbage collector ran.
-    prefixes = [((), 0.0 if rule.kind == "sum" else 1.0)]
+    columns = []
+    values = np.array([0.0 if rule.kind == "sum" else 1.0])
     for j in range(d):
         beta = rule.beta(j)
-        grown = []
-        for prefix, value in prefixes:
-            for kj in range(limits[j] + 1):
-                if rule.kind == "sum":
-                    new_value = value + kj / beta
-                else:
-                    new_value = value * max(1.0, kj / beta)
-                if new_value > m * (1.0 + tol):
-                    break
-                grown.append((prefix + (kj,), new_value))
-                if len(grown) > cap:
-                    raise ValueError(
-                        f"weighted set exceeds cap of {cap} indices")
-        prefixes = grown
-    return IndexSet([k for k, _ in prefixes], dimension=d,
+        alive = np.arange(len(values))
+        parents, kept = [], []
+        for kj in range(int(math.floor(beta * m + tol)) + 1):
+            # the value never falls as k_j grows, so the prefixes kept at
+            # k_j are among those kept at k_j - 1
+            value = values[alive]
+            if rule.kind == "sum":
+                value = value + kj / beta
+            elif rule.kind == "product":
+                value = value * max(1.0, kj / beta)
+            keep = value <= m * (1.0 + tol)
+            alive = alive[keep]
+            parents.append(alive)
+            kept.append(value[keep])
+            if sum(map(len, parents)) > cap:
+                raise ValueError(f"weighted set exceeds cap of {cap} indices")
+        sizes = [len(p) for p in parents]
+        parents = np.concatenate(parents)
+        columns = [c[parents] for c in columns]
+        columns.append(np.repeat(np.arange(len(sizes)), sizes))
+        values = np.concatenate(kept)
+    return IndexSet(np.column_stack(columns), dimension=d,
                     domain=DOMAIN_NONNEG)
 
 
@@ -558,29 +552,25 @@ def random_downward_closed(rng: np.random.Generator, dimension: int,
                            size: int) -> IndexSet:
     """Grow a random downward closed set in N_0^d from the origin.
 
-    Only indices whose one-step-down neighbours are all present are ever
-    added, so the result is downward closed by construction.
+    Each step moves the entry at ``rng.integers(len(frontier))`` of the
+    sorted frontier into the set.  An index joins the frontier when its
+    down-neighbours in the set number its nonzero components, so the
+    result is downward closed by construction.
     """
-    members = {(0,) * dimension}
-
-    def admissible(k):
-        return all(
-            k[:j] + (k[j] - 1,) + k[j + 1:] in members
-            for j in range(dimension) if k[j] > 0)
-
-    frontier = {(0,) * (j) + (1,) + (0,) * (dimension - j - 1)
-                for j in range(dimension)}
+    zero = (0,) * dimension
+    members = [zero]
+    frontier = sorted(zero[:j] + (1,) + zero[j + 1:] for j in range(dimension))
+    below = {}
     while len(members) < size and frontier:
-        pick = sorted(frontier)[rng.integers(len(frontier))]
-        frontier.discard(pick)
-        members.add(pick)
+        pick = frontier.pop(rng.integers(len(frontier)))
+        members.append(pick)
         # adding pick can only unlock its upward neighbours
         for j in range(dimension):
             up = pick[:j] + (pick[j] + 1,) + pick[j + 1:]
-            if up not in members and admissible(up):
-                frontier.add(up)
-    return IndexSet(sorted(members), dimension=dimension,
-                    domain=DOMAIN_NONNEG)
+            below[up] = below.get(up, 0) + 1
+            if below[up] == zero_count(up):
+                bisect.insort(frontier, up)
+    return IndexSet(members, dimension=dimension, domain=DOMAIN_NONNEG)
 
 
 def write_indexset(L: IndexSet, path) -> None:
@@ -598,8 +588,6 @@ def read_indexset(path) -> IndexSet:
         fields = dict(item.split("=", 1) for item in header)
         d = int(fields["dim"])
         domain = fields["domain"]
-        if domain == "nonneg":
-            domain = DOMAIN_NONNEG
         rows = [tuple(int(v) for v in line.split())
                 for line in fh if line.strip()]
     return IndexSet(rows, dimension=d, domain=domain)

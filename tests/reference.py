@@ -1,6 +1,7 @@
 """Slow reference implementations that the tests check the library against:
 dense O(n^2) transforms, the per-index synthesis loops, the pure-Python
-dual-lattice and plan-C oracles and the index-set algebra on tuples."""
+dual-lattice and plan-C oracles, the index-set algebra on tuples and the
+growth of random downward-closed sets on a set frontier."""
 
 import math
 
@@ -15,8 +16,9 @@ def dft_direct(x, direction: str = "forward") -> np.ndarray:
     n = x.shape[0]
     sign = -2j if direction == "forward" else 2j
     i = np.arange(n)
-    matrix = np.exp(sign * np.pi / n * np.outer(i, i))
-    out = matrix @ x
+    # exp(sign pi i j / n) read at the exact residue i j mod n
+    table = np.exp(sign * np.pi / n * np.arange(n))
+    out = table[np.outer(i, i) % n] @ x
     return out / n if direction == "forward" else out
 
 
@@ -32,7 +34,9 @@ def dct_i(x) -> np.ndarray:
     out = 0.5 * x[0] + 0.5 * x[m] * np.where(kappa % 2 == 0, 1.0, -1.0)
     if m > 1:
         i = np.arange(1, m)
-        out = out + np.cos(np.pi / m * np.outer(kappa, i)) @ x[1:m]
+        # cos(pi i kappa / m) read at the exact residue i kappa mod 2m
+        table = np.cos(np.pi / m * np.arange(2 * m))
+        out = out + table[np.outer(kappa, i) % (2 * m)] @ x[1:m]
     return out / m
 
 
@@ -48,7 +52,9 @@ def dct_v(x) -> np.ndarray:
     if m > 1:
         kappa = np.arange(m)
         i = np.arange(1, m)
-        out = out + 2.0 * (np.cos(2.0 * np.pi / n * np.outer(kappa, i)) @ x[1:])
+        # cos(2 pi i kappa / n) read at the exact residue i kappa mod n
+        table = np.cos(2.0 * np.pi / n * np.arange(n))
+        out = out + 2.0 * (table[np.outer(kappa, i) % n] @ x[1:])
     return out / n
 
 
@@ -178,3 +184,27 @@ def is_downward_closed_tuples(L) -> bool:
             if step not in members:
                 return False
     return True
+
+
+def random_downward_closed_growth(rng, dimension, size) -> list:
+    """Random downward-closed set as sorted tuples: each step sorts the
+    frontier, adds its entry at ``rng.integers(len(frontier))`` and admits
+    each upward neighbour whose down-neighbours are all in the set."""
+    members = {(0,) * dimension}
+
+    def admissible(k):
+        return all(
+            k[:j] + (k[j] - 1,) + k[j + 1:] in members
+            for j in range(dimension) if k[j] > 0)
+
+    frontier = {(0,) * (j) + (1,) + (0,) * (dimension - j - 1)
+                for j in range(dimension)}
+    while len(members) < size and frontier:
+        pick = sorted(frontier)[rng.integers(len(frontier))]
+        frontier.discard(pick)
+        members.add(pick)
+        for j in range(dimension):
+            up = pick[:j] + (pick[j] + 1,) + pick[j + 1:]
+            if up not in members and admissible(up):
+                frontier.add(up)
+    return sorted(members)

@@ -11,11 +11,12 @@ import lattice_recon.indexset as indexset_module
 from lattice_recon import (IndexSet, WeightedSetRule, difference_set,
                            is_downward_closed, make_weighted_set,
                            mirror_expand, mirrored, project, properties,
-                           read_indexset, sum_set,
+                           random_downward_closed, read_indexset, sum_set,
                            unique_sign_changes, write_indexset, zero_count)
 from conftest import random_downward, random_nonneg_set, random_signed_set
 from reference import (difference_set_tuples, is_downward_closed_tuples,
-                       project_tuples, sorted_tuples, sum_set_tuples)
+                       project_tuples, random_downward_closed_growth,
+                       sorted_tuples, sum_set_tuples)
 
 LOG32 = math.log(3) / math.log(2)
 
@@ -77,9 +78,68 @@ def test_weighted_sets_are_downward_closed():
 
 
 def test_enumeration_cap():
-    rule = WeightedSetRule("max", (1.0, 1.0, 1.0), 100)
-    with pytest.raises(ValueError, match="cap"):
-        make_weighted_set(rule, 3, cap=1000)
+    # the count is checked as each coordinate's prefixes grow, so an
+    # over-cap rule raises holding less than twice the int64 rows of a set
+    # at the cap
+    for kind, d, degree, cap in (("max", 3, 100, 1000),
+                                 ("max", 12, 3, 10**6),
+                                 ("sum", 12, 20, 10**6),
+                                 ("product", 12, 20, 10**6)):
+        rule = WeightedSetRule(kind, (1.0,) * d, degree)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"weighted set exceeds cap "
+                                                 f"of {cap} indices"):
+                make_weighted_set(rule, d, cap=cap)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 8 * d * cap
+
+
+_BETAS = st.one_of(st.sampled_from((1.0, 0.75, 0.5, 0.3, 0.25, 0.2, 0.1)),
+                   st.floats(0.05, 1.0))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(kind=st.sampled_from(("max", "sum", "product")), d=st.integers(1, 4),
+       degree=st.integers(1, 10),
+       betas=st.lists(_BETAS, min_size=3, max_size=3))
+def test_weighted_set_matches_filter_of_its_box(kind, d, degree, betas):
+    # round weights such as 0.3 put beta_j m on an integer up to rounding
+    betas = (1.0,) + tuple(sorted(betas, reverse=True))[:d - 1]
+    rule = WeightedSetRule(kind, betas, degree)
+    tol = 1e-9
+    box = [range(int(math.floor(rule.beta(j) * degree + tol)) + 1)
+           for j in range(d)]
+    expected = []
+    for k in itertools.product(*box):
+        value = 0.0 if kind in ("max", "sum") else 1.0
+        for j, kj in enumerate(k):
+            if kind == "max":
+                value = max(value, kj / rule.beta(j))
+            elif kind == "sum":
+                value = value + kj / rule.beta(j)
+            else:
+                value = value * max(1.0, kj / rule.beta(j))
+        if value <= degree * (1.0 + tol):
+            expected.append(k)
+    L = make_weighted_set(rule, d)
+    assert list(L) == expected
+    assert L.domain == "nonneg"
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 9),
+       size=st.integers(1, 200))
+def test_random_downward_closed_matches_reference_growth(seed, d, size):
+    # the same set from the same draws, and the generator left at the same
+    # next draw
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    L = random_downward_closed(rng, d, size)
+    assert list(L) == random_downward_closed_growth(ref_rng, d, size)
+    assert L.domain == "nonneg" and L.dimension == d
+    assert rng.integers(2**62) == ref_rng.integers(2**62)
 
 
 
