@@ -15,8 +15,7 @@ from .cbc import (CbcResult, CbcStats, CbcTask, EmptyCandidateSet,
 from .indexset import (IndexSet, SetReport, WeightedSetRule, difference_set,
                        is_downward_closed, make_weighted_set, mirror_expand,
                        mirrored, project, properties, random_downward_closed,
-                       read_indexset, sum_set, unique_sign_changes,
-                       write_indexset, zero_count)
+                       read_indexset, sum_set, write_indexset, zero_count)
 from .lattice import (Rank1Lattice, TransformKind, lattice_from_line,
                       read_lattice, tent, write_lattice)
 from .testfunctions import (builtin_test_function, geometric_decay,

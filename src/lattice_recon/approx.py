@@ -105,8 +105,8 @@ def stability_constant(L: IndexSet, plan: str,
 
 def discrete_seminorm(h, lattice: Rank1Lattice, kind: TransformKind) -> float:
     """sqrt of the lattice average of |h|^2 over the transformed points."""
-    value = lattice.cubature(
-        lambda pts: np.abs(np.asarray(h(pts))) ** 2, kind, folded=False)
+    value = lattice.cubature(lambda pts: np.abs(np.asarray(h(pts))) ** 2,
+                             kind)
     return math.sqrt(float(np.real(value)))
 
 

@@ -17,7 +17,6 @@ here mutates.
 from __future__ import annotations
 
 import bisect
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -45,25 +44,6 @@ SUM_BLOCK = 1 << 20
 def zero_count(k) -> int:
     """Number of nonzero entries |k|_0 of a multi-index."""
     return sum(1 for kj in k if kj != 0)
-
-
-def unique_sign_changes(k) -> list[tuple[int, ...]]:
-    """All unique sign changes of ``k``, the index itself first.
-
-    Signs are forced to +1 on zero positions, so the list has exactly
-    2^|k|_0 entries.  Ordering: the all-plus assignment first, then
-    lexicographic over the sign patterns on the nonzero positions with
-    ``+`` before ``-``.
-    """
-    k = tuple(int(kj) for kj in k)
-    nonzero = [j for j, kj in enumerate(k) if kj != 0]
-    out = []
-    for signs in itertools.product((1, -1), repeat=len(nonzero)):
-        row = list(k)
-        for j, s in zip(nonzero, signs):
-            row[j] = s * k[j]
-        out.append(tuple(row))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -389,11 +369,11 @@ def make_weighted_set(rule: WeightedSetRule, d: int,
 def mirror_expand(L: IndexSet) -> tuple[np.ndarray, np.ndarray]:
     """Concatenated sign orbits of every index with group offsets.
 
-    Returns (rows, group_start) where rows stacks the unique sign changes
-    of each index in the order of :func:`unique_sign_changes` (set order)
-    and group g occupies rows[group_start[g]:group_start[g+1]].  For an
-    index with c nonzero components, row r of its group flips the i-th of
-    them (0-based, from the left) when bit c-1-i of r is set.
+    Returns (rows, group_start) where rows stacks the 2^|k|_0 unique sign
+    changes of each index k (set order) and group g occupies
+    rows[group_start[g]:group_start[g+1]].  For an index with c nonzero
+    components, row r of its group flips the i-th of them (0-based, from
+    the left) when bit c-1-i of r is set.
     """
     arr = L.as_array()
     count = np.count_nonzero(arr, axis=1)
@@ -521,7 +501,9 @@ def properties(L: IndexSet) -> SetReport:
     |M(L)| <= min(2^d |L|, |L|^(ln3/ln2))."""
     card = len(L)
     down = is_downward_closed(L)
-    mir_size = len(mirrored(L)) if card else 0
+    # M(L) = M(|L|), and distinct nonneg indices have disjoint orbits
+    mir_size = IndexSet(np.abs(L.as_array()), dimension=L.dimension
+                        ).sum_two_pow()
     sum2 = L.sum_two_pow()
     violations: list[str] = []
     if down and card:

@@ -7,9 +7,9 @@ verifiers and the CBC steps of :mod:`lattice_recon.cbc` and serve as the
 oracles the fast paths are tested against: `character` runs in pure Python
 integer arithmetic, the others in blocked int64 numpy arithmetic of their
 own.  `dual_check` reads an auxiliary set row by row; `orbit_dual_check`
-(cosine and Chebyshev integration) and `plan_c_check_naive` build the sign
-changes of a base set themselves, one coordinate at a time, sharing no
-code with :func:`lattice_recon.indexset.mirror_expand`.
+(cosine and Chebyshev integration) and `plan_c_check_naive` build half of
+each sign orbit of a base set themselves, one coordinate at a time,
+sharing no code with :func:`lattice_recon.indexset.mirror_expand`.
 """
 
 from __future__ import annotations
@@ -102,48 +102,28 @@ class Rank1Lattice:
             return (self.n - np.abs(2 * res - self.n)) / float(self.n)
         return res / float(self.n)
 
-    def iter_points(self, kind: TransformKind = TransformKind.IDENTITY,
-                    block: int = 65536):
-        """Yield transformed points one at a time without materializing n x d."""
-        for lo in range(0, self.n, block):
-            hi = min(lo + block, self.n)
-            for row in self.points(kind, lo, hi):
-                yield row
-
     # -- cubature -------------------------------------------------------
 
     def cubature(self, f, kind: TransformKind = TransformKind.IDENTITY,
-                 folded: bool | None = None, block: int = 65536):
+                 block: int = 65536):
         """Equal-weight average (1/n) sum_i f(point_i).
 
         ``f`` is evaluated on (m, d) blocks of points and must return a
-        length-m vector.  For the cosine-of-tent points, ``folded=True``
-        (the default there) evaluates only the floor(n/2)+1 distinct
-        points with weights 1/n at the ends and 2/n in between.
+        length-m vector.  The tent and cosine-of-tent points i and n - i
+        coincide, so for those kinds only the floor(n/2)+1 distinct points
+        are evaluated, with weights 1/n at the ends and 2/n in between.
         """
         kind = TransformKind(kind)
-        if folded is None:
-            folded = kind == TransformKind.COSINE_OF_TENT
-        if folded and kind != TransformKind.COSINE_OF_TENT:
-            raise ValueError("folded cubature requires cosine_of_tent points")
         n = self.n
-        if folded:
-            half = n // 2
-            total = 0.0
-            for lo in range(0, half + 1, block):
-                hi = min(lo + block, half + 1)
-                vals = np.asarray(f(self.points(kind, lo, hi)))
-                weights = np.full(hi - lo, 2.0, dtype=np.float64)
-                if lo == 0:
-                    weights[0] = 1.0
-                if n % 2 == 0 and hi == half + 1:
-                    weights[-1] = 1.0
-                total = total + np.sum(weights * vals)
-            return total / n
+        stop = n if kind == TransformKind.IDENTITY else n // 2 + 1
         total = 0.0
-        for lo in range(0, n, block):
-            hi = min(lo + block, n)
-            total = total + np.sum(np.asarray(f(self.points(kind, lo, hi))))
+        for lo in range(0, stop, block):
+            hi = min(lo + block, stop)
+            vals = np.asarray(f(self.points(kind, lo, hi)))
+            if kind != TransformKind.IDENTITY:
+                i = np.arange(lo, hi)
+                vals = np.where((i == 0) | (2 * i == n), 1.0, 2.0) * vals
+            total = total + np.sum(vals)
         return total / n
 
     # -- exact integer checks (oracle grade) -----------------------------
@@ -179,9 +159,10 @@ class Rank1Lattice:
         """True iff no nonzero sign change of an index of L lies in the
         dual lattice: the dual-lattice check of M(L), without M(L).
 
-        The orbit residues are built from L one coordinate at a time
-        (:func:`_orbit_residues`), over blocks of L whose orbits hold about
-        ORACLE_BLOCK residues.
+        h and -h lie in the dual lattice together, so only the half orbits
+        of :func:`_orbit_residues` are built, from L one coordinate at a
+        time, over blocks of L whose half orbits hold about ORACLE_BLOCK
+        residues.
         """
         if L.dimension != self.dimension:
             raise ValueError("index set dimension mismatch")
@@ -189,7 +170,7 @@ class Rank1Lattice:
         arr = L.as_array()
         arr = arr[np.any(arr != 0, axis=1)]  # the zero orbit is {0}
         terms = (arr % n) * np.asarray(self.z, dtype=np.int64) % n
-        ends = np.cumsum(1 << np.count_nonzero(arr, axis=1))
+        ends = np.cumsum(1 << (np.count_nonzero(arr, axis=1) - 1))
         lo = 0
         while lo < arr.shape[0]:
             done = ends[lo - 1] if lo else 0
@@ -207,9 +188,10 @@ class Rank1Lattice:
 
         Requires sigma(k').z != k.z mod n for all k != k' in L and all
         sign changes sigma; on success c_table[k] counts the sign changes
-        of k aliasing to k itself.  The orbit residues are built one
-        coordinate at a time (:func:`_orbit_residues`), and every plain
-        residue is compared with every orbit residue, about ORACLE_BLOCK
+        of k aliasing to k itself.  The half orbits are built one
+        coordinate at a time (:func:`_orbit_residues`) and completed by
+        the residues n - r of the nonzero indices, and every plain residue
+        is compared with every orbit residue, about ORACLE_BLOCK
         comparisons at once.
         """
         if L.dimension != self.dimension:
@@ -219,6 +201,10 @@ class Rank1Lattice:
         terms = (arr % n) * np.asarray(self.z, dtype=np.int64) % n
         plain = terms.sum(axis=1) % n
         orbit, owner = _orbit_residues(arr, terms, n)
+        # the zero index is its own negative
+        mirror = np.any(arr != 0, axis=1)[owner]
+        orbit = np.concatenate((orbit, (n - orbit[mirror]) % n))
+        owner = np.concatenate((owner, owner[mirror]))
         step = max(1, ORACLE_BLOCK // max(1, orbit.shape[0]))
         for lo in range(0, arr.shape[0], step):
             k = np.arange(lo, min(lo + step, arr.shape[0]))
@@ -249,15 +235,19 @@ class Rank1Lattice:
 
 def _orbit_residues(arr: np.ndarray, terms: np.ndarray, n: int):
     """Residues sigma(k).z mod n of the sign changes of the rows k of
-    ``arr``, from their terms k_j z_j mod n, built one coordinate at a
-    time: the term of a nonzero component is added with both signs, that
-    of a zero component once.
+    ``arr`` whose first nonzero component is positive, from their terms
+    k_j z_j mod n, built one coordinate at a time: the term of a nonzero
+    component after the first is added with both signs, any other term
+    once.
     Returns (orbit, owner), owner the row of arr each residue belongs to;
-    every row contributes 2^|k|_0 residues."""
+    every nonzero row contributes 2^(|k|_0 - 1) residues, the zero row 1.
+    """
+    nonzero = arr != 0
+    both = nonzero & (np.cumsum(nonzero, axis=1) > 1)
     orbit = np.zeros(arr.shape[0], dtype=np.int64)
     owner = np.arange(arr.shape[0])
     for j in range(arr.shape[1]):
-        flip = arr[:, j][owner] != 0
+        flip = both[:, j][owner]
         t = terms[:, j][owner]
         orbit = np.concatenate(((orbit + t) % n, (orbit - t)[flip] % n))
         owner = np.concatenate((owner, owner[flip]))

@@ -1,13 +1,34 @@
 """Slow reference implementations that the tests check the library against:
-dense O(n^2) transforms, the per-index synthesis loops, the pure-Python
-dual-lattice and plan-C oracles, the index-set algebra on tuples and the
-growth of random downward-closed sets on a set frontier."""
+the sign changes of an index as tuples, dense O(n^2) transforms, the
+per-index synthesis loops, the pure-Python dual-lattice and plan-C oracles,
+the index-set algebra on tuples and the growth of random downward-closed
+sets on a set frontier."""
 
+import itertools
 import math
 
 import numpy as np
 
-from lattice_recon import dft, unique_sign_changes, zero_count
+from lattice_recon import dft, zero_count
+
+
+def unique_sign_changes(k) -> list[tuple[int, ...]]:
+    """All unique sign changes of ``k``, the index itself first.
+
+    Signs are forced to +1 on zero positions, so the list has exactly
+    2^|k|_0 entries.  Ordering: the all-plus assignment first, then
+    lexicographic over the sign patterns on the nonzero positions with
+    ``+`` before ``-``.
+    """
+    k = tuple(int(kj) for kj in k)
+    nonzero = [j for j, kj in enumerate(k) if kj != 0]
+    out = []
+    for signs in itertools.product((1, -1), repeat=len(nonzero)):
+        row = list(k)
+        for j, s in zip(nonzero, signs):
+            row[j] = s * k[j]
+        out.append(tuple(row))
+    return out
 
 
 def dft_direct(x, direction: str = "forward") -> np.ndarray:

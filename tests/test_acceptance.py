@@ -96,7 +96,7 @@ def test_criterion_02_integral_exactness(reconstruction_cases):
         f = random_series(space, L, np.random.default_rng(fseed))
         zero = (0,) * L.dimension
         exact = f.reference_coeffs.get(zero, 0.0)
-        quad = lat.cubature(f, KIND_FOR_SPACE[space], folded=False)
+        quad = lat.cubature(f, KIND_FOR_SPACE[space])
         worst = max(worst, abs(quad - exact))
     _report(worst < 1e-12,
             f"criterion 2: integral exactness Q_n(f) = f_0 "

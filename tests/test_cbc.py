@@ -312,6 +312,32 @@ def test_condition_nesting(rng):
             assert all(v == 1 for v in c.c_table.values())
 
 
+@settings(max_examples=300, deadline=None, database=None)
+@given(d=st.integers(1, 5), size=st.integers(1, 16),
+       seed=st.integers(0, 2**32 - 1),
+       n=st.sampled_from([p for p in range(3, 400) if is_prime(p)]),
+       data=st.data())
+def test_plan_c_is_plan_b_on_downward_closed_sets(d, size, seed, n, data):
+    # the sign change of k flipping the components F aliases k iff
+    # 2 sum_F k_j z_j = 0 mod n.  At an odd prime n that makes k alias the
+    # index with its F components zeroed, which a downward-closed L holds,
+    # so plan C accepts exactly plan B's lattices, with every c_k = 1
+    L = random_downward(np.random.default_rng(seed), d, size)
+    z = data.draw(st.lists(st.integers(1, n - 1), min_size=d, max_size=d))
+    c = verify_plan_c(z, n, L)
+    assert verify_plan_b(z, n, L).ok == c.ok
+    if c.ok:
+        assert set(c.c_table.values()) == {1}
+
+
+def test_plan_c_is_not_plan_b_off_downward_closed_sets():
+    # (-1, -1) aliases (1, 1) at n = 3, z = (1, 2), and L lacks (0, 0)
+    L = IndexSet([(1, 1)], domain="nonneg")
+    c = verify_plan_c((1, 2), 3, L)
+    assert c.ok and c.c_table == {(1, 1): 2}
+    assert not verify_plan_b((1, 2), 3, L).ok
+
+
 # ---------------------------------------------------------------------------
 # the rows of a set in each space, and the one lookup over them
 

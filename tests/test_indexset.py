@@ -12,11 +12,11 @@ from lattice_recon import (IndexSet, WeightedSetRule, difference_set,
                            is_downward_closed, make_weighted_set,
                            mirror_expand, mirrored, project, properties,
                            random_downward_closed, read_indexset, sum_set,
-                           unique_sign_changes, write_indexset, zero_count)
+                           write_indexset, zero_count)
 from conftest import random_downward, random_nonneg_set, random_signed_set
 from reference import (difference_set_tuples, is_downward_closed_tuples,
                        project_tuples, random_downward_closed_growth,
-                       sorted_tuples, sum_set_tuples)
+                       sorted_tuples, sum_set_tuples, unique_sign_changes)
 
 LOG32 = math.log(3) / math.log(2)
 
@@ -349,6 +349,24 @@ def test_properties_negative_cases():
     rep2 = properties(IndexSet(list(itertools.product((-1, 0, 1), repeat=2))))
     assert rep2.fully_sign_symmetric
     assert rep2.centrally_symmetric
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(d=st.integers(1, 5), data=st.data())
+def test_mirrored_size_counts_orbits_of_the_absolute_values(d, data):
+    # properties counts M(L) without building it; the sets hold sign
+    # changes of their own indices, so orbits overlap within L
+    comp = st.integers(-3, 3)
+    rows = data.draw(st.lists(st.lists(comp, min_size=d, max_size=d),
+                              min_size=1, max_size=10))
+    signs = data.draw(st.lists(st.lists(st.sampled_from((1, -1)),
+                                        min_size=d, max_size=d),
+                               min_size=len(rows), max_size=len(rows)))
+    rows += [[s * v for s, v in zip(sk, k)] for sk, k in zip(signs, rows)]
+    L = IndexSet(rows, dimension=d)
+    rep = properties(L)
+    assert rep.mirrored_size == len(mirrored(L))
+    assert rep.fully_sign_symmetric == (mirrored(L) == L)
 
 
 def test_downward_closed_bounds_on_random_sets(rng):

@@ -10,10 +10,9 @@ from lattice_recon import (AliasingDetected, CbcTask, CoefficientTable,
                            TransformKind, cbc_construct, coeffs_from_values,
                            dft, fourier_coeffs_from_values,
                            fourier_values_from_coeffs, read_coefficients,
-                           read_values, sample_values, unique_sign_changes,
-                           values_from_coeffs, verify_plan_b,
-                           verify_plan_c, write_coefficients, write_values,
-                           zero_count)
+                           read_values, sample_values, values_from_coeffs,
+                           verify_plan_b, verify_plan_c, write_coefficients,
+                           write_values, zero_count)
 import lattice_recon.cbc as cbc_module
 import lattice_recon.indexset as indexset_module
 import lattice_recon.kernels as kernels_module
@@ -24,7 +23,7 @@ from lattice_recon.transform import (chebyshev_coeffs_from_values,
                                      cosine_values_from_coeffs)
 from conftest import random_downward
 from reference import (cosine_values_loop, dct_i, dct_v, dft_direct,
-                       fourier_values_loop)
+                       fourier_values_loop, unique_sign_changes)
 
 
 # ---------------------------------------------------------------------------
