@@ -2,7 +2,12 @@
 
 Covers the generic nonzero-residue condition (integration in all spaces,
 Fourier reconstruction, plans A and B for the cosine/Chebyshev spaces) and
-the self-aliasing condition of plan C, with three search strategies:
+the self-aliasing condition of plan C.  Plans A and B are the nonzero
+condition on their auxiliary sets, M(L) (+) M(L) and L (+) M(L), and so is
+plan C on a downward-closed L at odd n, where it equals plan B; their
+steps walk the rows of that set instead of pairing sign orbits of L
+(:func:`_condition`).  Fourier reconstruction and plan C on other sets
+pair the rows of L or M(L).  Three search strategies:
 
 * ``brute_force`` takes at each step the first candidate, counted
   cyclically from z_{s-1} + 1, that passes the step check on the full
@@ -37,7 +42,8 @@ from typing import Callable
 import numpy as np
 
 from . import kernels
-from .indexset import IndexSet, difference_set, mirrored, negated, sum_set
+from .indexset import (IndexSet, difference_set, is_downward_closed,
+                       mirrored, negated, sum_set)
 from .lattice import _INT32_LIMIT, Rank1Lattice
 
 SPACES = ("fourier", "cosine", "chebyshev")
@@ -326,17 +332,23 @@ class _Condition:
     ``code`` is the kernel condition code of the step checks, ``bound`` the
     integer n must exceed, ``verify(z, n)`` the lookup verifier and
     ``oracle(lattice)`` the naive check, which returns (ok, c_table or
-    None).  The auxiliary set A of the generic condition h.z != 0 mod n
-    sizes the bound and lives on only inside the oracle; the verifier and
-    the CBC steps read the rows of the base set alone, from one chain
-    (:func:`_step_chain`): the verifier its last step's slot residues
-    (:func:`slot_residues`), the steps every step's.
+    None).  The CBC steps walk the step chain (:func:`_step_chain`) of the
+    set ``rows()`` in ``space``, named ``chain``: the base set L under
+    the task's own condition, or an auxiliary set A on which the condition
+    is the nonzero one, h.z != 0 mod n for the nonzero h of A.  With
+    ``odd_n`` the chain stands for the condition at odd n only.  The
+    verifier reads the last step's slot residues (:func:`slot_residues`)
+    of L in the task's space.
     """
 
     code: int
     bound: int
     verify: Callable[[object, int], VerifyResult]
     oracle: Callable[[Rank1Lattice], tuple]
+    rows: Callable[[], IndexSet]
+    space: str
+    chain: str = "L"
+    odd_n: bool = False
 
 
 # kernel condition code of reconstruction under each plan; Fourier
@@ -351,12 +363,43 @@ def _dual_oracle(A: IndexSet):
 
 def _condition(task: CbcTask) -> _Condition:
     """The only place that maps (space, goal, plan) to its condition; the
-    bounds are listed in :func:`required_n`."""
+    bounds are listed in :func:`required_n`.
+
+    Plans A and B are the nonzero condition on their auxiliary sets.  Plan
+    A asks for distinct residues on M(L), that is h.z != 0 for the nonzero
+    h of M(L) (-) M(L) = M(L) (+) M(L); plan B asks k.z != h.z for k in L
+    and h in M(L) with h != k, that is h.z != 0 for the nonzero h of
+    L (-) M(L) = L (+) M(L).  Projection commutes with both sums, so at
+    every step and every n the chain of A accepts the candidates that the
+    step check on L accepts.  On a downward-closed L, M(L) (+) M(L) =
+    M(L (+) L): a sign change of a sum is the sum of the sign changes, and
+    |+-a +- b| is a + b or |a - b| componentwise, so every such sum is a
+    sign change of u + v with u <= k, v <= k' componentwise, both in L.
+    So plan A there is cosine/Chebyshev integration on L (+) L, with its
+    half chain, its count bound and its orbit oracle, and M(L) (+) M(L) is
+    never built; on other sets A is M(L) (+) M(L) in the Fourier chain.
+
+    Plan C on a downward-closed L at odd n accepts exactly plan B's
+    lattices, with every c_k = 1, so it walks plan B's chain at its own
+    bound and keeps its own oracle, which returns the c_k.  Plan B implies
+    plan C on any set, since plan C only allows what plan B forbids: a
+    sign change sigma(k) with sigma(k).z = k.z.  Conversely, let sigma
+    flip the nonzero components F of k with sigma(k).z = k.z.  Then
+    2 sum_F k_j z_j = 0 mod n, and with n odd sum_F k_j z_j = 0 mod n, so
+    k.z equals the residue of the index with the F components of k zeroed.
+    That index lies in the downward-closed L and differs from k, which
+    plan C forbids.  So under plan C no index aliases itself, which is
+    plan B.  The same holds for every projection L_s, which is downward
+    closed too, and so at every step.  The chains of A hold components up
+    to 2 max(L), so they are taken only while that fits in 32 bits.
+    """
     L = task.base_set
     two_max = 2 * L.max_abs()
     code = (kernels.COND_NONZERO if task.goal == "integration"
             else _PLAN_CODE[task.plan])
     verify = partial(_lookup, code, task.space, L)
+    own = partial(_Condition, code, verify=verify, space=task.space,
+                  rows=lambda: L)
     if task.goal == "integration":
         if task.space == "fourier":
             size, kappa = len(L), (2 if negated(L) == L else 1)
@@ -368,25 +411,46 @@ def _condition(task: CbcTask) -> _Condition:
             size, kappa = L.sum_two_pow(), 2
             oracle = lambda lattice: (lattice.orbit_dual_check(L), None)
         size -= 1 if L.has_zero() else 0  # 0 in M(L) iff 0 in L
-        return _Condition(code, max(size // kappa + 1, L.max_abs()), verify,
-                          oracle)
+        return own(max(size // kappa + 1, L.max_abs()), oracle=oracle)
+    if task.space == "fourier":
+        # Fourier reconstruction stays on pairs of L
+        A = difference_set(L)
+        return own(max((len(A) + 1) // 2, two_max), oracle=_dual_oracle(A))
+    # the chains of auxiliary sets hold components up to 2 max(L)
+    on_aux = two_max < _INT32_LIMIT
+    downward = on_aux and task.plan != "B" and is_downward_closed(L)
+    aux = partial(_Condition, kernels.COND_NONZERO, verify=verify,
+                  space="fourier")
     if task.plan == "C":
         # sign orbits of distinct nonnegative indices are disjoint, so
         # |M(L)| is the sum of 2^|k|_0 over L
-        return _Condition(code, max(len(L) * L.sum_two_pow(), two_max),
-                          verify,
-                          lambda lattice: lattice.plan_c_check_naive(L))
-    if task.space == "fourier":
-        A = difference_set(L)
-        bound = (len(A) + 1) // 2
-    elif task.plan == "A":
-        M = mirrored(L)
-        A = sum_set(M, M)
-        bound = (len(A) + 1) // 2
-    else:
-        A = sum_set(L, mirrored(L))
+        bound = max(len(L) * L.sum_two_pow(), two_max)
+        oracle = lambda lattice: lattice.plan_c_check_naive(L)
+        # the search starts at task.n, or at the prime above the bound,
+        # which is odd unless the bound is 1, and escalates through odd
+        # primes
+        if downward and (task.n % 2 if task.n else bound > 1):
+            return aux(bound, oracle=oracle, chain="L (+) M(L)",
+                       rows=lambda: sum_set(L, mirrored(L)), odd_n=True)
+        return own(bound, oracle=oracle)
+    if downward:
+        # plan A: |M(L) (+) M(L)| is |M(L (+) L)|, which is centrally
+        # symmetric
+        A = sum_set(L, L)
+        return aux(max((A.sum_two_pow() + 1) // 2, two_max),
+                   oracle=lambda lattice: (lattice.orbit_dual_check(A), None),
+                   chain="L (+) L", space=task.space, rows=lambda: A)
+    M = mirrored(L)
+    if task.plan == "B":
+        A, chain = sum_set(L, M), "L (+) M(L)"
         bound = len(A)
-    return _Condition(code, max(bound, two_max), verify, _dual_oracle(A))
+    else:
+        A, chain = sum_set(M, M), "M(L) (+) M(L)"
+        bound = (len(A) + 1) // 2
+    bound = max(bound, two_max)
+    if not on_aux:
+        return own(bound, oracle=_dual_oracle(A))
+    return aux(bound, oracle=_dual_oracle(A), chain=chain, rows=lambda: A)
 
 
 def required_n(task: CbcTask) -> int:
@@ -397,6 +461,8 @@ def required_n(task: CbcTask) -> int:
     Fourier reconstruction n > (|L (-) L| + 1) / 2 and n > 2 max(L);
     plan A  n > (|M (+) M| + 1) / 2, plan B  n > |L (+) M|,
     plan C  n > |L| |M|, each together with n > 2 max(L).
+    On a downward-closed L, |M (+) M| is |M(L (+) L)|, the sum of
+    2^|k|_0 over L (+) L, and M (+) M is not built.
     """
     return next_prime(_condition(task).bound)
 
@@ -446,38 +512,66 @@ class _StepFailed(Exception):
         self.reason = reason
 
 
+def _orbit_counts(L: IndexSet) -> list:
+    """|M(L_s)| for s = 1..d: the rows the step check of the projection L_s
+    reads in the cosine and Chebyshev spaces.  L's rows are in
+    lexicographic order, so the first row of every run of equal s-prefixes
+    stands for an index of L_s, and its sign orbit has 2^|k_s|_0 rows."""
+    arr = L.as_array()
+    first = np.zeros(len(L), dtype=bool)
+    first[:1] = True
+    weight = np.ones(len(L), dtype=np.int64)
+    counts = []
+    for s in range(L.dimension):
+        first[1:] |= arr[1:, s] != arr[:-1, s]
+        weight <<= arr[:, s] != 0
+        counts.append(int(weight[first].sum()))
+    return counts
+
+
 class _Builder:
     """Holds the step chain of one task; reused across n escalations.
 
-    Step s reads the rows of the projection L_s of the base set in the
-    task's space (the step-s rows of :func:`_step_chain`: L_s for Fourier,
-    M(L_s) grouped by sign orbit otherwise), without the zero row for
-    integration.  Cosine and Chebyshev integration chain one row of each
-    pair +-r of M(L_s) = -M(L_s), the one whose first nonzero component is
-    positive (``half`` of :func:`_step_chain`): r and -r have residues 0
-    together, and as elimination pairs with the zero row they mark the
-    same candidate.  No row is stored: a step-s row is a step-(s-1) row,
-    its parent, extended by one component (:func:`_step_chain`), so per
-    step the builder keeps ``codes[s]`` into ``values[s]``, the signed
-    s-th components, ``parent[s]``, each row's parent index among the
-    step-(s-1) rows, and the groups (none for integration, whose check
-    reads none).  The residues of step s are those of the parents plus
-    values[codes] * z_s mod n (:func:`_carry`), and the parent index one
-    past the step-(s-1) rows is the zero row of residue 0: the empty
-    prefix of step 1, and for integration the zero row the steps drop.
-    Elimination pairs lead rows with every row, two leads only once: the
-    zero row for integration, every row for the distinct condition, the
-    orbit leads for plans B and C, where plan C keys the rows by orbit and
-    pairs no two rows of one orbit.  ``pairs`` counts the pairs, which
-    price one elimination for the brute-force probe.
+    Step s reads the rows of the projection A_s of the set the condition
+    chains (:class:`_Condition`: the base set L, or the auxiliary set A of
+    plans A, B and C) in the chain's space: the step-s rows of
+    :func:`_step_chain`, A_s for Fourier, M(A_s) grouped by sign orbit
+    otherwise, without the zero row under the nonzero condition.  A
+    cosine or Chebyshev chain under the nonzero condition keeps one row of
+    each pair +-r of M(A_s) = -M(A_s), the one whose first nonzero
+    component is positive (``half`` of :func:`_step_chain`): r and -r have
+    residues 0 together, and as elimination pairs with the zero row they
+    mark the same candidate.  No row is stored: a step-s row is a
+    step-(s-1) row, its parent, extended by one component
+    (:func:`_step_chain`), so per step the builder keeps ``codes[s]`` into
+    ``values[s]``, the signed s-th components, ``parent[s]``, each row's
+    parent index among the step-(s-1) rows, and the groups (none under the
+    nonzero condition, whose check reads none).  The residues of step s
+    are those of the parents plus values[codes] * z_s mod n
+    (:func:`_carry`), and the parent index one past the step-(s-1) rows is
+    the zero row of residue 0: the empty prefix of step 1, and under the
+    nonzero condition the zero row the steps drop.  Elimination pairs lead
+    rows with every row, two leads only once: the zero row under the
+    nonzero condition, every row for the distinct condition of Fourier
+    reconstruction, and the orbit leads for plan C off its auxiliary set,
+    which keys the rows by orbit and pairs no two rows of one orbit.
+    ``pairs`` counts the pairs, which price one elimination for the
+    brute-force probe.  The mixed switch thresholds count the rows of L_s
+    in the task's space whatever the chain (:func:`_orbit_counts` for the
+    auxiliary sets of plans A, B and C).
     """
 
-    def __init__(self, task: CbcTask, code: int):
+    def __init__(self, task: CbcTask, condition: _Condition):
         self.task = task
-        self.cond = code
+        self.condition = condition
+        self.cond = code = condition.code
         L = task.base_set
         self.d = L.dimension
         self.two_max = 2 * L.max_abs()
+        # brute-force switching thresholds |L_s| or |M(L_s)|: counted along
+        # the chain when it walks L, else off L's rows
+        on_L = condition.chain == "L"
+        self.thresholds = [None] + ([] if on_L else _orbit_counts(L))
         self.parent = [None]
         self.codes = [None]
         self.values = [None]
@@ -487,13 +581,12 @@ class _Builder:
         self.lead_keys = [None]
         self.row_leads = [None]
         self.pairs = [None]
-        self.thresholds = [None]
-        # integration: step 0's row, and every step's zero row, maps to the
-        # zero index one past the rows the step keeps
-        half = code == kernels.COND_NONZERO and task.space != "fourier"
+        # the nonzero condition: step 0's row, and every step's zero row,
+        # maps to the zero index one past the rows the step keeps
+        half = code == kernels.COND_NONZERO and condition.space != "fourier"
         renumber, zero = np.zeros(1, dtype=np.int64), 0
-        for parent, codes, values, groups in _step_chain(task.space, L,
-                                                         half):
+        for parent, codes, values, groups in _step_chain(
+                condition.space, condition.rows(), half):
             raw = codes.shape[0]
             if code == kernels.COND_NONZERO:
                 parent = renumber[parent]
@@ -503,9 +596,9 @@ class _Builder:
                 renumber = np.cumsum(nonzero) - 1
                 renumber[~nonzero] = zero
             R = codes.shape[0]
-            # brute-force switching threshold: |L_s| or |M(L_s)|, of which
-            # the half chain keeps the zero row and one row of each +-r
-            self.thresholds.append(raw + R if half else raw)
+            if on_L:
+                # the half chain keeps the zero row and one row of each +-r
+                self.thresholds.append(raw + R if half else raw)
             leads = lead_keys = keys = row_leads = None
             if code == kernels.COND_NONZERO:
                 pairs = R  # one zero lead, which is no step row
@@ -675,18 +768,27 @@ def _first_unmarked(bad: np.ndarray, start: int):
 # one step row.  A candidate costs its residues and, under every condition
 # but the nonzero one, a sort of them, about one more residue per row.
 # One elimination pair (a gather from the table of inverses, the prefix
-# difference, the masks and one multiply-mod for its mark) took 0.5 to 3.5
-# residues, 2 in the median, timed against the candidates at the steps of
-# integration and reconstruction tasks with |L| from 80 to 9,000.  A probe
-# that stops shortly before its walk would have ended pays for the probe
-# and the elimination both, so a pair is priced at 8: reconstruction steps
-# at the required n end their walks within a few hundred candidates, which
-# prices of 2 and 4 cut short often enough to cost some constructions a
-# third more, while the probes of integration steps stay a few candidates
-# long at any of these prices.  Elimination also allocates and scans an
-# n-byte mark array, 8 bytes per residue.
+# difference, the masks and one multiply-mod for its mark) took up to 4
+# residues, 1.6 in the median, at 28 steps with 10^4 to 4.5 10^6 pairs of
+# Fourier reconstruction (|L| 80 to 3,000) and of plan C on sets that are
+# not downward closed (|L| 36 to 342), against each step's own candidates
+# (numpy 2.4, one core of a Xeon VM).  A probe that stops shortly before
+# its walk would have ended pays for the probe and the elimination both.
+# Fourier reconstruction steps at the required n end their walks within a
+# few hundred candidates, so a pair of the distinct condition is priced at
+# 8: whole constructions of 11 such sets at prices 2 to 32, and of 8 more
+# at 1 to 8, took about the same time at every price, except one
+# 1,432-index product set, 40 % slower at 2.
+# Plan C steps walk longer: 8 plan-C constructions on scattered sets
+# (|L| 28 to 460) took 0.21, 0.26, 0.32 and 0.61 s in sum at prices 1, 2,
+# 4 and 8 (best of 5), so a keyed pair is priced at its measured cost, 2,
+# where a probe costs about what the elimination does.  The nonzero
+# condition keeps 8: its probes stay a few candidates long at any of these
+# prices.  Elimination also allocates and scans an n-byte mark array, 8
+# bytes per residue.
 SORT_RESIDUES = 1
 PAIR_RESIDUES = 8
+PLAN_C_PAIR_RESIDUES = 2
 MARK_BYTES_PER_RESIDUE = 8
 
 
@@ -695,7 +797,9 @@ def _probe_budget(pairs: int, rows: int, n: int, cond: int) -> int:
     spent what one elimination over ``pairs`` pairs at n costs."""
     candidate = max(1, rows) * (
         1 if cond == kernels.COND_NONZERO else 1 + SORT_RESIDUES)
-    return (pairs * PAIR_RESIDUES // candidate
+    price = PLAN_C_PAIR_RESIDUES if cond == kernels.COND_PLAN_C \
+        else PAIR_RESIDUES
+    return (pairs * price // candidate
             + n // (MARK_BYTES_PER_RESIDUE * candidate) + 1)
 
 
@@ -705,7 +809,11 @@ def cbc_construct(task: CbcTask) -> CbcResult:
     The oracle validates the returned lattice once, after any reduction
     of n."""
     cond = _condition(task)
-    builder = _Builder(task, cond.code)
+    builder = _Builder(task, cond)
+    what = task.goal if task.plan is None else f"plan {task.plan}"
+    _log.info("%s %s: steps chain %s in the %s space, %d rows at step %d",
+              task.space, what, cond.chain, cond.space,
+              builder.codes[-1].shape[0], builder.d)
     n = task.n if task.n else next_prime(cond.bound)
     stats = CbcStats()
     last_failure = None
@@ -728,8 +836,7 @@ def cbc_construct(task: CbcTask) -> CbcResult:
             continue
         stats.steps = steps
         stats.switch_step = switch_step
-        _log.info("%s %s: n=%d z=%s after %d restarts", task.space,
-                  task.goal if task.plan is None else f"plan {task.plan}",
+        _log.info("%s %s: n=%d z=%s after %d restarts", task.space, what,
                   m, ",".join(map(str, z)), stats.restarts)
         return CbcResult(tuple(z), m, c_table, stats)
     raise RetryLimitExceeded(
@@ -742,17 +849,20 @@ def _reduce_n(builder: _Builder, n: int, z):
     zero component and the last step check passes; returns the smallest
     such prime (or n) with z reduced mod it.
 
-    The last step's rows, chained once by the builder, are those the
-    condition's lookup verifier reads (L or M(L), without the zero row for
-    integration), so each prime costs only the residues along the chain
-    and the last step check.
+    The last step's rows, chained once by the builder, are those of the
+    condition's chain (:class:`_Condition`), so each prime costs only the
+    residues along the chain and the last step check.  A chain that holds
+    the condition at odd n only leaves p = 2 to the lookup verifier.
     The verifiers match the oracles, so the caller's single oracle run
     accepts the result.
     """
+    cond = builder.condition
     while True:
         p = _previous_prime(n)
-        if p is None or not all(zj % p for zj in z) \
-                or not builder.check_step(z, p, builder.d):
+        if p is None or not all(zj % p for zj in z):
+            break
+        if not (cond.verify(z, p).ok if cond.odd_n and p % 2 == 0
+                else builder.check_step(z, p, builder.d)):
             break
         n = p
     return n, [zj % n for zj in z]

@@ -1,12 +1,14 @@
 import itertools
 import json
 import pathlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import lattice_recon.cbc as cbc_module
+import lattice_recon.kernels as kernels
 import lattice_recon.indexset as indexset_module
 from lattice_recon import (CbcTask, EmptyCandidateSet, IndexSet, InvalidTask,
                            Rank1Lattice, RetryLimitExceeded, cbc_construct,
@@ -14,8 +16,8 @@ from lattice_recon import (CbcTask, EmptyCandidateSet, IndexSet, InvalidTask,
                            project, properties, required_n, sum_set,
                            verify_fourier, verify_nonzero, verify_plan_a,
                            verify_plan_b, verify_plan_c)
-from lattice_recon.cbc import SPACES, STRATEGIES, slot_residues
-from lattice_recon.indexset import mirror_expand
+from lattice_recon.cbc import PLANS, SPACES, STRATEGIES, slot_residues
+from lattice_recon.indexset import is_downward_closed, mirror_expand
 from conftest import random_downward, random_nonneg_set, random_signed_set
 from reference import lookup_check
 
@@ -133,7 +135,8 @@ def test_required_n_closed_form_matches_prime_walk(seed, d, size,
 def test_auxiliary_set_built_once_per_construction(space, plan, reduce_n,
                                                    monkeypatch):
     # the auxiliary set is built once and read by one oracle run, also
-    # when reduce_n walks down the primes with the lookup verifier
+    # when reduce_n walks down the primes with the lookup verifier; plan A
+    # on a downward-closed set builds L (+) L and checks its sign orbits
     L = random_downward(np.random.default_rng(3), 3, 10)
     task = CbcTask(space, "reconstruction", L, plan=plan)
     if reduce_n:
@@ -147,10 +150,11 @@ def test_auxiliary_set_built_once_per_construction(space, plan, reduce_n,
             cbc_module, name,
             lambda *args, _f=original: builds.append(1) or _f(*args))
     oracle_runs = []
-    dual_check = Rank1Lattice.dual_check
-    monkeypatch.setattr(
-        Rank1Lattice, "dual_check",
-        lambda self, A: oracle_runs.append(self.n) or dual_check(self, A))
+    for name in ("dual_check", "orbit_dual_check"):
+        original = getattr(Rank1Lattice, name)
+        monkeypatch.setattr(
+            Rank1Lattice, name, lambda self, A, _f=original:
+            oracle_runs.append(self.n) or _f(self, A))
     result = cbc_construct(task)
     assert len(builds) == 1
     assert oracle_runs == [result.n]
@@ -165,8 +169,8 @@ def test_reduce_n_expands_no_sign_orbits(space, plan, monkeypatch):
     # the descent checks every prime on the step chain the builder prepared
     # for the last step, and the chain carries residues from parent rows, so
     # neither the steps nor the descent sign-expands a set or runs the
-    # lookup verifier: only the auxiliary set of plans A and B, which sizes
-    # n and feeds the oracle, is built on M(L)
+    # lookup verifier: only the auxiliary set L (+) M(L) that plans B and C
+    # chain on a downward-closed L is built on M(L); plan A chains L (+) L
     L = random_downward(np.random.default_rng(5), 3, 10)
     task = CbcTask(space, "reconstruction", L, plan=plan)
     task = CbcTask(space, "reconstruction", L, plan=plan,
@@ -179,7 +183,20 @@ def test_reduce_n_expands_no_sign_orbits(space, plan, monkeypatch):
                             _name=name: calls.append(_name) or _f(*args))
     result = cbc_construct(task)
     assert result.n < task.n
-    assert calls == ([] if plan == "C" else ["mirror_expand"])
+    assert calls == ([] if plan == "A" else ["mirror_expand"])
+
+
+@pytest.mark.parametrize("space", ("cosine", "chebyshev"))
+def test_plan_c_descent_checks_n_2_on_plan_c(space):
+    # plan C on a downward-closed set walks plan B's chain, which holds
+    # plan C at odd n only: at n = 2 the index (1) aliases its own sign
+    # change, which plan C allows and plan B does not
+    L = IndexSet([(0,), (1,)], domain="nonneg")
+    task = CbcTask(space, "reconstruction", L, plan="C", n=7, reduce_n=True)
+    assert cbc_module._condition(task).odd_n
+    result = cbc_construct(task)
+    assert (result.n, result.z) == (2, (1,))
+    assert result.c_table == {(0,): 1, (1,): 2}
 
 
 def _verifier_descent(cond, n, z):
@@ -446,7 +463,19 @@ def test_verifiers_match_the_reference_formulas(seed, d, size, kind, n):
 # elimination
 
 def _builder(task):
-    return cbc_module._Builder(task, cbc_module._condition(task).code)
+    return cbc_module._Builder(task, cbc_module._condition(task))
+
+
+def _base_set_builder(task):
+    # a builder whose steps walk the chain of the base set in the task's
+    # space under the task's own condition (plans A, B and C chain an
+    # auxiliary set under the nonzero one)
+    cond = cbc_module._condition(task)
+    code = (kernels.COND_NONZERO if task.goal == "integration"
+            else cbc_module._PLAN_CODE[task.plan])
+    return cbc_module._Builder(task, replace(
+        cond, code=code, rows=lambda: task.base_set, chain="L",
+        space=task.space, odd_n=False))
 
 
 def _integration_builder(rows):
@@ -593,7 +622,7 @@ def test_step_chain_is_the_space_rows_of_every_projection(seed, d, size,
     for space, goal, plan in EVERY_TASK:
         if space != "fourier" and kind == "signed":
             continue
-        builder = _builder(CbcTask(space, goal, L, plan=plan))
+        builder = _base_set_builder(CbcTask(space, goal, L, plan=plan))
         for s in range(1, d + 1):
             rows, groups = _space_rows(space, project(L, s))
             if goal == "integration":
@@ -605,6 +634,84 @@ def test_step_chain_is_the_space_rows_of_every_projection(seed, d, size,
             carried = builder._residues(z, n, s)
             assert carried[-1] == 0
             assert carried[:-1].tolist() == _dot_ref(rows, z[:s], n)
+
+
+PLAN_TASKS = [(space, plan) for space in ("cosine", "chebyshev")
+              for plan in PLANS]
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 4),
+       size=st.integers(1, 12), downward=st.booleans())
+def test_plan_chains_are_the_projected_auxiliary_sets(seed, d, size,
+                                                      downward):
+    # plans A and B chain their auxiliary sets under the nonzero condition:
+    # L (+) M(L) in the Fourier chain for plan B, and for plan C on a
+    # downward-closed L; on a downward-closed L plan A chains one of each
+    # pair +-r of M(L (+) L), elsewhere M(L) (+) M(L) in the Fourier chain.
+    # Plan C elsewhere keeps the sign orbits of L, and so does plan C on
+    # {0}, whose search starts at the even n = 2.  The switching threshold
+    # stays |M(L_s)|
+    rng = np.random.default_rng(seed)
+    L = random_downward(rng, d, size) if downward \
+        else random_nonneg_set(rng, d, size, 3)
+    M = mirrored(L)
+    closed = is_downward_closed(L)
+    for space, plan in PLAN_TASKS:
+        task = CbcTask(space, "reconstruction", L, plan=plan)
+        cond = cbc_module._condition(task)
+        builder = _builder(task)
+        if plan == "C" and not (closed and L.max_abs()):
+            assert (cond.code, cond.chain) == (kernels.COND_PLAN_C, "L")
+            continue
+        A = {"B": sum_set(L, M), "C": sum_set(L, M),
+             "A": sum_set(L, L) if closed else sum_set(M, M)}[plan]
+        half = plan == "A" and closed
+        assert cond.code == kernels.COND_NONZERO
+        assert cond.space == (space if half else "fourier")
+        assert cond.odd_n == (plan == "C")
+        for s in range(1, d + 1):
+            rows = _chain_rows(builder, s)
+            R = set(map(tuple, rows.tolist()))
+            assert rows.shape[0] == len(R)
+            As = project(A, s)
+            reference = set(mirrored(As) if half else As)
+            reference -= {(0,) * s}
+            if half:
+                minus_R = set(map(tuple, (-rows).tolist()))
+                assert R | minus_R == reference
+                assert not R & minus_R
+            else:
+                assert R == reference
+            assert builder.thresholds[s] == project(L, s).sum_two_pow()
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 4),
+       size=st.integers(1, 14),
+       n=st.sampled_from([p for p in range(3, 300) if is_prime(p)]),
+       data=st.data())
+def test_plan_step_checks_are_the_nonzero_check_on_the_chain(seed, d, size,
+                                                             n, data):
+    # on a downward-closed set at an odd prime, at every step, the
+    # candidates that plan A, B or C's step check on the sign orbits of L
+    # accepts are those the nonzero check on the chain of the auxiliary
+    # set accepts, whatever the prefix; n below 2 max(L) is drawn too
+    L = random_downward(np.random.default_rng(seed), d, size)
+    for space, plan in PLAN_TASKS:
+        task = CbcTask(space, "reconstruction", L, plan=plan, n=n)
+        on_L, on_A = _base_set_builder(task), _builder(task)
+        assert on_A.cond == kernels.COND_NONZERO
+        z = []
+        for s in range(1, d + 1):
+            candidates = range(1, n) if s > 1 else [1]
+            accepted = [zs for zs in candidates
+                        if on_L.check_step(z + [zs], n, s)]
+            assert accepted == [zs for zs in candidates
+                                if on_A.check_step(z + [zs], n, s)]
+            if not accepted:
+                break
+            z.append(data.draw(st.sampled_from(accepted)))
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
@@ -972,6 +1079,14 @@ def test_eight_column_sign_orbits_give_valid_lattices(space, goal):
 RECORDED = pathlib.Path(__file__).with_name("recorded_lattices.json")
 
 
+def _recorded_result(task):
+    r = cbc_construct(task)
+    c_table = None if r.c_table is None else sorted(
+        [list(k), c] for k, c in r.c_table.items())
+    return {"n": r.n, "z": list(r.z), "c_table": c_table,
+            "stats": r.stats.to_dict()}
+
+
 def test_lattices_match_recorded_outputs():
     # (n, z, c_table, stats) of a scattered d=4 set under every condition
     # and strategy, from the required n and from a prime near a third of
@@ -985,8 +1100,22 @@ def test_lattices_match_recorded_outputs():
         task = CbcTask(entry["space"], entry["goal"], L, plan=entry["plan"],
                        n=entry["n"], strategy=entry["strategy"],
                        mixed_switch_factor=recorded["mixed_switch_factor"])
-        r = cbc_construct(task)
-        c_table = None if r.c_table is None else sorted(
-            [list(k), c] for k, c in r.c_table.items())
-        assert {"n": r.n, "z": list(r.z), "c_table": c_table,
-                "stats": r.stats.to_dict()} == entry["result"], entry
+        assert _recorded_result(task) == entry["result"], entry
+
+
+def test_downward_closed_lattices_match_recorded_outputs():
+    # the same for plans A, B and C on a downward closed d=4 set, in the
+    # cosine and Chebyshev spaces, under every strategy, from the required
+    # n and from a prime near an eighth of it, with mixed switching at its
+    # threshold and at a tenth of it, with and without reduce_n, as the
+    # search on pairs of the set's sign orbits returned them
+    recorded = json.loads(RECORDED.read_text())["downward_closed"]
+    L = IndexSet([tuple(k) for k in recorded["base_set"]], domain="nonneg")
+    assert is_downward_closed(L)
+    assert len(recorded["tasks"]) == 144
+    for entry in recorded["tasks"]:
+        task = CbcTask(entry["space"], "reconstruction", L, plan=entry["plan"],
+                       n=entry["n"], strategy=entry["strategy"],
+                       mixed_switch_factor=entry["mixed_switch_factor"],
+                       reduce_n=entry["reduce_n"])
+        assert _recorded_result(task) == entry["result"], entry

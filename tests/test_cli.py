@@ -156,9 +156,13 @@ def test_verbose_reports_the_lattice_and_the_map_routes(tmp_path, capsys):
     assert run("cbc", "--space", "cosine", "--plan", "C", "-i", idx,
                "-o", lat, "-v") == 0
     lattice, _ = read_lattice(lat)
-    assert capsys.readouterr().err == (
+    # plan C on a downward-closed set steps over the 15 nonzero indices of
+    # L (+) M(L), plan B's auxiliary set
+    assert capsys.readouterr().err.splitlines() == [
+        "lattice_recon.cbc: cosine plan C: steps chain L (+) M(L) in the "
+        "fourier space, 15 rows at step 2",
         f"lattice_recon.cbc: cosine plan C: n={lattice.n} "
-        f"z={','.join(map(str, lattice.z))} after 0 restarts\n")
+        f"z={','.join(map(str, lattice.z))} after 0 restarts"]
     from lattice_recon.transform import cosine_values_from_coeffs
     values = tmp_path / "v.txt"
     write_values(cosine_values_from_coeffs(lattice, read_indexset(idx),
@@ -188,6 +192,8 @@ def test_verbose_reports_each_elimination_step(tmp_path, capsys):
                "--strategy", "elimination", "-i", idx, "-o", lat, "-v") == 0
     lattice, _ = read_lattice(lat)
     assert capsys.readouterr().err.splitlines() == [
+        "lattice_recon.cbc: cosine integration: steps chain L in the cosine "
+        "space, 3 rows at step 2",
         f"lattice_recon.cbc: step 2 at n={lattice.n}: 3 rows, 3 pairs, "
         "1 x 4 inverses",
         f"lattice_recon.cbc: cosine integration: n={lattice.n} "
