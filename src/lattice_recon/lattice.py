@@ -25,6 +25,11 @@ _INT32_LIMIT = 2**31
 # changes built at once by the orbit oracle, and residue comparisons made at
 # once by the plan-C oracle
 ORACLE_BLOCK = 1 << 14
+# points at which cubature and sampling evaluate a function at once: on the
+# recon-large-n lattice (n = 1,939,901, d = 4) sampling took 47 / 102 ms
+# (tent / cosine-of-tent points) in blocks of 16,384, 67 / 112 ms in blocks
+# of 65,536 and 96 / 136 ms in one block
+POINT_BLOCK = 1 << 14
 
 
 class TransformKind(str, Enum):
@@ -97,34 +102,41 @@ class Rank1Lattice:
             # cos(pi * tent(i z / n)) equals cos(2 pi i z / n)
             return np.cos((2.0 * np.pi / self.n) * res)
         if kind == TransformKind.TENT:
-            # integer folding: tent(r/n) = (n - |2r - n|) / n, so the
+            # integer folding: tent(r/n) = 2 min(r, n - r) / n, so the
             # symmetry between residues r and n - r is exact in floats
-            return (self.n - np.abs(2 * res - self.n)) / float(self.n)
+            return 2 * np.minimum(res, self.n - res) / float(self.n)
         return res / float(self.n)
 
     # -- cubature -------------------------------------------------------
 
-    def cubature(self, f, kind: TransformKind = TransformKind.IDENTITY,
-                 block: int = 65536):
-        """Equal-weight average (1/n) sum_i f(point_i).
+    def evaluate(self, f, kind: TransformKind, stop: int) -> np.ndarray:
+        """The vector of f at the points i < stop, written block by block:
+        ``f`` gets (m, d) arrays of at most POINT_BLOCK points and returns
+        m values."""
+        values = None
+        for lo in range(0, stop, POINT_BLOCK):
+            hi = min(lo + POINT_BLOCK, stop)
+            block = np.asarray(f(self.points(kind, lo, hi)))
+            if values is None:
+                values = np.empty(stop, dtype=block.dtype)
+            values[lo:hi] = block
+        return values
 
-        ``f`` is evaluated on (m, d) blocks of points and must return a
-        length-m vector.  The tent and cosine-of-tent points i and n - i
-        coincide, so for those kinds only the floor(n/2)+1 distinct points
-        are evaluated, with weights 1/n at the ends and 2/n in between.
+    def cubature(self, f, kind: TransformKind = TransformKind.IDENTITY):
+        """Equal-weight average (1/n) sum_i f(point_i), with ``f`` as in
+        :meth:`evaluate`.
+
+        The tent and cosine-of-tent points i and n - i coincide, so for
+        those kinds only the floor(n/2)+1 distinct points are evaluated,
+        with weights 1/n at the ends and 2/n in between.
         """
         kind = TransformKind(kind)
         n = self.n
-        stop = n if kind == TransformKind.IDENTITY else n // 2 + 1
-        total = 0.0
-        for lo in range(0, stop, block):
-            hi = min(lo + block, stop)
-            vals = np.asarray(f(self.points(kind, lo, hi)))
-            if kind != TransformKind.IDENTITY:
-                i = np.arange(lo, hi)
-                vals = np.where((i == 0) | (2 * i == n), 1.0, 2.0) * vals
-            total = total + np.sum(vals)
-        return total / n
+        if kind == TransformKind.IDENTITY:
+            return np.sum(self.evaluate(f, kind, n)) / n
+        values = self.evaluate(f, kind, n // 2 + 1)
+        ends = values[0] + (values[-1] if n % 2 == 0 else 0)
+        return (2 * np.sum(values) - ends) / n
 
     # -- exact integer checks (oracle grade) -----------------------------
 

@@ -20,12 +20,13 @@ Each map takes one of two routes to the slots it uses, by the rule of
   reads Re F, which is even in kappa, and synthesis returns the real part,
   which is even in i.  So it works on one slot of each (kappa, n - kappa)
   pair and on the m = n/2 + 1 points j <= n/2 only: the forward map adds
-  f_(n-j) onto f_j, synthesis mirrors.  With the points blocked as
-  j = a*B + b, B = ceil(sqrt(m)), each map is one real BLAS matrix product
-  of the blocked vector with a factor matrix of e^(+-2 pi i r/n) over
-  (b, slot), plus a weighting by a second factor matrix over (a, slot);
-  r is the exact integer residue.  Its cost is about m * slots
-  multiply-adds.
+  f_(n-j) onto f_j, synthesis mirrors.  With the points in centred blocks
+  j = a*W + b, -h <= b <= h, W = 2h + 1 about sqrt(m), the cosine of
+  (a*W + b) kappa splits into a part even and a part odd in b, so each map
+  is two real BLAS matrix products over 0 <= b <= h, with the cos and
+  with the sin factors over (b, slot), and a weighting by the cos and sin
+  factors over (a, slot), all of exact integer residues.  Its cost is
+  about m * slots / 2 multiply-adds per product.
 
 Fourier maps always take the FFT.
 """
@@ -79,15 +80,17 @@ def _direct_pays(what: str, n: int, slots: int, real: bool) -> bool:
     real spectra when slots <= 2 sqrt(n), never for complex ones.  The
     choice is logged with its inputs.
 
-    The direct route does about n/2 * slots multiply-adds in one real BLAS
-    matrix product, the FFT O(n log n) work at a much larger constant (at a
-    prime n, pocketfft's Bluestein convolution runs FFTs of a smooth length
-    of at least 2n - 1).  Measured on real spectra with BLAS at one thread,
-    at slots = 2 sqrt(n) the direct route takes 0.26 / 1.1 / 3.7 / 14 /
-    230 ms against the FFT's 0.20 / 1.7 / 7.5 / 42 / 820 ms at prime n of
-    about 2e3 / 8.6e3 / 5e4 / 2e5 / 1.9e6; at twice as many slots the FFT
-    wins below n = 5e4.  The bound also keeps both factor matrices, about
-    sqrt(n) x slots entries each, linear in n.  Complex (Fourier) spectra
+    The direct route does about n/4 * slots multiply-adds in each of two
+    real BLAS matrix products, the FFT O(n log n) work at a much larger
+    constant (at a prime n, pocketfft's Bluestein convolution runs FFTs of
+    a smooth length of at least 2n - 1).  Measured on real spectra with
+    BLAS at one thread (whole synthesis, medians of interleaved runs), at
+    slots = 2 sqrt(n) the direct route takes 0.27 / 0.78 / 2.3 / 11 /
+    190 ms against the FFT's 0.27 / 1.8 / 7.6 / 43 / 730 ms at prime n of
+    about 2e3 / 8.6e3 / 5e4 / 2e5 / 1.9e6; at twice as many slots it still
+    wins from n = 8.6e3 up, at four times as many the FFT wins or draws
+    level.  The bound also keeps the factor matrices, about sqrt(n) x slots
+    entries each, linear in n.  Complex (Fourier) spectra
     would need all n points and a complex product, about four times the
     work per slot, and are not measured against the FFT, so they keep it.
     """
@@ -99,64 +102,87 @@ def _direct_pays(what: str, n: int, slots: int, real: bool) -> bool:
 
 
 def _split(m: int) -> tuple[int, int]:
-    """Rows A and width B, B = ceil(sqrt(m)), of the blocks j = a*B + b
-    that cover the points 0 <= j < m."""
-    width = math.isqrt(m - 1) + 1
-    return -(-m // width), width
+    """Rows A and half-width h of the centred blocks j = a*W + b with
+    -h <= b <= h and W = 2h + 1 about sqrt(m), that cover the points
+    0 <= j < m; block 0 starts at j = -h."""
+    half = math.isqrt(m) // 2
+    return -(-(m + half) // (2 * half + 1)), half
 
 
-def _twiddles(count: int, step: int, slots: np.ndarray, n: int,
-              sign: int) -> np.ndarray:
-    """e^(sign 2 pi i r / n) for r = k * step * kappa mod n, one row per
-    k < count and one column per kappa in ``slots``.
+def _twiddles(count: int, step: int, slots: np.ndarray,
+              n: int) -> np.ndarray:
+    """e^(2 pi i r / n) for r = k * step * kappa mod n, one row per k < count
+    and one column per kappa in ``slots``: cos in the real part, sin in the
+    imaginary part.
 
-    With k blocked as k1 * W + k2 (:func:`_split`), each entry is the
+    With k blocked as k1 * W + k2, W = ceil(sqrt(count)), each entry is the
     product of two entries of small tables, for k1 * W * step and for
     k2 * step, so only about 2 sqrt(count) rows take complex exponentials:
-    on recon-large-n an operation takes 0.39-0.41 s, against 0.58-0.60 s
+    on recon-large-n an operation took 0.39-0.41 s, against 0.58-0.60 s
     with one exponential per entry.  The angles come from exact int64
     residues: offsets and slots are below n < 2^31, so the products stay
     below 2^62.
     """
-    height, width = _split(count)
-    angle = sign * 2j * np.pi / n
+    width = math.isqrt(count - 1) + 1
+    angle = 2j * np.pi / n
 
     def table(offsets):
         return np.exp(angle * (np.multiply.outer(offsets, slots) % n))
 
+    height = -(-count // width)
     coarse = table(np.arange(height, dtype=np.int64) * (width * step))
     fine = table(np.arange(width, dtype=np.int64) * step)
     product = coarse[:, None, :] * fine[None, :, :]
     return product.reshape(height * width, slots.size)[:count]
 
 
-def _spectrum_direct(x: np.ndarray, slots: np.ndarray, n: int) -> np.ndarray:
-    """Re (1/n) sum_j x_j e^(-2 pi i j kappa / n) over the points j < len(x)
-    of the real vector x, at every kappa in ``slots``: one real matrix
-    product of the blocked x with the interleaved parts of the (b, slot)
-    factors sums each block row over b, then a sum over a weighted by the
-    (a, slot) factors."""
-    m = x.shape[0]
-    height, width = _split(m)
-    blocks = np.zeros(height * width)
-    blocks[:m] = x
-    inner = (blocks.reshape(height, width)
-             @ _twiddles(width, 1, slots, n, -1).view(np.float64))
-    left = _twiddles(height, width, slots, n, -1)
-    return np.einsum("as,as->s", left, inner.view(np.complex128)).real / n
+def _spectrum_direct(values: np.ndarray, slots: np.ndarray,
+                     n: int) -> np.ndarray:
+    """Re (1/n) sum_j f_j e^(-2 pi i j kappa / n) of the real length-n
+    vector f at every kappa in ``slots``.
+
+    That is the sum of x_j cos(2 pi j kappa / n) over the m = n/2 + 1
+    points j <= n/2, x_j = f_j + f_(n-j) (f_j alone at j = 0 and n/2),
+    taken in the centred blocks x[a, b] = x_(a*W + b) of :func:`_split`,
+    zero at j < 0.  With theta and phi the angles of a*W*kappa and
+    b*kappa, cos(theta + phi) = cos theta cos phi - sin theta sin phi, and
+    cos phi is even, sin phi odd in b: two real matrix products, of the
+    even fold x[a, b] + x[a, -b] with cos phi and of the odd fold
+    x[a, b] - x[a, -b] with sin phi over 0 <= b <= h, sum the block rows,
+    then a sum over a weighted by cos theta and sin theta."""
+    m = n // 2 + 1
+    height, half = _split(m)
+    blocks = np.zeros(height * (2 * half + 1))
+    blocks[half:half + m] = values[:m]
+    blocks[half + 1:half + (n + 1) // 2] += values[n - 1:n // 2:-1]
+    blocks = blocks.reshape(height, 2 * half + 1)
+    minus = blocks[:, :half][:, ::-1]
+    even = blocks[:, half:].copy()
+    even[:, 1:] += minus
+    left = _twiddles(height, 2 * half + 1, slots, n)
+    right = _twiddles(half + 1, 1, slots, n)
+    return (np.einsum("as,as->s", left.real, even @ right.real)
+            - np.einsum("as,as->s", left.imag,
+                        (blocks[:, half + 1:] - minus) @ right.imag[1:])) / n
 
 
 def _values_direct(amps: np.ndarray, slots: np.ndarray, n: int,
                    m: int) -> np.ndarray:
     """Re sum_kappa amps_kappa e^(+2 pi i j kappa / n) at the points j < m
-    for real ``amps``: one real matrix product of the (a, slot) factors
-    scaled by ``amps`` with the (b, slot) factors."""
-    height, width = _split(m)
-    left = amps * _twiddles(height, width, slots, n, 1)
-    right = _twiddles(width, 1, slots, n, 1)
-    # Re(P Q^T) = [Re P, -Im P] [Re Q, Im Q]^T on interleaved parts
-    out = np.conj(left).view(np.float64) @ right.view(np.float64).T
-    return out.ravel()[:m]
+    for real ``amps``, in the centred blocks of :func:`_split`: x[a, +-b] =
+    C[a, b] -+ S[a, b] for the two real matrix products
+    C = (amps cos theta) cos phi^T and S = (amps sin theta) sin phi^T over
+    0 <= b <= h (see :func:`_spectrum_direct`)."""
+    height, half = _split(m)
+    left = _twiddles(height, 2 * half + 1, slots, n)
+    right = _twiddles(half + 1, 1, slots, n)
+    even = (amps * left.real) @ right.real.T
+    odd = (amps * left.imag) @ right.imag[1:].T
+    blocks = np.empty((height, 2 * half + 1))
+    blocks[:, half:] = even
+    blocks[:, half + 1:] -= odd
+    blocks[:, :half] = (even[:, 1:] + odd)[:, ::-1]
+    return blocks.ravel()[half:half + m]
 
 
 def _mirror(head: np.ndarray, n: int) -> np.ndarray:
@@ -178,10 +204,7 @@ def _spectrum_at(values: np.ndarray, slots: np.ndarray, n: int,
     if not _direct_pays("forward map", n, distinct.size, real):
         spectrum = dft(values, "forward")
         return (spectrum.real if real else spectrum)[slots]
-    # Re F_kappa sums (f_j + f_(n-j)) cos(2 pi j kappa / n) over j <= n/2
-    head = values[:n // 2 + 1].copy()
-    head[1:(n + 1) // 2] += values[n - 1:n // 2:-1]
-    return _spectrum_direct(head, distinct, n)[where]
+    return _spectrum_direct(values, distinct, n)[where]
 
 
 def _values_at_points(amps: np.ndarray, slots: np.ndarray, n: int,
@@ -245,7 +268,8 @@ class CoefficientTable:
 # sampling
 
 def sample_values(f, lattice: Rank1Lattice, kind: TransformKind) -> np.ndarray:
-    """Length-n value vector of f at the transformed lattice points.
+    """Length-n value vector of f at the transformed lattice points, which
+    :meth:`Rank1Lattice.evaluate` hands to f block by block.
 
     For the tent and cosine-of-tent points only floor(n/2)+1 evaluations
     are made; the remaining slots are mirrored (f_{n-i} = f_i).
@@ -253,8 +277,8 @@ def sample_values(f, lattice: Rank1Lattice, kind: TransformKind) -> np.ndarray:
     kind = TransformKind(kind)
     n = lattice.n
     if kind == TransformKind.IDENTITY:
-        return np.asarray(f(lattice.points(kind)))
-    return _mirror(np.asarray(f(lattice.points(kind, 0, n // 2 + 1))), n)
+        return lattice.evaluate(f, kind, n)
+    return _mirror(lattice.evaluate(f, kind, n // 2 + 1), n)
 
 
 def _coeff_vector(L: IndexSet, coeffs, dtype) -> np.ndarray:

@@ -27,6 +27,21 @@ def test_points_block_and_iterator_agree():
     assert np.array_equal(full, blocks)
 
 
+@settings(max_examples=100, deadline=None, database=None)
+@given(half=st.integers(1, 2**30 - 1), odd=st.booleans(), data=st.data())
+def test_tent_points_equal_the_absolute_value_fold(half, odd, data):
+    # 2 min(r, n - r) is the integer n - |2r - n|, so both folds give the
+    # same floats, at even and odd n
+    n = 2 * half + odd
+    z = data.draw(st.lists(st.integers(1, n - 1), min_size=1, max_size=5))
+    lat = Rank1Lattice(n, z)
+    start = data.draw(st.integers(0, n - 1))
+    stop = min(n, start + 200)
+    res = lat.residue_matrix(start, stop)
+    assert np.array_equal(lat.points(TransformKind.TENT, start, stop),
+                          (n - np.abs(2 * res - n)) / float(n))
+
+
 def test_tent_symmetry_is_exact():
     for n, z in ((12, (1, 5)), (31, (1, 7, 11)), (100, (3, 17))):
         lat = Rank1Lattice(n, z)
@@ -259,14 +274,15 @@ def test_lattice_file_roundtrip(tmp_path):
     assert back == lat and c_table is None
 
 
-def test_cubature_block_size_invariance(rng):
+def test_cubature_block_size_invariance(monkeypatch):
     lat = Rank1Lattice(37, (1, 9))
 
     def f(x):
         return np.cos(x[:, 0]) + x[:, 1] ** 2
 
     for kind in TransformKind:
-        reference = lat.cubature(f, kind, block=10**6)
+        monkeypatch.setattr(lattice_module, "POINT_BLOCK", 10**6)
+        reference = lat.cubature(f, kind)
         for block in (1, 3, 7, 36, 37, 38):
-            assert abs(lat.cubature(f, kind, block=block)
-                       - reference) < 1e-14
+            monkeypatch.setattr(lattice_module, "POINT_BLOCK", block)
+            assert abs(lat.cubature(f, kind) - reference) < 1e-14

@@ -10,12 +10,14 @@ from lattice_recon import (AliasingDetected, CbcTask, CoefficientTable,
                            TransformKind, cbc_construct, coeffs_from_values,
                            dft, fourier_coeffs_from_values,
                            fourier_values_from_coeffs, read_coefficients,
-                           read_values, sample_values, values_from_coeffs,
-                           verify_plan_b, verify_plan_c, write_coefficients,
-                           write_values, zero_count)
+                           read_values, sample_values, smooth_function,
+                           values_from_coeffs, verify_plan_b,
+                           verify_plan_c, write_coefficients, write_values,
+                           zero_count)
 import lattice_recon.cbc as cbc_module
 import lattice_recon.indexset as indexset_module
 import lattice_recon.kernels as kernels_module
+import lattice_recon.lattice as lattice_module
 import lattice_recon.transform as transform_module
 from lattice_recon.transform import (chebyshev_coeffs_from_values,
                                      chebyshev_values_from_coeffs,
@@ -495,34 +497,111 @@ def test_large_n_roundtrip_relaxed_tolerance(rng):
 
 
 # ---------------------------------------------------------------------------
+# sampling in blocks of points
+
+@pytest.mark.parametrize("kind", list(TransformKind))
+@pytest.mark.parametrize("offset", (-1, 0, 1))
+def test_sample_values_in_blocks_equal_one_evaluation(kind, offset,
+                                                     monkeypatch):
+    # the points evaluated (all n for identity points, the n//2 + 1 up to
+    # n/2 otherwise, at odd and even n) number one below, at and one above
+    # three blocks; the values equal one call of f on all those points, bit
+    # for bit, and f never sees more rows than a block
+    block = 64
+    monkeypatch.setattr(lattice_module, "POINT_BLOCK", block)
+    count = 3 * block + offset
+    if kind == TransformKind.IDENTITY:
+        lengths = (count,)
+
+        def f(x):
+            return np.exp(2j * np.pi * (x @ [1.0, 3.0, -2.0]))
+    else:
+        lengths = (2 * count - 2, 2 * count - 1)
+        f = smooth_function("cosine" if kind == TransformKind.TENT
+                            else "chebyshev", 3)
+    for n in lengths:
+        lat = Rank1Lattice(n, (1, 17, 40))
+        rows = []
+        got = sample_values(lambda x: rows.append(len(x)) or f(x), lat, kind)
+        assert sum(rows) == count and max(rows) <= block
+        if kind == TransformKind.IDENTITY:
+            want = f(lat.points(kind))
+            assert got.dtype == np.complex128
+        else:
+            i = np.arange(n)
+            want = f(lat.points(kind, 0, count))[np.minimum(i, n - i)]
+        assert np.array_equal(got, want)
+
+
+# ---------------------------------------------------------------------------
 # the blocked direct DFT against the FFT
 
-@settings(max_examples=60, deadline=None, database=None)
-@given(n=st.one_of(st.sampled_from((2, 3, 4, 97, 128, 1009, 1024, 2310)),
-                   st.integers(2, 3000)),
-       seed=st.integers(0, 2**32 - 1), data=st.data())
-def test_direct_dft_matches_the_fft(n, seed, data):
-    # both directions at the slots a map uses, repeats included: Re F for
-    # real values (not symmetric ones only) and the real part of the
-    # synthesis for real amplitudes, as the cosine maps read them
-    rng = np.random.default_rng(seed)
-    count = data.draw(st.integers(0, 2 * math.isqrt(n) + 2))
-    slots = rng.integers(0, n, size=count)
-    values = rng.standard_normal(n)
-    amps = rng.standard_normal(count)
-    want_forward = dft(values, "forward").real[slots]
+def _block_edge_lengths(limit=3000):
+    # the n whose m = n//2 + 1 points fill their last centred block: m + h
+    # is a multiple of W = 2h + 1, so no zero pads the end
+    edges = []
+    for n in range(1, limit + 1):
+        height, half = transform_module._split(n // 2 + 1)
+        if height * (2 * half + 1) == n // 2 + 1 + half:
+            edges.append(n)
+    return edges
+
+
+def _direct_and_fft(values, amps, slots, n):
+    # both maps through the blocked direct DFT (a spy sees no FFT call),
+    # and the FFT route's Re F at the slots and real part of the synthesis
     grid = np.zeros(n)
     np.add.at(grid, slots, amps)
-    want_values = dft(grid, "inverse").real
+    want = (dft(values, "forward").real[slots], dft(grid, "inverse").real)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(transform_module, "_direct_pays", lambda *args: True)
         mp.setattr(transform_module, "dft", None)  # the FFT is not called
-        got_forward = transform_module._spectrum_at(values, slots, n, True)
-        got_values = transform_module._values_at_points(amps, slots, n, True)
-    assert got_forward.shape == want_forward.shape
-    assert np.max(np.abs(got_forward - want_forward), initial=0) < 1e-12
-    assert got_values.shape == (n,) and np.isrealobj(got_values)
-    assert np.max(np.abs(got_values - want_values)) < 1e-12
+        got = (transform_module._spectrum_at(values, slots, n, True),
+               transform_module._values_at_points(amps, slots, n, True))
+    assert got[0].shape == want[0].shape
+    assert got[1].shape == (n,) and np.isrealobj(got[1])
+    return got, want
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(n=st.one_of(st.sampled_from((1, 2, 3, 4, 5, 97, 128, 1009, 1024,
+                                    2310)),
+                   st.sampled_from(_block_edge_lengths()),
+                   st.integers(1, 3000)),
+       seed=st.integers(0, 2**32 - 1), edges=st.booleans(), data=st.data())
+def test_direct_dft_matches_the_fft(n, seed, edges, data):
+    # both directions at the slots a map uses, repeats included: Re F for
+    # real values (not symmetric ones only) and the real part of the
+    # synthesis for real amplitudes, as the cosine maps read them.  n = 1
+    # to 5 give m = 1 to 3 points in blocks of one point (h = 0); the
+    # block edge lengths end on a full block; ``edges`` adds slot 0 and
+    # the slots next to n/2 (n/2 itself at even n)
+    rng = np.random.default_rng(seed)
+    count = data.draw(st.integers(0, 2 * math.isqrt(n) + 2))
+    slots = rng.integers(0, n, size=count)
+    if edges:
+        slots = np.concatenate((slots, [0, n // 2, (n + 1) // 2 % n]))
+    values = rng.standard_normal(n)
+    amps = rng.standard_normal(slots.size)
+    got, want = _direct_and_fft(values, amps, slots, n)
+    assert np.max(np.abs(got[0] - want[0]), initial=0) < 1e-12
+    assert np.max(np.abs(got[1] - want[1])) < 1e-12
+
+
+def test_direct_dft_matches_the_fft_at_a_large_prime(rng):
+    # n = 200,003 at 2 sqrt(n) = 894 distinct slot pairs, the most the
+    # rule sends direct, over 316 centred blocks of W = 317 points.  The
+    # errors of both routes grow with the sums they take, so the bounds
+    # scale with the 1-norm of the values and of the amplitudes
+    n = 200_003
+    pairs = rng.choice(n // 2 + 1, size=2 * math.isqrt(n), replace=False)
+    slots = np.where(rng.random(pairs.size) < 0.5, pairs, (n - pairs) % n)
+    values = rng.standard_normal(n)
+    amps = rng.standard_normal(slots.size)
+    got, want = _direct_and_fft(values, amps, slots, n)
+    tol = 16 * np.finfo(np.float64).eps
+    assert np.max(np.abs(got[0] - want[0])) < tol * np.abs(values).sum() / n
+    assert np.max(np.abs(got[1] - want[1])) < tol * np.abs(amps).sum()
 
 
 def test_direct_pays_rule():
