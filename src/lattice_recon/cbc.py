@@ -1,12 +1,13 @@
 """Component-by-component construction of lattice generating vectors.
 
-Covers the generic nonzero-residue condition (integration in all spaces,
-Fourier reconstruction, plans A and B for the cosine/Chebyshev spaces) and
-the self-aliasing condition of plan C.  Plans A and B are the nonzero
-condition on their auxiliary sets, M(L) (+) M(L) and L (+) M(L), and so is
-plan C on a downward-closed L at odd n, where it equals plan B; their
-steps walk the rows of that set instead of pairing sign orbits of L
-(:func:`_condition`).  Fourier reconstruction and plan C on other sets
+Covers the nonzero-residue condition of integration in all spaces, the
+distinct-residue condition of Fourier reconstruction and the self-aliasing
+condition of plan C.  Plans A and B for the cosine/Chebyshev spaces are the
+nonzero condition on an auxiliary set, |L (+) M(L)| in their own space
+and L (+) M(L) in the Fourier space, at every component size, and so is
+plan C on a downward-closed L at odd n, where it equals plan B
+(:func:`_condition`).  Their steps walk the rows of that set instead of
+pairing sign orbits of L; Fourier reconstruction and plan C on other sets
 pair the rows of L or M(L).  Three search strategies:
 
 * ``brute_force`` takes at each step the first candidate, counted
@@ -35,6 +36,7 @@ checks of :class:`lattice_recon.lattice.Rank1Lattice` before it is returned.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable
@@ -42,8 +44,8 @@ from typing import Callable
 import numpy as np
 
 from . import kernels
-from .indexset import (IndexSet, difference_set, is_downward_closed,
-                       mirrored, negated, sum_set)
+from .indexset import (DOMAIN_NONNEG, IndexSet, difference_set,
+                       is_downward_closed, mirrored, negated, sum_set)
 from .lattice import _INT32_LIMIT, Rank1Lattice
 
 SPACES = ("fourier", "cosine", "chebyshev")
@@ -140,9 +142,10 @@ class CbcTask:
             raise InvalidTask(f"unknown strategy {self.strategy!r}")
         if len(self.base_set) == 0:
             raise InvalidTask("base set is empty")
+        if self.base_set.max_abs() >= _INT32_LIMIT:
+            raise InvalidTask("index components must fit in 32 bits")
         nonperiodic = self.space in ("cosine", "chebyshev")
-        if nonperiodic and self.base_set.as_array().size \
-                and self.base_set.as_array().min() < 0:
+        if nonperiodic and self.base_set.as_array().min() < 0:
             raise InvalidTask(f"{self.space} space needs indices in N_0^d")
         wants_plan = nonperiodic and self.goal == "reconstruction"
         if wants_plan:
@@ -155,13 +158,16 @@ class CbcTask:
         if self.n:
             if self.n < 2:
                 raise InvalidTask("n must be at least 2")
+            if self.n >= _INT32_LIMIT:
+                raise InvalidTask("n must fit in 32 bits")
             if self.strategy != "brute_force" and not is_prime(self.n):
                 raise InvalidTask("composite n is only accepted with the "
                                   "brute-force strategy")
         if self.retry_limit < 1:
             raise InvalidTask("retry limit must be positive")
-        if self.mixed_switch_factor < 0:
-            raise InvalidTask("mixed switch factor must be nonnegative")
+        if not 0 <= self.mixed_switch_factor < math.inf:  # also NaN
+            raise InvalidTask("mixed switch factor must be finite and "
+                              "nonnegative")
 
 
 # ---------------------------------------------------------------------------
@@ -192,10 +198,12 @@ def _step_chain(space: str, L: IndexSet, half: bool = False):
     flips the first nonzero component, so these are the first half of the
     orbit of every nonzero k, and a nonzero k_s doubles that half only
     when k[:s-1] is nonzero too.
+
+    Components of any int64 size are exact, since the steps reduce them mod
+    n before any product; outside input is held to 32 bits where it enters
+    (:class:`CbcTask`, :func:`slot_residues`).
     """
     arr = L.as_array()
-    if np.abs(arr).max(initial=0) >= _INT32_LIMIT:
-        raise ValueError("index components must fit in 32 bits")
     orbits = space != "fourier"
     first = np.zeros(len(L), dtype=bool)
     first[:1] = True  # one run of 0-prefixes, none in an empty set
@@ -252,6 +260,8 @@ def slot_residues(space: str, L: IndexSet, z, n: int):
     if len(z) != L.dimension:
         raise ValueError(f"lattice dimension {len(z)} differs from index "
                          f"set dimension {L.dimension}")
+    if L.max_abs() >= _INT32_LIMIT:
+        raise ValueError("index components must fit in 32 bits")
     n = int(n)
     full = np.zeros(1, dtype=np.int64)
     for zs, (parent, codes, values, groups) in zip(z, _step_chain(space, L)):
@@ -370,14 +380,20 @@ def _condition(task: CbcTask) -> _Condition:
     h of M(L) (-) M(L) = M(L) (+) M(L); plan B asks k.z != h.z for k in L
     and h in M(L) with h != k, that is h.z != 0 for the nonzero h of
     L (-) M(L) = L (+) M(L).  Projection commutes with both sums, so at
-    every step and every n the chain of A accepts the candidates that the
-    step check on L accepts.  On a downward-closed L, M(L) (+) M(L) =
-    M(L (+) L): a sign change of a sum is the sum of the sign changes, and
-    |+-a +- b| is a + b or |a - b| componentwise, so every such sum is a
-    sign change of u + v with u <= k, v <= k' componentwise, both in L.
-    So plan A there is cosine/Chebyshev integration on L (+) L, with its
+    every step and every n the chain of the auxiliary set accepts the
+    candidates that the step check on L accepts.
+
+    M(L) (+) M(L) = M(B) with B = |L (+) M(L)|, the componentwise absolute
+    values: for a, b in L and sign vectors sigma, tau, sigma a + tau b =
+    sigma (a + sigma tau b), a sign change of a + sigma tau b in L (+) M(L),
+    and conversely a sign change sigma (a + tau b) of an element of
+    L (+) M(L) is sigma a + sigma tau b in M(L) (+) M(L).  M(S) = M(|S|)
+    for any S.  So plan A is cosine/Chebyshev integration on B, with its
     half chain, its count bound and its orbit oracle, and M(L) (+) M(L) is
-    never built; on other sets A is M(L) (+) M(L) in the Fourier chain.
+    never built.  On a downward-closed L, B = L (+) L: componentwise
+    |a + sigma b| is a + b or |a - b|, and |a - b| = u + v with u <= a and
+    v <= b componentwise (u the positive part of a - b, v of b - a), both
+    in L.
 
     Plan C on a downward-closed L at odd n accepts exactly plan B's
     lattices, with every c_k = 1, so it walks plan B's chain at its own
@@ -390,8 +406,9 @@ def _condition(task: CbcTask) -> _Condition:
     That index lies in the downward-closed L and differs from k, which
     plan C forbids.  So under plan C no index aliases itself, which is
     plan B.  The same holds for every projection L_s, which is downward
-    closed too, and so at every step.  The chains of A hold components up
-    to 2 max(L), so they are taken only while that fits in 32 bits.
+    closed too, and so at every step.  The auxiliary sets hold components
+    up to 2 max(L) < 2^32, which the chains take exactly
+    (:func:`_step_chain`).
     """
     L = task.base_set
     two_max = 2 * L.max_abs()
@@ -416,11 +433,13 @@ def _condition(task: CbcTask) -> _Condition:
         # Fourier reconstruction stays on pairs of L
         A = difference_set(L)
         return own(max((len(A) + 1) // 2, two_max), oracle=_dual_oracle(A))
-    # the chains of auxiliary sets hold components up to 2 max(L)
-    on_aux = two_max < _INT32_LIMIT
-    downward = on_aux and task.plan != "B" and is_downward_closed(L)
     aux = partial(_Condition, kernels.COND_NONZERO, verify=verify,
-                  space="fourier")
+                  space="fourier", chain="L (+) M(L)")
+    if task.plan == "B":
+        A = sum_set(L, mirrored(L))
+        return aux(max(len(A), two_max), oracle=_dual_oracle(A),
+                   rows=lambda: A)
+    downward = is_downward_closed(L)
     if task.plan == "C":
         # sign orbits of distinct nonnegative indices are disjoint, so
         # |M(L)| is the sum of 2^|k|_0 over L
@@ -430,27 +449,15 @@ def _condition(task: CbcTask) -> _Condition:
         # which is odd unless the bound is 1, and escalates through odd
         # primes
         if downward and (task.n % 2 if task.n else bound > 1):
-            return aux(bound, oracle=oracle, chain="L (+) M(L)",
-                       rows=lambda: sum_set(L, mirrored(L)), odd_n=True)
+            return aux(bound, oracle=oracle, odd_n=True,
+                       rows=lambda: sum_set(L, mirrored(L)))
         return own(bound, oracle=oracle)
-    if downward:
-        # plan A: |M(L) (+) M(L)| is |M(L (+) L)|, which is centrally
-        # symmetric
-        A = sum_set(L, L)
-        return aux(max((A.sum_two_pow() + 1) // 2, two_max),
-                   oracle=lambda lattice: (lattice.orbit_dual_check(A), None),
-                   chain="L (+) L", space=task.space, rows=lambda: A)
-    M = mirrored(L)
-    if task.plan == "B":
-        A, chain = sum_set(L, M), "L (+) M(L)"
-        bound = len(A)
-    else:
-        A, chain = sum_set(M, M), "M(L) (+) M(L)"
-        bound = (len(A) + 1) // 2
-    bound = max(bound, two_max)
-    if not on_aux:
-        return own(bound, oracle=_dual_oracle(A))
-    return aux(bound, oracle=_dual_oracle(A), chain=chain, rows=lambda: A)
+    B = sum_set(L, L) if downward else IndexSet(
+        np.abs(sum_set(L, mirrored(L)).as_array()), domain=DOMAIN_NONNEG)
+    # |M(B)| is the sum of 2^|k|_0 over B, and M(B) is centrally symmetric
+    return aux(max((B.sum_two_pow() + 1) // 2, two_max),
+               oracle=lambda lattice: (lattice.orbit_dual_check(B), None),
+               chain="|L (+) M(L)|", space=task.space, rows=lambda: B)
 
 
 def required_n(task: CbcTask) -> int:
@@ -461,8 +468,8 @@ def required_n(task: CbcTask) -> int:
     Fourier reconstruction n > (|L (-) L| + 1) / 2 and n > 2 max(L);
     plan A  n > (|M (+) M| + 1) / 2, plan B  n > |L (+) M|,
     plan C  n > |L| |M|, each together with n > 2 max(L).
-    On a downward-closed L, |M (+) M| is |M(L (+) L)|, the sum of
-    2^|k|_0 over L (+) L, and M (+) M is not built.
+    |M (+) M| is |M(B)| with B = |L (+) M|, the sum of 2^|k|_0 over B
+    (B = L (+) L on a downward-closed L), and M (+) M is not built.
     """
     return next_prime(_condition(task).bound)
 
@@ -512,11 +519,12 @@ class _StepFailed(Exception):
         self.reason = reason
 
 
-def _orbit_counts(L: IndexSet) -> list:
-    """|M(L_s)| for s = 1..d: the rows the step check of the projection L_s
-    reads in the cosine and Chebyshev spaces.  L's rows are in
-    lexicographic order, so the first row of every run of equal s-prefixes
-    stands for an index of L_s, and its sign orbit has 2^|k_s|_0 rows."""
+def _step_counts(space: str, L: IndexSet) -> list:
+    """The rows of every projection L_s in ``space`` for s = 1..d, |L_s|
+    for Fourier and |M(L_s)| otherwise: the mixed switch thresholds.  L's
+    rows are in lexicographic order, so the first row of every run of equal
+    s-prefixes stands for an index of L_s, and its sign orbit has
+    2^|k_s|_0 rows."""
     arr = L.as_array()
     first = np.zeros(len(L), dtype=bool)
     first[:1] = True
@@ -524,7 +532,8 @@ def _orbit_counts(L: IndexSet) -> list:
     counts = []
     for s in range(L.dimension):
         first[1:] |= arr[1:, s] != arr[:-1, s]
-        weight <<= arr[:, s] != 0
+        if space != "fourier":
+            weight <<= arr[:, s] != 0
         counts.append(int(weight[first].sum()))
     return counts
 
@@ -541,24 +550,25 @@ class _Builder:
     each pair +-r of M(A_s) = -M(A_s), the one whose first nonzero
     component is positive (``half`` of :func:`_step_chain`): r and -r have
     residues 0 together, and as elimination pairs with the zero row they
-    mark the same candidate.  No row is stored: a step-s row is a
-    step-(s-1) row, its parent, extended by one component
-    (:func:`_step_chain`), so per step the builder keeps ``codes[s]`` into
-    ``values[s]``, the signed s-th components, ``parent[s]``, each row's
-    parent index among the step-(s-1) rows, and the groups (none under the
-    nonzero condition, whose check reads none).  The residues of step s
+    mark the same candidate.  Plans A and B always walk their auxiliary
+    sets, so the steps meet the nonzero, the distinct and the plan-C
+    condition only.  No row is stored: a step-s row is a step-(s-1) row,
+    its parent, extended by one component (:func:`_step_chain`), so per
+    step the builder keeps ``codes[s]`` into ``values[s]``, the signed
+    s-th components, ``parent[s]``, each row's parent index among the
+    step-(s-1) rows, and the groups (none under the nonzero condition,
+    whose check reads none).  The residues of step s
     are those of the parents plus values[codes] * z_s mod n
     (:func:`_carry`), and the parent index one past the step-(s-1) rows is
     the zero row of residue 0: the empty prefix of step 1, and under the
     nonzero condition the zero row the steps drop.  Elimination pairs lead
     rows with every row, two leads only once: the zero row under the
     nonzero condition, every row for the distinct condition of Fourier
-    reconstruction, and the orbit leads for plan C off its auxiliary set,
-    which keys the rows by orbit and pairs no two rows of one orbit.
-    ``pairs`` counts the pairs, which price one elimination for the
-    brute-force probe.  The mixed switch thresholds count the rows of L_s
-    in the task's space whatever the chain (:func:`_orbit_counts` for the
-    auxiliary sets of plans A, B and C).
+    reconstruction, and the orbit leads for plan C, which keys the rows by
+    orbit and pairs no two rows of one orbit.  ``pairs`` counts the pairs,
+    which price one elimination for the brute-force probe.  The mixed
+    switch thresholds count the rows of L_s in the task's space whatever
+    the chain (:func:`_step_counts`).
     """
 
     def __init__(self, task: CbcTask, condition: _Condition):
@@ -568,10 +578,7 @@ class _Builder:
         L = task.base_set
         self.d = L.dimension
         self.two_max = 2 * L.max_abs()
-        # brute-force switching thresholds |L_s| or |M(L_s)|: counted along
-        # the chain when it walks L, else off L's rows
-        on_L = condition.chain == "L"
-        self.thresholds = [None] + ([] if on_L else _orbit_counts(L))
+        self.thresholds = [None] + _step_counts(task.space, L)
         self.parent = [None]
         self.codes = [None]
         self.values = [None]
@@ -587,7 +594,6 @@ class _Builder:
         renumber, zero = np.zeros(1, dtype=np.int64), 0
         for parent, codes, values, groups in _step_chain(
                 condition.space, condition.rows(), half):
-            raw = codes.shape[0]
             if code == kernels.COND_NONZERO:
                 parent = renumber[parent]
                 nonzero = (parent != zero) | (values != 0)[codes]
@@ -596,9 +602,6 @@ class _Builder:
                 renumber = np.cumsum(nonzero) - 1
                 renumber[~nonzero] = zero
             R = codes.shape[0]
-            if on_L:
-                # the half chain keeps the zero row and one row of each +-r
-                self.thresholds.append(raw + R if half else raw)
             leads = lead_keys = keys = row_leads = None
             if code == kernels.COND_NONZERO:
                 pairs = R  # one zero lead, which is no step row
@@ -611,10 +614,10 @@ class _Builder:
                     keys = np.repeat(lead_keys, np.diff(groups))
                 row_leads = np.full(R, G, dtype=np.int64)
                 row_leads[leads] = np.arange(G)
-                # each pair of leads once, each lead with the other rows
-                # of another orbit under plan C
-                pairs = G * (G - 1) // 2 + (
-                    G - 1 if code == kernels.COND_PLAN_C else G) * (R - G)
+                # each pair of leads once, and under plan C each lead with
+                # the other rows of another orbit; every row leads under
+                # the distinct condition, where R = G
+                pairs = G * (G - 1) // 2 + (G - 1) * (R - G)
             self.parent.append(parent)
             self.codes.append(codes)
             self.values.append(values)

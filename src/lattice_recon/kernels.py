@@ -1,8 +1,8 @@
 """Hot integer kernels behind the CBC search and the residue verifiers.
 
 Each kernel has one vectorized numpy implementation.  All residue
-arithmetic is exact 64-bit integer arithmetic with per-term reduction mod n,
-valid as long as every |h_j|, z_j and n fits in 32 bits.
+arithmetic is exact 64-bit integer arithmetic: index components are reduced
+mod n first, so only z and n must fit in 32 bits.
 
 Condition codes of :func:`check_condition`, shared by the candidate search
 and the step checks of the construction:
@@ -12,13 +12,14 @@ code  condition on the residues of the prepared rows
 ====  =========================================================
 0     all residues nonzero                 (integral exactness)
 1     all residues pairwise distinct       (Fourier / plan A)
-2     two-bit-string check per sign group  (plan B)
+2     plan C with every c_k = 1            (plan B)
 3     self-aliasing allowed per group      (plan C)
 ====  =========================================================
 
-The one elimination kernel, :func:`mark_bad_pairs`, serves all four codes:
-they differ only in which rows lead the pairs and, for plan C, which keys
-a pair must not share.
+Codes 2 and 3 share one check, :func:`check_plan_c`.  The one elimination
+kernel, :func:`mark_bad_pairs`, serves codes 0, 1 and 3, the ones the CBC
+steps meet: they differ only in which rows lead the pairs and, for plan C,
+which keys a pair must not share.
 """
 
 import numpy as np
@@ -38,23 +39,11 @@ def _has_equal(sorted_res):
     return bool(np.any(sorted_res[1:] == sorted_res[:-1]))
 
 
-def check_plan_b(res, group_start):
-    """Plain residues (the first row of each group) pairwise distinct, and
-    no sign residue equal to any plain residue, its own included."""
-    leads = np.sort(res[group_start[:-1]])
-    if _has_equal(leads):
-        return False
-    is_lead = np.zeros(res.shape[0], dtype=bool)
-    is_lead[group_start[:-1]] = True
-    signs = res[~is_lead]
-    pos = np.minimum(np.searchsorted(leads, signs), leads.shape[0] - 1)
-    return not np.any(leads[pos] == signs)
-
-
 def check_plan_c(res, group_start):
-    """Plan B with self-aliasing: a sign residue may equal the plain residue
-    of its own group; returns (ok, c), where c counts, per group, the rows
-    hitting that residue."""
+    """Plain residues (the first row of each group) pairwise distinct, and
+    no sign residue equal to the plain residue of another group; returns
+    (ok, c), where c counts, per group, the rows hitting its own plain
+    residue.  Plan B holds when also every c_k is 1."""
     ngroups = group_start.shape[0] - 1
     c = np.ones(ngroups, dtype=np.int64)
     leads = res[group_start[:-1]]
@@ -84,9 +73,8 @@ def check_condition(res, group_start, cond):
         return not np.any(res == 0)
     if cond == COND_DISTINCT:
         return not _has_equal(np.sort(res))
-    if cond == COND_PLAN_B:
-        return check_plan_b(res, group_start)
-    return check_plan_c(res, group_start)[0]
+    ok, c = check_plan_c(res, group_start)
+    return ok and (cond == COND_PLAN_C or not np.any(c > 1))
 
 
 # ---------------------------------------------------------------------------

@@ -645,10 +645,10 @@ PLAN_TASKS = [(space, plan) for space in ("cosine", "chebyshev")
        size=st.integers(1, 12), downward=st.booleans())
 def test_plan_chains_are_the_projected_auxiliary_sets(seed, d, size,
                                                       downward):
-    # plans A and B chain their auxiliary sets under the nonzero condition:
-    # L (+) M(L) in the Fourier chain for plan B, and for plan C on a
-    # downward-closed L; on a downward-closed L plan A chains one of each
-    # pair +-r of M(L (+) L), elsewhere M(L) (+) M(L) in the Fourier chain.
+    # plans A and B chain their auxiliary sets under the nonzero condition
+    # on every set: L (+) M(L) in the Fourier chain for plan B, and for
+    # plan C on a downward-closed L; plan A chains one of each pair +-r of
+    # M(L) (+) M(L), here built without the chain's own |L (+) M(L)|.
     # Plan C elsewhere keeps the sign orbits of L, and so does plan C on
     # {0}, whose search starts at the even n = 2.  The switching threshold
     # stays |M(L_s)|
@@ -664,9 +664,8 @@ def test_plan_chains_are_the_projected_auxiliary_sets(seed, d, size,
         if plan == "C" and not (closed and L.max_abs()):
             assert (cond.code, cond.chain) == (kernels.COND_PLAN_C, "L")
             continue
-        A = {"B": sum_set(L, M), "C": sum_set(L, M),
-             "A": sum_set(L, L) if closed else sum_set(M, M)}[plan]
-        half = plan == "A" and closed
+        A = sum_set(M, M) if plan == "A" else sum_set(L, M)
+        half = plan == "A"
         assert cond.code == kernels.COND_NONZERO
         assert cond.space == (space if half else "fourier")
         assert cond.odd_n == (plan == "C")
@@ -674,9 +673,7 @@ def test_plan_chains_are_the_projected_auxiliary_sets(seed, d, size,
             rows = _chain_rows(builder, s)
             R = set(map(tuple, rows.tolist()))
             assert rows.shape[0] == len(R)
-            As = project(A, s)
-            reference = set(mirrored(As) if half else As)
-            reference -= {(0,) * s}
+            reference = set(project(A, s)) - {(0,) * s}
             if half:
                 minus_R = set(map(tuple, (-rows).tolist()))
                 assert R | minus_R == reference
@@ -688,25 +685,35 @@ def test_plan_chains_are_the_projected_auxiliary_sets(seed, d, size,
 
 @settings(max_examples=60, deadline=None, database=None)
 @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 4),
-       size=st.integers(1, 14),
+       size=st.integers(1, 14), downward=st.booleans(),
        n=st.sampled_from([p for p in range(3, 300) if is_prime(p)]),
        data=st.data())
 def test_plan_step_checks_are_the_nonzero_check_on_the_chain(seed, d, size,
-                                                             n, data):
-    # on a downward-closed set at an odd prime, at every step, the
-    # candidates that plan A, B or C's step check on the sign orbits of L
-    # accepts are those the nonzero check on the chain of the auxiliary
-    # set accepts, whatever the prefix; n below 2 max(L) is drawn too
-    L = random_downward(np.random.default_rng(seed), d, size)
+                                                             downward, n,
+                                                             data):
+    # at an odd prime, at every step, the candidates that the check of plan
+    # A, B or C on the sign orbits of L_s accepts, here the kernel check on
+    # rows built without the chain, are those the nonzero check on the
+    # chain of the auxiliary set accepts, whatever the prefix: for plans A
+    # and B on every set, for plan C on a downward-closed one; n below
+    # 2 max(L) is drawn too
+    rng = np.random.default_rng(seed)
+    L = random_downward(rng, d, size) if downward \
+        else random_nonneg_set(rng, d, size, 3)
+    orbits = [mirror_expand(project(L, s)) for s in range(1, d + 1)]
     for space, plan in PLAN_TASKS:
         task = CbcTask(space, "reconstruction", L, plan=plan, n=n)
-        on_L, on_A = _base_set_builder(task), _builder(task)
+        on_A = _builder(task)
+        if on_A.condition.chain == "L":
+            assert plan == "C" and not is_downward_closed(L)
+            continue
         assert on_A.cond == kernels.COND_NONZERO
+        code = cbc_module._PLAN_CODE[plan]
         z = []
-        for s in range(1, d + 1):
+        for s, (rows, groups) in enumerate(orbits, start=1):
             candidates = range(1, n) if s > 1 else [1]
-            accepted = [zs for zs in candidates
-                        if on_L.check_step(z + [zs], n, s)]
+            accepted = [zs for zs in candidates if kernels.check_condition(
+                rows @ np.asarray(z + [zs]) % n, groups, code)]
             assert accepted == [zs for zs in candidates
                                 if on_A.check_step(z + [zs], n, s)]
             if not accepted:
@@ -1006,6 +1013,24 @@ def test_invalid_tasks():
         CbcTask("cosine", "reconstruction", IndexSet([(-1,)]), plan="B")
 
 
+def test_tasks_hold_inputs_to_32_bits_and_finite_switch_factors():
+    L = IndexSet([(0,), (1,)], domain="nonneg")
+    with pytest.raises(InvalidTask, match="index components must fit"):
+        CbcTask("fourier", "integration", IndexSet([(0,), (-2**31,)]))
+    # a prime beyond the range of the primality witnesses, and a composite
+    # the brute-force strategy would take, are refused for their size
+    for n, strategy in ((350000000000009, "mixed"),
+                        (2**31 + 1, "brute_force")):
+        with pytest.raises(InvalidTask, match="n must fit in 32 bits"):
+            CbcTask("cosine", "reconstruction", L, plan="B", n=n,
+                    strategy=strategy)
+    CbcTask("cosine", "reconstruction", L, plan="B", n=2**31 - 1)
+    for factor in (float("inf"), float("-inf"), float("nan"), -0.5):
+        with pytest.raises(InvalidTask, match="mixed switch factor"):
+            CbcTask("cosine", "reconstruction", L, plan="B",
+                    mixed_switch_factor=factor)
+
+
 def test_mixed_generous_n_never_switches():
     L = box(2)
     task = CbcTask("fourier", "reconstruction", L, n=101, strategy="mixed")
@@ -1118,4 +1143,25 @@ def test_downward_closed_lattices_match_recorded_outputs():
                        n=entry["n"], strategy=entry["strategy"],
                        mixed_switch_factor=entry["mixed_switch_factor"],
                        reduce_n=entry["reduce_n"])
+        assert _recorded_result(task) == entry["result"], entry
+
+
+def test_wide_component_lattices_match_recorded_outputs():
+    # the same for plans A, B and C on a scattered d=4 set whose nonzero
+    # components lie in [2^30, 2^31), so that the auxiliary sets hold
+    # components up to 2^32, at the explicit primes 1009 and 100,003 far
+    # below 2 max(L), under every strategy, with and without reduce_n, as
+    # the search on pairs of the set's sign orbits returned them; plans A
+    # and B walk their auxiliary sets there too
+    recorded = json.loads(RECORDED.read_text())["wide"]
+    L = IndexSet([tuple(k) for k in recorded["base_set"]], domain="nonneg")
+    assert 2**30 <= L.max_abs() < 2**31
+    assert len(recorded["tasks"]) == 72
+    for entry in recorded["tasks"]:
+        task = CbcTask(entry["space"], "reconstruction", L, plan=entry["plan"],
+                       n=entry["n"], strategy=entry["strategy"],
+                       mixed_switch_factor=recorded["mixed_switch_factor"],
+                       reduce_n=entry["reduce_n"])
+        chain = cbc_module._condition(task).chain
+        assert (chain == "L") == (entry["plan"] == "C")
         assert _recorded_result(task) == entry["result"], entry

@@ -72,6 +72,27 @@ def test_cbc_composite_n_with_elimination_exits_2(tmp_path):
                "-i", idx, "-o", tmp_path / "s.lat") == 2
 
 
+@pytest.mark.parametrize("factor", ("inf", "nan"))
+def test_cbc_non_finite_switch_factor_exits_2(tmp_path, capsys, factor):
+    idx = tmp_path / "s.idx"
+    write_indexset(IndexSet([(0, 0), (0, 1), (1, 0), (1, 1)],
+                            domain="nonneg"), idx)
+    assert run("cbc", "--space", "cosine", "--goal", "reconstruction",
+               "--plan", "B", "--mixed-switch-factor", factor, "-i", idx,
+               "-o", tmp_path / "s.lat") == 2
+    assert "mixed switch factor must be finite" in capsys.readouterr().err
+
+
+def test_cbc_n_beyond_32_bits_exits_2(tmp_path, capsys):
+    # a prime beyond the range of the primality witnesses
+    idx = tmp_path / "s.idx"
+    write_indexset(IndexSet([(0,), (1,)], domain="nonneg"), idx)
+    assert run("cbc", "--space", "cosine", "--goal", "reconstruction",
+               "--plan", "B", "--n", "350000000000009", "-i", idx,
+               "-o", tmp_path / "s.lat") == 2
+    assert "n must fit in 32 bits" in capsys.readouterr().err
+
+
 def test_cbc_plan_c_writes_c_table(tmp_path):
     idx = tmp_path / "s.idx"
     lat = tmp_path / "s.lat"
