@@ -26,10 +26,13 @@ _INT32_LIMIT = 2**31
 # once by the plan-C oracle
 ORACLE_BLOCK = 1 << 14
 # points at which cubature and sampling evaluate a function at once: on the
-# recon-large-n lattice (n = 1,939,901, d = 4) sampling took 47 / 102 ms
-# (tent / cosine-of-tent points) in blocks of 16,384, 67 / 112 ms in blocks
-# of 65,536 and 96 / 136 ms in one block
+# recon-large-n lattice (n = 1,939,901, d = 4) sampling took 22 / 26 ms
+# (tent / cosine-of-tent points) in blocks of 16,384, 26 / 26 ms in blocks
+# of 65,536 and 39 / 49 ms in one block (45 / 93, 60 / 110 and 82 / 125 ms
+# with a division per residue and a cos per point)
 POINT_BLOCK = 1 << 14
+POINT_BITS = 7  # points split as i = q * 2^7 + s, whatever the block
+ANGLE_CHUNK = 1 << 16  # entries :func:`angle_sums` writes at once
 
 
 class TransformKind(str, Enum):
@@ -88,37 +91,39 @@ class Rank1Lattice:
 
     def residue_matrix(self, start: int = 0, stop: int | None = None):
         """Integer residues (i * z mod n) for i in [start, stop)."""
-        if stop is None:
-            stop = self.n
-        i = np.arange(start, stop, dtype=np.int64)
-        return np.outer(i, np.asarray(self.z, dtype=np.int64)) % self.n
+        return angle_sums(self.n, self.z, start,
+                          self.n if stop is None else stop, POINT_BITS)
 
     def points(self, kind: TransformKind = TransformKind.IDENTITY,
                start: int = 0, stop: int | None = None) -> np.ndarray:
         """Transformed lattice points as a ((stop-start), d) float array."""
-        kind = TransformKind(kind)
-        res = self.residue_matrix(start, stop)
+        kind, n = TransformKind(kind), self.n
         if kind == TransformKind.COSINE_OF_TENT:
             # cos(pi * tent(i z / n)) equals cos(2 pi i z / n)
-            return np.cos((2.0 * np.pi / self.n) * res)
+            return angle_sums(n, self.z, start, n if stop is None else stop,
+                              POINT_BITS, "cos")
+        res = self.residue_matrix(start, stop)
         if kind == TransformKind.TENT:
-            # integer folding: tent(r/n) = 2 min(r, n - r) / n, so the
-            # symmetry between residues r and n - r is exact in floats
-            return 2 * np.minimum(res, self.n - res) / float(self.n)
-        return res / float(self.n)
+            # tent(r/n) = (n - |2r - n|) / n: r and n - r give equal floats
+            res *= 2
+            np.subtract(n, np.abs(np.subtract(res, n, out=res), out=res),
+                        out=res)
+        return res / float(n)
 
     # -- cubature -------------------------------------------------------
 
-    def evaluate(self, f, kind: TransformKind, stop: int) -> np.ndarray:
-        """The vector of f at the points i < stop, written block by block:
-        ``f`` gets (m, d) arrays of at most POINT_BLOCK points and returns
-        m values."""
+    def evaluate(self, f, kind: TransformKind, stop: int,
+                 size: int | None = None) -> np.ndarray:
+        """The vector of f at the points i < stop, written block by block
+        into the head of a vector of ``size`` >= stop entries (stop if not
+        given): ``f`` gets (m, d) arrays of at most POINT_BLOCK points and
+        returns m values."""
         values = None
         for lo in range(0, stop, POINT_BLOCK):
             hi = min(lo + POINT_BLOCK, stop)
             block = np.asarray(f(self.points(kind, lo, hi)))
             if values is None:
-                values = np.empty(stop, dtype=block.dtype)
+                values = np.empty(size or stop, dtype=block.dtype)
             values[lo:hi] = block
         return values
 
@@ -264,6 +269,54 @@ def _orbit_residues(arr: np.ndarray, terms: np.ndarray, n: int):
         orbit = np.concatenate(((orbit + t) % n, (orbit - t)[flip] % n))
         owner = np.concatenate((owner, owner[flip]))
     return orbit, owner
+
+
+def angle_sums(n: int, mults, start: int, stop: int, bits: int,
+               part: str = "residues", scale=1.0):
+    """Rows start <= i < stop of r = i * m mod n, one column per m in
+    ``mults`` (each in [0, n)), C-ordered: int64 residues ("residues"), or
+    the real part ("cos") or both parts ("roots") of the roots
+    e^(2 pi i r / n), times ``scale`` (a number or one per column).
+
+    By angle addition over i = q * 2^bits + s, from exact int64 coarse
+    residues q * 2^bits * m mod n and fine residues s * m mod n (products
+    below 2^62 for rows and n below 2^31): a residue is their sum less n
+    where it reaches n, a root the product of their roots, taken at the
+    centred residues |r| <= n/2; no entry takes a division, cos or exp.
+    Every entry comes from one numpy loop over table entries whatever the
+    run, so every split of [start, stop) gives the same numbers bit for
+    bit.  Runs of about ANGLE_CHUNK entries keep the one temporary in cache.
+    """
+    mults = np.asarray(mults, dtype=np.int64)
+    width, first = 1 << bits, start >> bits
+    q = np.arange(first, ((stop - 1) >> bits) + 1, dtype=np.int64)
+    coarse = (q << bits)[:, None] * mults % n
+    fine = (np.arange(width)[:, None] * mults % n).ravel()
+    if part != "residues":
+        coarse, fine = (np.exp(2j * np.pi / n * np.where(2 * t > n, t - n, t))
+                        for t in (coarse, fine))
+        coarse *= scale
+    outs = [np.empty((q.size * width, mults.size), coarse.real.dtype)
+            for _ in range(2 if part == "roots" else 1)]
+    step = max(1, ANGLE_CHUNK // max(1, fine.size))
+    for lo in range(0, q.size, step):
+        k = min(step, q.size - lo)
+        # rows q * 2^bits + s as (q, s * len(mults) + column)
+        run = [out[lo * width:(lo + k) * width].reshape(k, fine.size)
+               for out in outs]
+        tiled = np.repeat(coarse[lo:lo + k], width, 0).reshape(run[0].shape)
+        if part == "residues":
+            np.add(tiled, fine, out=run[0])
+            # sums are below 2n: as unsigned, sum - n exceeds sum iff sum < n
+            wrap = run[0].view(np.uint64)
+            np.subtract(run[0], n, out=tiled)
+            np.minimum(wrap, tiled.view(np.uint64), out=wrap)
+            continue
+        tiled *= fine
+        for out, values in zip(run, (tiled.real, tiled.imag)):
+            out[...] = values
+    outs = [out[start - first * width:stop - first * width] for out in outs]
+    return outs if part == "roots" else outs[0]
 
 
 def lattice_from_line(line: str) -> Rank1Lattice:

@@ -39,9 +39,10 @@ import math
 import numpy as np
 
 from . import kernels
+from . import lattice as lattice_module
 from .cbc import _PLAN_CODE, PLANS, slot_residues
 from .indexset import IndexSet
-from .lattice import Rank1Lattice, TransformKind
+from .lattice import Rank1Lattice, TransformKind, angle_sums
 
 _log = logging.getLogger(__name__)
 
@@ -85,11 +86,11 @@ def _direct_pays(what: str, n: int, slots: int, real: bool) -> bool:
     constant (at a prime n, pocketfft's Bluestein convolution runs FFTs of
     a smooth length of at least 2n - 1).  Measured on real spectra with
     BLAS at one thread (whole synthesis, medians of interleaved runs), at
-    slots = 2 sqrt(n) the direct route takes 0.27 / 0.78 / 2.3 / 11 /
-    190 ms against the FFT's 0.27 / 1.8 / 7.6 / 43 / 730 ms at prime n of
+    slots = 2 sqrt(n) the direct route takes 0.32 / 0.79 / 2.7 / 12 /
+    147 ms against the FFT's 0.24 / 1.7 / 10 / 53 / 650 ms at prime n of
     about 2e3 / 8.6e3 / 5e4 / 2e5 / 1.9e6; at twice as many slots it still
-    wins from n = 8.6e3 up, at four times as many the FFT wins or draws
-    level.  The bound also keeps the factor matrices, about sqrt(n) x slots
+    wins from n = 8.6e3 up (28 / 355 ms against 53 / 658 ms at 2e5 /
+    1.9e6), at four times as many the FFT wins or draws level.  The bound also keeps the factor matrices, about sqrt(n) x slots
     entries each, linear in n.  Complex (Fourier) spectra
     would need all n points and a complex product, about four times the
     work per slot, and are not measured against the FFT, so they keep it.
@@ -109,31 +110,16 @@ def _split(m: int) -> tuple[int, int]:
     return -(-(m + half) // (2 * half + 1)), half
 
 
-def _twiddles(count: int, step: int, slots: np.ndarray,
-              n: int) -> np.ndarray:
-    """e^(2 pi i r / n) for r = k * step * kappa mod n, one row per k < count
-    and one column per kappa in ``slots``: cos in the real part, sin in the
-    imaginary part.
-
-    With k blocked as k1 * W + k2, W = ceil(sqrt(count)), each entry is the
-    product of two entries of small tables, for k1 * W * step and for
-    k2 * step, so only about 2 sqrt(count) rows take complex exponentials:
-    on recon-large-n an operation took 0.39-0.41 s, against 0.58-0.60 s
-    with one exponential per entry.  The angles come from exact int64
-    residues: offsets and slots are below n < 2^31, so the products stay
-    below 2^62.
-    """
-    width = math.isqrt(count - 1) + 1
-    angle = 2j * np.pi / n
-
-    def table(offsets):
-        return np.exp(angle * (np.multiply.outer(offsets, slots) % n))
-
-    height = -(-count // width)
-    coarse = table(np.arange(height, dtype=np.int64) * (width * step))
-    fine = table(np.arange(width, dtype=np.int64) * step)
-    product = coarse[:, None, :] * fine[None, :, :]
-    return product.reshape(height * width, slots.size)[:count]
+def _twiddles(count: int, step: int, slots: np.ndarray, n: int,
+              scale=1.0) -> tuple[np.ndarray, np.ndarray]:
+    """``scale`` times cos and sin of 2 pi r / n for r = k * step * kappa
+    mod n, one row per k < count and one column per kappa in ``slots``, as
+    two contiguous real arrays, by :func:`lattice_recon.lattice.angle_sums`
+    with k split at about sqrt(count): the synthesis factors of
+    recon-large-n (1,921 slot pairs) take 26-33 ms, against 34-47 ms for
+    the complex tables and amplitude products they replace."""
+    return angle_sums(n, step * slots % n, 0, count,
+                      (count - 1).bit_length() // 2, "roots", scale)
 
 
 def _spectrum_direct(values: np.ndarray, slots: np.ndarray,
@@ -159,39 +145,34 @@ def _spectrum_direct(values: np.ndarray, slots: np.ndarray,
     minus = blocks[:, :half][:, ::-1]
     even = blocks[:, half:].copy()
     even[:, 1:] += minus
-    left = _twiddles(height, 2 * half + 1, slots, n)
-    right = _twiddles(half + 1, 1, slots, n)
-    return (np.einsum("as,as->s", left.real, even @ right.real)
-            - np.einsum("as,as->s", left.imag,
-                        (blocks[:, half + 1:] - minus) @ right.imag[1:])) / n
+    left_cos, left_sin = _twiddles(height, 2 * half + 1, slots, n)
+    right_cos, right_sin = _twiddles(half + 1, 1, slots, n)
+    return (np.einsum("as,as->s", left_cos, even @ right_cos)
+            - np.einsum("as,as->s", left_sin,
+                        (blocks[:, half + 1:] - minus) @ right_sin[1:])) / n
 
 
-def _values_direct(amps: np.ndarray, slots: np.ndarray, n: int,
-                   m: int) -> np.ndarray:
-    """Re sum_kappa amps_kappa e^(+2 pi i j kappa / n) at the points j < m
-    for real ``amps``, in the centred blocks of :func:`_split`: x[a, +-b] =
-    C[a, b] -+ S[a, b] for the two real matrix products
-    C = (amps cos theta) cos phi^T and S = (amps sin theta) sin phi^T over
-    0 <= b <= h (see :func:`_spectrum_direct`)."""
+def _values_direct(amps: np.ndarray, slots: np.ndarray,
+                   n: int) -> np.ndarray:
+    """Re sum_kappa amps_kappa e^(+2 pi i j kappa / n) at the n points j
+    for real ``amps``: in the centred blocks of :func:`_split` over j <= n/2,
+    x[a, +-b] = C[a, b] -+ S[a, b] for the real products C = (amps cos
+    theta) cos phi^T and S = (amps sin theta) sin phi^T over 0 <= b <= h
+    (see :func:`_spectrum_direct`), written at offset -h into a buffer of
+    which the n-vector is a view, then f_(n-j) = f_j."""
+    m = n // 2 + 1
     height, half = _split(m)
-    left = _twiddles(height, 2 * half + 1, slots, n)
-    right = _twiddles(half + 1, 1, slots, n)
-    even = (amps * left.real) @ right.real.T
-    odd = (amps * left.imag) @ right.imag[1:].T
-    blocks = np.empty((height, 2 * half + 1))
-    blocks[:, half:] = even
-    blocks[:, half + 1:] -= odd
-    blocks[:, :half] = (even[:, 1:] + odd)[:, ::-1]
-    return blocks.ravel()[half:half + m]
-
-
-def _mirror(head: np.ndarray, n: int) -> np.ndarray:
-    """The length-n vector with f_i = head_i for i <= n/2 and
-    f_(n-i) = f_i."""
-    half = n // 2
-    values = np.empty(n, dtype=head.dtype)
-    values[:half + 1] = head
-    values[half + 1:] = values[1:n - half][::-1]
+    left_cos, left_sin = _twiddles(height, 2 * half + 1, slots, n, amps)
+    right_cos, right_sin = _twiddles(half + 1, 1, slots, n)
+    even = left_cos @ right_cos.T
+    odd = left_sin @ right_sin[1:].T
+    buffer = np.empty(max(height * (2 * half + 1), half + n))
+    blocks = buffer[:height * (2 * half + 1)].reshape(height, -1)
+    blocks[:, half] = even[:, 0]
+    np.subtract(even[:, 1:], odd, out=blocks[:, half + 1:])
+    np.add(even[:, 1:], odd, out=blocks[:, :half][:, ::-1])
+    values = buffer[half:half + n]
+    values[m:] = values[1:n - m + 1][::-1]
     return values
 
 
@@ -220,8 +201,7 @@ def _values_at_points(amps: np.ndarray, slots: np.ndarray, n: int,
         return values.real if real else values
     total = np.zeros(distinct.size)
     np.add.at(total, where, amps)
-    # cos(2 pi i kappa / n) is even in kappa and in i
-    return _mirror(_values_direct(total, distinct, n, n // 2 + 1), n)
+    return _values_direct(total, distinct, n)
 
 
 # ---------------------------------------------------------------------------
@@ -276,9 +256,12 @@ def sample_values(f, lattice: Rank1Lattice, kind: TransformKind) -> np.ndarray:
     """
     kind = TransformKind(kind)
     n = lattice.n
-    if kind == TransformKind.IDENTITY:
-        return lattice.evaluate(f, kind, n)
-    return _mirror(lattice.evaluate(f, kind, n // 2 + 1), n)
+    count = n if kind == TransformKind.IDENTITY else n // 2 + 1
+    _log.info("sampling: n=%d, %s points, %d evaluated in %d blocks", n,
+              kind.value, count, -(-count // lattice_module.POINT_BLOCK))
+    values = lattice.evaluate(f, kind, count, n)
+    values[count:] = values[1:n - count + 1][::-1]
+    return values
 
 
 def _coeff_vector(L: IndexSet, coeffs, dtype) -> np.ndarray:

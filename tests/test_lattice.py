@@ -1,11 +1,14 @@
+import cmath
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import lattice_recon.lattice as lattice_module
 from lattice_recon import (IndexSet, Rank1Lattice, TransformKind,
-                           lattice_from_line, mirrored, read_lattice, tent,
-                           write_lattice)
+                           lattice_from_line, mirrored, read_lattice,
+                           sample_values, tent, write_lattice)
 from reference import dual_check as dual_check_reference
 from reference import plan_c_check as plan_c_check_reference
 from reference import unique_sign_changes
@@ -40,6 +43,74 @@ def test_tent_points_equal_the_absolute_value_fold(half, odd, data):
     res = lat.residue_matrix(start, stop)
     assert np.array_equal(lat.points(TransformKind.TENT, start, stop),
                           (n - np.abs(2 * res - n)) / float(n))
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(n=st.integers(2, 2**31 - 1), data=st.data())
+def test_points_by_angle_addition(n, data):
+    # every kind at n up to 2^31 - 1: identity and tent points are the folds
+    # of Python-integer residues bit for bit, cosine-of-tent points lie
+    # within 4e-15 of math.cos of the exact angle, and [a, c) split at b
+    # gives the same floats
+    z = data.draw(st.lists(st.integers(1, n - 1), min_size=1, max_size=4))
+    lat = Rank1Lattice(n, z)
+    a = data.draw(st.integers(0, n))
+    c = data.draw(st.integers(a, min(n, a + 300)))
+    b = data.draw(st.integers(a, c))
+    res = np.array([[i * zj % n for zj in lat.z] for i in range(a, c)],
+                   dtype=object).reshape(c - a, len(z))
+    want = {TransformKind.IDENTITY: res / n,
+            TransformKind.TENT: (n - abs(2 * res - n)) / n,
+            TransformKind.COSINE_OF_TENT: np.vectorize(
+                lambda r: math.cos(2 * math.pi * r / n), otypes=[float])(res)}
+    for kind in TransformKind:
+        got = lat.points(kind, a, c)
+        assert got.shape == (c - a, len(z)) and got.flags.c_contiguous
+        assert np.array_equal(got, np.vstack((lat.points(kind, a, b),
+                                              lat.points(kind, b, c))))
+        if kind == TransformKind.COSINE_OF_TENT:
+            assert np.max(np.abs(got - want[kind]), initial=0) < 4e-15
+        else:
+            assert np.array_equal(got, want[kind].astype(float))
+
+
+def test_angle_sums_near_the_int32_limit():
+    # at n close to 2^31 - 1 the coarse residues times slots near n come
+    # near 2^62: residues of a few rows and slots, also rows just below n,
+    # equal Python-integer ones, and their roots lie within 1e-15 of
+    # e^(2 pi i r / n)
+    n = 2_147_483_629
+    slots = [1, 2, 46_341, n // 2, n - 2, n - 1]
+    for start, stop, bits in ((0, 7, 1), (n - 9, n, 2), (n - 300, n - 290, 7)):
+        res = lattice_module.angle_sums(n, slots, start, stop, bits)
+        cos, sin = lattice_module.angle_sums(n, slots, start, stop, bits,
+                                             "roots")
+        for i in range(start, stop):
+            for j, m in enumerate(slots):
+                r = i * m % n
+                assert res[i - start, j] == r
+                root = cmath.exp(2j * math.pi * ((r - n if 2 * r > n else r)
+                                                 / n))
+                assert abs(complex(cos[i - start, j], sin[i - start, j])
+                           - root) < 1e-15
+
+
+@pytest.mark.parametrize("kind", list(TransformKind))
+def test_sampling_and_cubature_hand_f_a_fresh_array_per_block(kind,
+                                                             monkeypatch):
+    # f keeps every array it gets; after the call each still holds the
+    # points of its own block, so no block's array was reused
+    monkeypatch.setattr(lattice_module, "POINT_BLOCK", 16)
+    lat = Rank1Lattice(101, (1, 17, 40))
+    count = 101 if kind == TransformKind.IDENTITY else 51
+    for call in (lambda f: sample_values(f, lat, kind),
+                 lambda f: lat.cubature(f, kind)):
+        seen = []
+        call(lambda x: seen.append(x) or np.ones(len(x)))
+        blocks = range(0, count, 16)
+        assert len(seen) == len(blocks)
+        for lo, x in zip(blocks, seen):
+            assert np.array_equal(x, lat.points(kind, lo, min(lo + 16, count)))
 
 
 def test_tent_symmetry_is_exact():

@@ -667,6 +667,17 @@ def test_small_n_stays_on_the_fft(space, plan, monkeypatch, caplog):
     assert max(abs(table[k] - 1.0) for k in L) < 1e-12
 
 
+def test_sample_values_logs_points_and_blocks(monkeypatch, caplog):
+    monkeypatch.setattr(lattice_module, "POINT_BLOCK", 16)
+    lat = Rank1Lattice(101, (1, 17, 40))
+    with caplog.at_level("INFO", logger="lattice_recon.transform"):
+        for kind in (TransformKind.IDENTITY, TransformKind.TENT):
+            sample_values(lambda x: np.ones(len(x)), lat, kind)
+    assert [r.getMessage() for r in caplog.records] == [
+        "sampling: n=101, identity points, 101 evaluated in 7 blocks",
+        "sampling: n=101, tent points, 51 evaluated in 4 blocks"]
+
+
 def test_fourier_maps_keep_the_fft(rng, monkeypatch, caplog):
     # 20 slots at n = 10007 are below 2 sqrt(n), yet complex spectra take
     # the FFT
