@@ -7,11 +7,10 @@ from .approx import (ErrorReport, MissingReference, SizeLimit,
                      StabilityReport, TestFunction, approx_coeffs,
                      basis_matrix, discrete_seminorm, error_decomposition,
                      plan_a_least_squares_check, stability_constant)
-from .cbc import (CbcResult, CbcStats, CbcTask, EmptyCandidateSet,
-                  InvalidTask, RetryLimitExceeded, VerifyResult,
-                  cbc_construct, is_prime, next_prime, required_n,
-                  verify_fourier, verify_nonzero, verify_plan_a,
-                  verify_plan_b, verify_plan_c)
+from .cbc import (CbcResult, CbcStats, CbcTask, InvalidTask,
+                  RetryLimitExceeded, VerifyResult, cbc_construct, is_prime,
+                  next_prime, required_n, verify_fourier, verify_nonzero,
+                  verify_plan_a, verify_plan_b, verify_plan_c)
 from .indexset import (IndexSet, SetReport, WeightedSetRule, difference_set,
                        is_downward_closed, make_weighted_set, mirror_expand,
                        mirrored, project, properties, random_downward_closed,

@@ -60,10 +60,6 @@ class InvalidTask(ValueError):
     """Inconsistent CBC task parameters."""
 
 
-class EmptyCandidateSet(RuntimeError):
-    """Elimination removed every candidate at one step."""
-
-
 class RetryLimitExceeded(RuntimeError):
     """Construction kept failing after the configured number of prime
     escalations."""
@@ -561,14 +557,16 @@ class _Builder:
     are those of the parents plus values[codes] * z_s mod n
     (:func:`_carry`), and the parent index one past the step-(s-1) rows is
     the zero row of residue 0: the empty prefix of step 1, and under the
-    nonzero condition the zero row the steps drop.  Elimination pairs lead
-    rows with every row, two leads only once: the zero row under the
-    nonzero condition, every row for the distinct condition of Fourier
-    reconstruction, and the orbit leads for plan C, which keys the rows by
-    orbit and pairs no two rows of one orbit.  ``pairs`` counts the pairs,
-    which price one elimination for the brute-force probe.  The mixed
-    switch thresholds count the rows of L_s in the task's space whatever
-    the chain (:func:`_step_counts`).
+    nonzero condition the zero row the steps drop.  Elimination
+    (:meth:`_marks`) reads its pairs off the groups: under the nonzero
+    condition every row pairs with the zero row; otherwise the first row of
+    each group leads, and a lead pairs with every row of another group that
+    is not a lead at or before it.  On the Fourier chain of the distinct
+    condition every group is one row, so every row leads, and plan C keys
+    the rows by orbit.  :meth:`_pairs` counts the pairs, which price one
+    elimination for the brute-force probe.  The mixed switch thresholds
+    count the rows of L_s in the task's space whatever the chain
+    (:func:`_step_counts`).
     """
 
     def __init__(self, task: CbcTask, condition: _Condition):
@@ -583,11 +581,6 @@ class _Builder:
         self.codes = [None]
         self.values = [None]
         self.step_groups = [None]
-        self.step_keys = [None]
-        self.lead_index = [None]
-        self.lead_keys = [None]
-        self.row_leads = [None]
-        self.pairs = [None]
         # the nonzero condition: step 0's row, and every step's zero row,
         # maps to the zero index one past the rows the step keeps
         half = code == kernels.COND_NONZERO and condition.space != "fourier"
@@ -601,32 +594,10 @@ class _Builder:
                 zero = codes.shape[0]
                 renumber = np.cumsum(nonzero) - 1
                 renumber[~nonzero] = zero
-            R = codes.shape[0]
-            leads = lead_keys = keys = row_leads = None
-            if code == kernels.COND_NONZERO:
-                pairs = R  # one zero lead, which is no step row
-            else:
-                leads = np.arange(R) if code == kernels.COND_DISTINCT \
-                    else groups[:-1]
-                G = leads.shape[0]
-                if code == kernels.COND_PLAN_C:
-                    lead_keys = np.arange(G)
-                    keys = np.repeat(lead_keys, np.diff(groups))
-                row_leads = np.full(R, G, dtype=np.int64)
-                row_leads[leads] = np.arange(G)
-                # each pair of leads once, and under plan C each lead with
-                # the other rows of another orbit; every row leads under
-                # the distinct condition, where R = G
-                pairs = G * (G - 1) // 2 + (G - 1) * (R - G)
             self.parent.append(parent)
             self.codes.append(codes)
             self.values.append(values)
             self.step_groups.append(groups)
-            self.step_keys.append(keys)
-            self.lead_index.append(leads)
-            self.lead_keys.append(lead_keys)
-            self.row_leads.append(row_leads)
-            self.pairs.append(pairs)
 
     # -- residues along the chain -------------------------------------------
 
@@ -653,37 +624,45 @@ class _Builder:
 
     # -- elimination for one step -----------------------------------------
 
-    def eliminate(self, z, n: int, s: int) -> np.ndarray:
-        """Ascending candidates z_s that pass step s after the prefix z;
-        raises :class:`EmptyCandidateSet` when nothing survives."""
-        if not is_prime(n):
-            raise ValueError("elimination needs a prime n")
-        bad = self._marks(self._residues(z, n, s - 1)[self.parent[s]], n, s)
-        survivors = np.flatnonzero(~bad)
-        if survivors.shape[0] == 0:
-            raise EmptyCandidateSet(_all_eliminated(n))
-        return survivors
+    def _pairs(self, s: int) -> int:
+        """Pairs one elimination at step s marks from: every row with the
+        zero lead under the nonzero condition; otherwise each pair of
+        leads once, and each lead with every row of another group that
+        does not lead."""
+        R = self.codes[s].shape[0]
+        if self.cond == kernels.COND_NONZERO:
+            return R  # one zero lead, which is no step row
+        G = self.step_groups[s].shape[0] - 1
+        return G * (G - 1) // 2 + (G - 1) * (R - G)
 
     def _marks(self, prefix, n: int, s: int) -> np.ndarray:
         """Length-n mask of the candidates step s rules out, from the
         residues of its rows under the prefix z (prime n); the
         non-candidate 0 is marked too."""
-        leads, codes, values = (self.lead_index[s], self.codes[s],
-                                self.values[s])
-        if leads is None:
+        codes, values = self.codes[s], self.values[s]
+        ranks = p_keys = q_keys = None
+        if self.cond == kernels.COND_NONZERO:
             # the zero row: prefix 0 and last component 0
             p_prefix = p_values = np.zeros(1, dtype=np.int64)
             p_codes = np.zeros(1, dtype=np.intp)
         else:
+            groups = self.step_groups[s]
+            leads = groups[:-1]
+            G = leads.shape[0]
+            ranks = np.full(codes.shape[0], G, dtype=np.int64)
+            ranks[leads] = np.arange(G)
+            if self.cond == kernels.COND_PLAN_C:
+                # no two rows of one orbit pair
+                p_keys = np.arange(G)
+                q_keys = np.repeat(p_keys, np.diff(groups))
             p_prefix, p_codes, p_values = prefix[leads], codes[leads], values
         inverses = kernels.inverse_table(p_values, values, int(n))
         _log.info("step %d at n=%d: %d rows, %d pairs, %d x %d inverses",
-                  s, n, codes.shape[0], self.pairs[s], *inverses.shape)
+                  s, n, codes.shape[0], self._pairs(s), *inverses.shape)
         bad = np.zeros(n, dtype=bool)
         bad[0] = True
         kernels.mark_bad_pairs(p_prefix, p_codes, prefix, codes, inverses,
-                               int(n), bad, self.row_leads[s],
-                               self.lead_keys[s], self.step_keys[s])
+                               int(n), bad, ranks, p_keys, q_keys)
         return bad
 
     # -- one full pass at a fixed n ---------------------------------------
@@ -715,7 +694,7 @@ class _Builder:
                 probe = max_fail
                 if read_off:
                     probe = min(max_fail, _probe_budget(
-                        self.pairs[s], prefix.shape[0], n, self.cond))
+                        self._pairs(s), prefix.shape[0], n, self.cond))
                 zs, n_fail = kernels.brute_force_step(
                     prefix, last, self.step_groups[s], int(n),
                     int(z[-1] + 1), int(probe), int(self.cond))
@@ -812,12 +791,16 @@ def cbc_construct(task: CbcTask) -> CbcResult:
     The oracle validates the returned lattice once, after any reduction
     of n."""
     cond = _condition(task)
+    if not task.n and cond.bound >= _INT32_LIMIT - 1:
+        # 2^31 - 1 is prime, so below this bound next_prime fits in 32 bits
+        raise InvalidTask(f"no n above the existence bound {cond.bound} "
+                          f"fits in 32 bits")
+    n = task.n if task.n else next_prime(cond.bound)
     builder = _Builder(task, cond)
     what = task.goal if task.plan is None else f"plan {task.plan}"
     _log.info("%s %s: steps chain %s in the %s space, %d rows at step %d",
               task.space, what, cond.chain, cond.space,
               builder.codes[-1].shape[0], builder.d)
-    n = task.n if task.n else next_prime(cond.bound)
     stats = CbcStats()
     last_failure = None
     for _ in range(task.retry_limit):

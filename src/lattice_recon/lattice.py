@@ -117,7 +117,8 @@ class Rank1Lattice:
         """The vector of f at the points i < stop, written block by block
         into the head of a vector of ``size`` >= stop entries (stop if not
         given): ``f`` gets (m, d) arrays of at most POINT_BLOCK points and
-        returns m values."""
+        returns m values.  With stop = 0, f is not called and the vector
+        is float."""
         values = None
         for lo in range(0, stop, POINT_BLOCK):
             hi = min(lo + POINT_BLOCK, stop)
@@ -125,7 +126,7 @@ class Rank1Lattice:
             if values is None:
                 values = np.empty(size or stop, dtype=block.dtype)
             values[lo:hi] = block
-        return values
+        return np.empty(size or stop) if values is None else values
 
     def cubature(self, f, kind: TransformKind = TransformKind.IDENTITY):
         """Equal-weight average (1/n) sum_i f(point_i), with ``f`` as in
@@ -231,18 +232,6 @@ class Rank1Lattice:
         c = np.bincount(owner[orbit == plain[owner]],
                         minlength=arr.shape[0])
         return True, {k: int(ck) for k, ck in zip(L, c)}
-
-    def unique_tent_point_count(self) -> int:
-        """Number of distinct tent-transformed points, by exact residue
-        comparison.
-
-        Tent values of residue r and n - r coincide, so points are
-        fingerprinted componentwise by min(r, n - r).  Equals
-        floor(n/2 + 1) whenever gcd(n, z_j) = 1 for some j.
-        """
-        res = self.residue_matrix()
-        folded = np.minimum(res, self.n - res)
-        return int(np.unique(folded, axis=0).shape[0])
 
     # -- file format ------------------------------------------------------
 

@@ -405,13 +405,12 @@ chebyshev_values_from_coeffs = cosine_values_from_coeffs
 # ---------------------------------------------------------------------------
 # file formats
 
-def write_values(values, path, n: int | None = None) -> None:
+def write_values(values, path) -> None:
     """Value-vector file: ``n=<n>`` header, one value per line (complex
     values as ``<re> <im>``)."""
     values = np.asarray(values)
-    n = values.shape[0] if n is None else n
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"n={n}\n")
+        fh.write(f"n={values.shape[0]}\n")
         if np.iscomplexobj(values):
             for v in values:
                 fh.write(f"{float(v.real)!r} {float(v.imag)!r}\n")

@@ -1,8 +1,8 @@
 """Slow reference implementations that the tests check the library against:
 the sign changes of an index as tuples, dense O(n^2) transforms, the
 per-index synthesis loops, the pure-Python dual-lattice and plan-C oracles,
-the index-set algebra on tuples and the growth of random downward-closed
-sets on a set frontier."""
+the count of distinct tent points, the index-set algebra on tuples and the
+growth of random downward-closed sets on a set frontier."""
 
 import itertools
 import math
@@ -170,6 +170,19 @@ def lookup_check(condition, lattice, L):
         rows = plain + signs
         ok = len(set(plain)) == len(plain) and not set(signs) & set(plain)
     return ok, len(rows) if ok else 0, None
+
+
+def unique_tent_point_count(lattice) -> int:
+    """Number of distinct tent-transformed points, by exact residue
+    comparison.
+
+    Tent values of residue r and n - r coincide, so points are
+    fingerprinted componentwise by min(r, n - r).  Equals
+    floor(n/2 + 1) whenever gcd(n, z_j) = 1 for some j.
+    """
+    res = lattice.residue_matrix()
+    folded = np.minimum(res, lattice.n - res)
+    return int(np.unique(folded, axis=0).shape[0])
 
 
 # ---------------------------------------------------------------------------

@@ -10,12 +10,13 @@ from hypothesis import given, settings, strategies as st
 import lattice_recon.cbc as cbc_module
 import lattice_recon.kernels as kernels
 import lattice_recon.indexset as indexset_module
-from lattice_recon import (CbcTask, EmptyCandidateSet, IndexSet, InvalidTask,
-                           Rank1Lattice, RetryLimitExceeded, cbc_construct,
-                           difference_set, is_prime, mirrored, next_prime,
-                           project, properties, required_n, sum_set,
-                           verify_fourier, verify_nonzero, verify_plan_a,
-                           verify_plan_b, verify_plan_c)
+from lattice_recon import (CbcTask, IndexSet, InvalidTask, Rank1Lattice,
+                           RetryLimitExceeded, WeightedSetRule, cbc_construct,
+                           difference_set, is_prime, make_weighted_set,
+                           mirrored, next_prime, project, properties,
+                           required_n, sum_set, verify_fourier,
+                           verify_nonzero, verify_plan_a, verify_plan_b,
+                           verify_plan_c)
 from lattice_recon.cbc import PLANS, SPACES, STRATEGIES, slot_residues
 from lattice_recon.indexset import is_downward_closed, mirror_expand
 from conftest import random_downward, random_nonneg_set, random_signed_set
@@ -234,6 +235,28 @@ def test_n_beyond_32_bits_fails_before_the_search(monkeypatch):
     monkeypatch.setattr(cbc_module._Builder, "construct_at", no_search)
     with pytest.raises(ValueError, match="32 bits"):
         cbc_construct(task)
+
+
+def test_bound_beyond_32_bits_fails_before_the_chain(monkeypatch):
+    # plan C on the d = 8 degree-10 product set asks for n > |L| |M(L)| =
+    # 25,600 * 1,083,537, which no 32-bit n meets; the task fails before
+    # the builder chains the 2.8e10 rows of L (+) M(L)
+    L = make_weighted_set(WeightedSetRule("product", (1.0,) * 8, 10), 8)
+    task = CbcTask("cosine", "reconstruction", L, plan="C")
+
+    def no_chain(*args):
+        raise AssertionError("the builder was constructed")
+
+    monkeypatch.setattr(cbc_module, "_Builder", no_chain)
+    with pytest.raises(InvalidTask, match="bound 27738547200 "):
+        cbc_construct(task)
+
+
+def test_largest_bound_that_fits_takes_the_largest_prime():
+    # 2 max(L) = 2^31 - 2 leaves n = 2^31 - 1, the largest 32-bit prime
+    L = IndexSet([(0,), (2**30 - 1,)])
+    assert cbc_construct(CbcTask("fourier", "reconstruction", L)).n \
+        == 2**31 - 1
 
 
 # ---------------------------------------------------------------------------
@@ -484,28 +507,67 @@ def _integration_builder(rows):
     return _builder(CbcTask("fourier", "integration", IndexSet(rows)))
 
 
+def _survivors(builder, z, n, s):
+    # ascending candidates z_s that elimination at the prime n keeps at step
+    # s after the prefix z: those the marks leave
+    prefix = builder._residues(z, n, s - 1)[builder.parent[s]]
+    return np.flatnonzero(~builder._marks(prefix, n, s))
+
+
+def _rule_pairs(builder, s):
+    # the pairs one elimination at step s marks from, counted one by one:
+    # under the nonzero condition each step row with the zero row, which is
+    # no step row; otherwise each lead, the first row of its group, with
+    # every row of another group that is not a lead at or before it
+    rows = range(builder.codes[s].shape[0])
+    groups = builder.step_groups[s]
+    if groups is None:
+        return len(rows)
+    group = np.repeat(np.arange(groups.shape[0] - 1), np.diff(groups))
+    leads = groups[:-1].tolist()
+    return sum(1 for p in leads for q in rows
+               if group[q] != group[p] and not (q in leads and q <= p))
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 4),
+       size=st.integers(1, 12))
+def test_pair_count_is_the_pairing_rule(seed, d, size):
+    # the count that prices one elimination for the brute-force probe: on
+    # the Fourier reconstruction chain, on the plan-C chains of scattered
+    # sets (plan B's chain on a downward-closed draw) and under the nonzero
+    # condition of integration
+    rng = np.random.default_rng(seed)
+    signed = random_signed_set(rng, d, size, 3)
+    nonneg = random_nonneg_set(rng, d, size, 3)
+    tasks = [CbcTask("fourier", "reconstruction", signed)] + [
+        CbcTask(space, "reconstruction", nonneg, plan="C")
+        for space in ("cosine", "chebyshev")] + [
+        CbcTask(space, "integration",
+                signed if space == "fourier" else nonneg)
+        for space in SPACES]
+    for task in tasks:
+        builder = _builder(task)
+        for s in range(1, d + 1):
+            assert builder._pairs(s) == _rule_pairs(builder, s)
+
+
 def test_eliminate_step_bootstrap_no_elimination():
     # with an empty prefix every residue is 0 and nothing is eliminated
-    survivors = _integration_builder([(1,)]).eliminate([], 5, 1)
+    survivors = _survivors(_integration_builder([(1,)]), [], 5, 1)
     assert survivors.tolist() == [1, 2, 3, 4]
 
 
 def test_eliminate_step_removes_unique_candidate():
     # row (h, h_s) = (1, 2), prefix z = (1): 2 z_s = -1 mod 5 -> z_s = 2
-    survivors = _integration_builder([(1, 2)]).eliminate([1], 5, 2)
+    survivors = _survivors(_integration_builder([(1, 2)]), [1], 5, 2)
     assert survivors.tolist() == [1, 3, 4]
     assert survivors.dtype == np.int64
 
 
 def test_eliminate_step_empty():
     builder = _integration_builder([(1, 1), (1, 2), (1, 3), (1, 4)])
-    with pytest.raises(EmptyCandidateSet):
-        builder.eliminate([1], 5, 2)
-
-
-def test_eliminate_step_requires_prime():
-    with pytest.raises(ValueError):
-        _integration_builder([(1, 1)]).eliminate([1], 6, 2)
+    assert _survivors(builder, [1], 5, 2).tolist() == []
 
 
 @settings(max_examples=60, deadline=None, database=None)
@@ -536,11 +598,7 @@ def test_eliminated_candidates_fail_the_condition(seed, d, size, downward,
         for s in range(2, d + 1):
             passing = [zs for zs in range(1, n)
                        if builder.check_step(z + [zs], n, s)]
-            try:
-                kept = builder.eliminate(z, n, s).tolist()
-            except EmptyCandidateSet:
-                kept = []
-            assert kept == passing
+            assert _survivors(builder, z, n, s).tolist() == passing
             if not passing:
                 break
             z.append(passing[int(rng.integers(len(passing)))])
@@ -731,7 +789,7 @@ def test_integration_steps_without_rows(space, strategy):
     builder = _builder(task)
     assert [builder.codes[s].shape[0] for s in (1, 2)] == [0, 0]
     n = required_n(task)
-    assert builder.eliminate([1], n, 2).tolist() == list(range(1, n))
+    assert _survivors(builder, [1], n, 2).tolist() == list(range(1, n))
     result = cbc_construct(task)
     assert result.z[:2] == ((1, 1) if strategy == "elimination" else (1, 2))
     assert _oracle_ok(task, result.lattice())
@@ -742,10 +800,7 @@ def test_plan_c_elimination_matches_verifier(rng):
         L = random_nonneg_set(rng, 2, 5, 3)
         n = next_prime(int(rng.integers(40, 200)))
         builder = _builder(CbcTask("cosine", "reconstruction", L, plan="C"))
-        try:
-            survivors = set(builder.eliminate([1], n, 2).tolist())
-        except EmptyCandidateSet:
-            survivors = set()
+        survivors = set(_survivors(builder, [1], n, 2).tolist())
         for zs in range(1, n):
             ok = verify_plan_c((1, zs), n, L).ok
             assert ok == (zs in survivors)

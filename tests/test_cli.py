@@ -93,6 +93,17 @@ def test_cbc_n_beyond_32_bits_exits_2(tmp_path, capsys):
     assert "n must fit in 32 bits" in capsys.readouterr().err
 
 
+def test_cbc_bound_beyond_32_bits_exits_2(tmp_path, capsys):
+    # plan C on the d = 8 degree-10 product set asks for n > |L| |M(L)| =
+    # 27,738,547,200 and fails before any search
+    idx = tmp_path / "hc.idx"
+    assert run("indexset", "--rule", "product", "--betas", ",".join("1" * 8),
+               "--degree", "10", "--dim", "8", "-o", idx) == 0
+    assert run("cbc", "--space", "cosine", "--goal", "reconstruction",
+               "--plan", "C", "-i", idx, "-o", tmp_path / "hc.lat") == 2
+    assert "existence bound 27738547200" in capsys.readouterr().err
+
+
 def test_cbc_plan_c_writes_c_table(tmp_path):
     idx = tmp_path / "s.idx"
     lat = tmp_path / "s.lat"

@@ -11,7 +11,7 @@ from lattice_recon import (IndexSet, Rank1Lattice, TransformKind,
                            sample_values, tent, write_lattice)
 from reference import dual_check as dual_check_reference
 from reference import plan_c_check as plan_c_check_reference
-from reference import unique_sign_changes
+from reference import unique_sign_changes, unique_tent_point_count
 
 
 def test_points_identity_tent_cosine():
@@ -201,14 +201,23 @@ def test_tent_transform_preserves_integrals():
     assert abs(direct - folded) < 1e-10
 
 
+def test_evaluate_no_points_is_an_empty_float_vector():
+    def f(points):
+        raise AssertionError("f was called")
+
+    for kind in TransformKind:
+        values = Rank1Lattice(7, (1, 3)).evaluate(f, kind, 0)
+        assert values.shape == (0,) and values.dtype == np.float64
+
+
 def test_unique_tent_point_count_examples():
-    assert Rank1Lattice(5, (1, 2)).unique_tent_point_count() == 3
-    assert Rank1Lattice(4, (1,)).unique_tent_point_count() == 3
+    assert unique_tent_point_count(Rank1Lattice(5, (1, 2))) == 3
+    assert unique_tent_point_count(Rank1Lattice(4, (1,))) == 3
 
 
 def test_unique_tent_points_with_shared_factors():
     lat = Rank1Lattice(6, (2, 4))  # gcd(n, z_j) > 1 everywhere
-    count = lat.unique_tent_point_count()
+    count = unique_tent_point_count(lat)
     # oracle: deduplicate the floating-point tent points themselves
     pts = lat.points(TransformKind.TENT)
     expected = np.unique(pts, axis=0).shape[0]
@@ -223,7 +232,7 @@ def test_unique_tent_point_count_formula(rng):
         d = int(rng.integers(1, 4))
         z = (1,) + tuple(int(v) for v in rng.integers(1, n, size=d - 1))
         lat = Rank1Lattice(n, z)
-        assert lat.unique_tent_point_count() == n // 2 + 1
+        assert unique_tent_point_count(lat) == n // 2 + 1
 
 
 def test_dual_check_examples():
