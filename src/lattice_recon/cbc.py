@@ -706,7 +706,8 @@ class _Builder:
                 if zs > 0:
                     z.append(int(zs))
                     full = _carry(prefix, last, z[-1], n)
-                    steps.append(StepStats(s, "brute_force", n_fail=int(n_fail)))
+                    steps.append(StepStats(s, "brute_force",
+                                           n_fail=int(n_fail)))
                     continue
                 if task.strategy == "mixed" and n_fail > max_fail:
                     eliminating = True

@@ -152,7 +152,8 @@ class Rank1Lattice:
         h = tuple(int(hj) for hj in h)
         if len(h) != self.dimension:
             raise ValueError("index dimension mismatch")
-        return 1 if sum(hj * zj for hj, zj in zip(h, self.z)) % self.n == 0 else 0
+        dot = sum(hj * zj for hj, zj in zip(h, self.z))
+        return 1 if dot % self.n == 0 else 0
 
     def dual_check(self, A: IndexSet) -> bool:
         """True iff no nonzero index of A lies in the dual lattice.

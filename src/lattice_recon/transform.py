@@ -26,7 +26,13 @@ Each map takes one of two routes to the slots it uses, by the rule of
   is two real BLAS matrix products over 0 <= b <= h, with the cos and
   with the sin factors over (b, slot), and a weighting by the cos and sin
   factors over (a, slot), all of exact integer residues.  Its cost is
-  about m * slots / 2 multiply-adds per product.
+  about m * slots / 2 multiply-adds per product.  The factor tables, about
+  3 sqrt(m) entries per slot, are made for one block of slots at a time,
+  so a map holds one block's tables besides its m folded values or
+  products: with 8n the bytes of the n-vector, at n = 1,000,003 and
+  2 sqrt(n) slot pairs synthesis peaks at 1.5 x 8n, its output included,
+  and the forward map at 1.3 x 8n (tracemalloc), against 5.9 x and
+  6.8 x 8n with the tables of all slots at once.
 
 Fourier maps always take the FFT.
 """
@@ -45,6 +51,21 @@ from .indexset import IndexSet
 from .lattice import Rank1Lattice, TransformKind, angle_sums
 
 _log = logging.getLogger(__name__)
+
+# slots per block of the blocked direct DFT.  A block's factor tables take
+# about 3 sqrt(m) entries per slot.  Each synthesis block adds its
+# products into the m/2 even and odd sums, and each forward block reads
+# the m folded values once more.  At n = 1,000,003 with 2,000 slot pairs
+# synthesis peaks at 1.5 / 1.9 / 2.2 x 8n for blocks of 256 / 384 / 512,
+# and the forward map at 1.3 x 8n for 256.  On the recon-large-n maps
+# (n = 1,939,901, 1,921 and 504 slot pairs), synthesis in blocks of 256
+# took 122 ms against 123 ms for all slots at once in isolated calls
+# (medians of 21), and forward blocks of 128 / 168 slots took 6 / 4 ms
+# more than one block in whole operations alternated with the parent's
+# maps; the benchmark reads a few per cent of recon-large-n's operation
+# time lost to the blocks (BENCH_slot_blocks.json).
+SYNTHESIS_SLOTS = 256
+FORWARD_SLOTS = 256
 
 
 class AliasingDetected(RuntimeError):
@@ -90,10 +111,13 @@ def _direct_pays(what: str, n: int, slots: int, real: bool) -> bool:
     147 ms against the FFT's 0.24 / 1.7 / 10 / 53 / 650 ms at prime n of
     about 2e3 / 8.6e3 / 5e4 / 2e5 / 1.9e6; at twice as many slots it still
     wins from n = 8.6e3 up (28 / 355 ms against 53 / 658 ms at 2e5 /
-    1.9e6), at four times as many the FFT wins or draws level.  The bound also keeps the factor matrices, about sqrt(n) x slots
-    entries each, linear in n.  Complex (Fourier) spectra
-    would need all n points and a complex product, about four times the
-    work per slot, and are not measured against the FFT, so they keep it.
+    1.9e6), at four times as many the FFT wins or draws level (timed
+    with the factor tables of all slots at once).  The bound is one of
+    time: the direct route makes its tables a block of slots at a time,
+    so its memory is a few n-vectors at any slot count.  Complex
+    (Fourier) spectra would need all n points and a complex product,
+    about four times the work per slot, and are not measured against the
+    FFT, so they keep it.
     """
     direct = real and slots * slots <= 4 * n
     _log.info("%s: n=%d, %d distinct %s, %s", what, n, slots,
@@ -116,8 +140,9 @@ def _twiddles(count: int, step: int, slots: np.ndarray, n: int,
     mod n, one row per k < count and one column per kappa in ``slots``, as
     two contiguous real arrays, by :func:`lattice_recon.lattice.angle_sums`
     with k split at about sqrt(count): the synthesis factors of
-    recon-large-n (1,921 slot pairs) take 26-33 ms, against 34-47 ms for
-    the complex tables and amplitude products they replace."""
+    recon-large-n (1,921 slot pairs, in blocks of SYNTHESIS_SLOTS) take
+    25-36 ms in all, against 36-51 ms for the tables of all slots at once
+    (10th to 90th percentile of 15 calls each)."""
     return angle_sums(n, step * slots % n, 0, count,
                       (count - 1).bit_length() // 2, "roots", scale)
 
@@ -135,21 +160,58 @@ def _spectrum_direct(values: np.ndarray, slots: np.ndarray,
     cos phi is even, sin phi odd in b: two real matrix products, of the
     even fold x[a, b] + x[a, -b] with cos phi and of the odd fold
     x[a, b] - x[a, -b] with sin phi over 0 <= b <= h, sum the block rows,
-    then a sum over a weighted by cos theta and sin theta."""
+    then a sum over a weighted by cos theta and sin theta.  Both folds
+    overwrite the blocks, the odd one at b = -1 ... -h; the factor tables
+    and products are made FORWARD_SLOTS slots at a time."""
     m = n // 2 + 1
     height, half = _split(m)
     blocks = np.zeros(height * (2 * half + 1))
     blocks[half:half + m] = values[:m]
     blocks[half + 1:half + (n + 1) // 2] += values[n - 1:n // 2:-1]
     blocks = blocks.reshape(height, 2 * half + 1)
+    # the folds in place: x[a, b] + x[a, -b] over b >= 0, then x[a, b] -
+    # x[a, -b] = (x[a, b] + x[a, -b]) - 2 x[a, -b] over b < 0
     minus = blocks[:, :half][:, ::-1]
-    even = blocks[:, half:].copy()
-    even[:, 1:] += minus
-    left_cos, left_sin = _twiddles(height, 2 * half + 1, slots, n)
-    right_cos, right_sin = _twiddles(half + 1, 1, slots, n)
-    return (np.einsum("as,as->s", left_cos, even @ right_cos)
-            - np.einsum("as,as->s", left_sin,
-                        (blocks[:, half + 1:] - minus) @ right_sin[1:])) / n
+    blocks[:, half + 1:] += minus
+    minus *= -2
+    minus += blocks[:, half + 1:]
+    even, odd = blocks[:, half:], blocks[:, :half]
+    spectrum = np.empty(slots.size)
+    for lo in range(0, slots.size, FORWARD_SLOTS):
+        part = slice(lo, lo + FORWARD_SLOTS)
+        left_cos, left_sin = _twiddles(height, 2 * half + 1, slots[part], n)
+        right_cos, right_sin = _twiddles(half + 1, 1, slots[part], n)
+        spectrum[part] = (np.einsum("as,as->s", left_cos, even @ right_cos)
+                          - np.einsum("as,as->s", left_sin,
+                                      odd @ right_sin[:0:-1]))
+        del left_cos, left_sin, right_cos, right_sin
+    return spectrum / n
+
+
+def _synthesis_products(amps: np.ndarray, slots: np.ndarray, n: int,
+                        height: int, half: int):
+    """The products C = (amps cos theta) cos phi^T and S = (amps sin theta)
+    sin phi^T of :func:`_values_direct`, summed over blocks of
+    SYNTHESIS_SLOTS slots, each block's tables freed before the next's."""
+    even = odd = product = None
+    # one block at least: no slots give zero products
+    for lo in range(0, max(slots.size, 1), SYNTHESIS_SLOTS):
+        part = slice(lo, lo + SYNTHESIS_SLOTS)
+        left_cos, left_sin = _twiddles(height, 2 * half + 1, slots[part], n,
+                                       amps[part])
+        right_cos, right_sin = _twiddles(half + 1, 1, slots[part], n)
+        if even is None:
+            even = left_cos @ right_cos.T
+            odd = left_sin @ right_sin[1:].T
+        else:
+            if product is None:
+                product = np.empty(even.size)
+            even += np.matmul(left_cos, right_cos.T,
+                              out=product.reshape(even.shape))
+            odd += np.matmul(left_sin, right_sin[1:].T,
+                             out=product[:odd.size].reshape(odd.shape))
+        del left_cos, left_sin, right_cos, right_sin
+    return even, odd
 
 
 def _values_direct(amps: np.ndarray, slots: np.ndarray,
@@ -158,14 +220,12 @@ def _values_direct(amps: np.ndarray, slots: np.ndarray,
     for real ``amps``: in the centred blocks of :func:`_split` over j <= n/2,
     x[a, +-b] = C[a, b] -+ S[a, b] for the real products C = (amps cos
     theta) cos phi^T and S = (amps sin theta) sin phi^T over 0 <= b <= h
-    (see :func:`_spectrum_direct`), written at offset -h into a buffer of
+    (see :func:`_spectrum_direct`), summed over slot blocks by
+    :func:`_synthesis_products` and written at offset -h into a buffer of
     which the n-vector is a view, then f_(n-j) = f_j."""
     m = n // 2 + 1
     height, half = _split(m)
-    left_cos, left_sin = _twiddles(height, 2 * half + 1, slots, n, amps)
-    right_cos, right_sin = _twiddles(half + 1, 1, slots, n)
-    even = left_cos @ right_cos.T
-    odd = left_sin @ right_sin[1:].T
+    even, odd = _synthesis_products(amps, slots, n, height, half)
     buffer = np.empty(max(height * (2 * half + 1), half + n))
     blocks = buffer[:height * (2 * half + 1)].reshape(height, -1)
     blocks[:, half] = even[:, 0]
@@ -198,7 +258,8 @@ def _values_at_points(amps: np.ndarray, slots: np.ndarray, n: int,
         spectrum = np.zeros(n, dtype=amps.dtype)
         np.add.at(spectrum, slots, amps)
         values = dft(spectrum, "inverse")
-        return values.real if real else values
+        # a copy of the real part, not a view that keeps the complex vector
+        return values.real.copy() if real else values
     total = np.zeros(distinct.size)
     np.add.at(total, where, amps)
     return _values_direct(total, distinct, n)

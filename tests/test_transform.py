@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -602,6 +603,68 @@ def test_direct_dft_matches_the_fft_at_a_large_prime(rng):
     tol = 16 * np.finfo(np.float64).eps
     assert np.max(np.abs(got[0] - want[0])) < tol * np.abs(values).sum() / n
     assert np.max(np.abs(got[1] - want[1])) < tol * np.abs(amps).sum()
+
+
+@pytest.mark.parametrize("block", (1, 2, 3))
+def test_direct_dft_matches_the_fft_in_small_slot_blocks(block,
+                                                          monkeypatch):
+    # blocks of 1-3 slots: every n crosses block boundaries and the random
+    # slot counts fall at, just below and just above multiples of the
+    # block; the counts of 0 to 3 blocks and one slot more, distinct slot
+    # pairs each, include the empty slot set
+    monkeypatch.setattr(transform_module, "SYNTHESIS_SLOTS", block)
+    monkeypatch.setattr(transform_module, "FORWARD_SLOTS", block)
+    test_direct_dft_matches_the_fft()
+    for n in (1, 5, 97, 2003):
+        rng = np.random.default_rng(n)
+        for count in range(min(3 * block + 2, n // 2 + 2)):
+            pairs = rng.choice(n // 2 + 1, size=count, replace=False)
+            values = rng.standard_normal(n)
+            amps = rng.standard_normal(count)
+            got, want = _direct_and_fft(values, amps, pairs, n)
+            assert np.max(np.abs(got[0] - want[0]), initial=0) < 1e-12
+            assert np.max(np.abs(got[1] - want[1])) < 1e-12
+
+
+def test_direct_maps_hold_a_few_n_vectors():
+    # at n = 1,000,003 and 2 sqrt(n) slot pairs, the most the rule sends
+    # direct, synthesis allocates at most two n-vectors' bytes at once,
+    # its output included, and the forward map one and a half (whole
+    # factor tables took 5.9 and 6.8)
+    n = 1_000_003
+    rng = np.random.default_rng(5)
+    slots = rng.choice(n // 2 + 1, size=2 * math.isqrt(n), replace=False)
+    amps = rng.standard_normal(slots.size)
+    values = rng.standard_normal(n)
+    peaks = []
+    for direct, data in ((transform_module._values_direct, amps),
+                         (transform_module._spectrum_direct, values)):
+        tracemalloc.start()
+        try:
+            direct(data, slots, n)
+            peaks.append(tracemalloc.get_traced_memory()[1] / (8 * n))
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= 2 and peaks[1] <= 1.5, peaks
+
+
+@pytest.mark.parametrize("space", ["cosine", "chebyshev"])
+def test_fft_synthesis_returns_contiguous_real_values(space, rng,
+                                                      monkeypatch):
+    # the FFT route copies the real part out of the complex inverse DFT:
+    # the caller gets n contiguous floats, not a view of stride 16 that
+    # keeps the 16n-byte complex vector alive
+    L = random_downward(rng, 3, 20)
+    lat = cbc_construct(CbcTask(space, "reconstruction", L,
+                                plan="B")).lattice()
+    ffts = []
+    monkeypatch.setattr(transform_module, "dft", lambda *args, _f=dft:
+                        ffts.append(1) or _f(*args))
+    monkeypatch.setattr(transform_module, "_direct_pays", lambda *args: False)
+    values = values_from_coeffs(space, lat, L, {k: 1.0 for k in L})
+    assert len(ffts) == 1
+    assert values.dtype == np.float64 and values.shape == (lat.n,)
+    assert values.flags.c_contiguous and values.base is None
 
 
 def test_direct_pays_rule():
