@@ -14,6 +14,7 @@ sharing no code with :func:`lattice_recon.indexset.mirror_expand`.
 
 from __future__ import annotations
 
+import math
 from enum import Enum
 
 import numpy as np
@@ -33,6 +34,7 @@ ORACLE_BLOCK = 1 << 14
 POINT_BLOCK = 1 << 14
 POINT_BITS = 7  # points split as i = q * 2^7 + s, whatever the block
 ANGLE_CHUNK = 1 << 16  # entries :func:`angle_sums` writes at once
+_QUARTER_TURNS = np.array([1, 1j, -1, -1j, 1])  # i^t, t = 0 ... 4
 
 
 class TransformKind(str, Enum):
@@ -264,49 +266,148 @@ def _orbit_residues(arr: np.ndarray, terms: np.ndarray, n: int):
 def angle_sums(n: int, mults, start: int, stop: int, bits: int,
                part: str = "residues", scale=1.0):
     """Rows start <= i < stop of r = i * m mod n, one column per m in
-    ``mults`` (each in [0, n)), C-ordered: int64 residues ("residues"), or
-    the real part ("cos") or both parts ("roots") of the roots
-    e^(2 pi i r / n), times ``scale`` (a number or one per column).
+    ``mults`` (each in [0, n)): int64 residues ("residues") or the real
+    part ("cos") of the roots e^(2 pi i r / n), C-ordered, or both parts
+    ("roots") times ``scale`` (a number or one per column), as the
+    transposed views of two C-ordered (column, row) tables, which BLAS
+    products read without a copy.
 
     By angle addition over i = q * 2^bits + s, from exact int64 coarse
     residues q * 2^bits * m mod n and fine residues s * m mod n (products
     below 2^62 for rows and n below 2^31): a residue is their sum less n
-    where it reaches n, a root the product of their roots, taken at the
-    centred residues |r| <= n/2; no entry takes a division, cos or exp.
-    Every entry comes from one numpy loop over table entries whatever the
-    run, so every split of [start, stop) gives the same numbers bit for
-    bit.  Runs of about ANGLE_CHUNK entries keep the one temporary in cache.
+    where it reaches n, a root the product of their roots; no entry takes
+    a division, cos or exp.  "residues" and "cos" make every entry in one
+    numpy loop over table entries whatever the run, so every split of
+    [start, stop) gives the same numbers bit for bit; runs of about
+    ANGLE_CHUNK entries keep the one temporary in cache.  "roots" makes
+    each column's tables by one batched real product of K = 2 (see
+    :func:`_rotated`), whose last bit may differ between splits of
+    [start, stop), and takes its coarse and fine roots from angles
+    reduced to at most a quarter turn (:func:`_quarter_roots`): entries
+    lie within 1e-15 of scale * e^(2 pi i r / n).  "cos" takes them at
+    the centred residues |r| <= n/2, as the points always have.
     """
-    mults = np.asarray(mults, dtype=np.int64)
-    width, first = 1 << bits, start >> bits
-    q = np.arange(first, ((stop - 1) >> bits) + 1, dtype=np.int64)
-    coarse = (q << bits)[:, None] * mults % n
-    fine = (np.arange(width)[:, None] * mults % n).ravel()
-    if part != "residues":
+    if part == "roots":
+        first, rotations, pairs = _root_factors(n, mults, start, stop,
+                                                1 << bits, scale)
+        skip = start - (first << bits)
+        tables = _rotated(rotations, pairs)[:, :, skip:skip + stop - start]
+        return [tables[:, 0].T, tables[:, 1].T]
+    first, coarse, fine = _split_residues(n, mults, start, stop, 1 << bits)
+    width, fine = fine.shape[0], fine.ravel()
+    if part == "cos":
         coarse, fine = (np.exp(2j * np.pi / n * np.where(2 * t > n, t - n, t))
                         for t in (coarse, fine))
-        coarse *= scale
-    outs = [np.empty((q.size * width, mults.size), coarse.real.dtype)
-            for _ in range(2 if part == "roots" else 1)]
+    out = np.empty((coarse.shape[0] * width, coarse.shape[1]),
+                   coarse.real.dtype)
     step = max(1, ANGLE_CHUNK // max(1, fine.size))
-    for lo in range(0, q.size, step):
-        k = min(step, q.size - lo)
+    for lo in range(0, coarse.shape[0], step):
+        k = min(step, coarse.shape[0] - lo)
         # rows q * 2^bits + s as (q, s * len(mults) + column)
-        run = [out[lo * width:(lo + k) * width].reshape(k, fine.size)
-               for out in outs]
-        tiled = np.repeat(coarse[lo:lo + k], width, 0).reshape(run[0].shape)
+        run = out[lo * width:(lo + k) * width].reshape(k, fine.size)
+        tiled = np.repeat(coarse[lo:lo + k], width, 0).reshape(run.shape)
         if part == "residues":
-            np.add(tiled, fine, out=run[0])
+            np.add(tiled, fine, out=run)
             # sums are below 2n: as unsigned, sum - n exceeds sum iff sum < n
-            wrap = run[0].view(np.uint64)
-            np.subtract(run[0], n, out=tiled)
+            wrap = run.view(np.uint64)
+            np.subtract(run, n, out=tiled)
             np.minimum(wrap, tiled.view(np.uint64), out=wrap)
             continue
         tiled *= fine
-        for out, values in zip(run, (tiled.real, tiled.imag)):
-            out[...] = values
-    outs = [out[start - first * width:stop - first * width] for out in outs]
-    return outs if part == "roots" else outs[0]
+        run[...] = tiled.real
+    return out[start - first * width:stop - first * width]
+
+
+def root_runs(n: int, mults, stop: int, width: int, scale=1.0):
+    """The "roots" tables of :func:`angle_sums` over rows 0 <= i < stop,
+    in runs of ``width`` rows (any width >= 1): yields the cos and sin of
+    rows k * width <= i < min((k + 1) * width, stop) for k = 0, 1, ...,
+    split as i = q * s_count + s with s_count a power of two about
+    sqrt(stop), the largest that divides width if there are several
+    runs.  The rotations of all q and the roots of all s are made at
+    once, each run is one product of its rotations by those roots, and
+    every run is written into one buffer, so a run's views hold until
+    the next is asked for."""
+    fine = 1 << ((stop - 1).bit_length() // 2)
+    if width < stop:
+        fine = math.gcd(width, fine)
+    per = -(-min(width, stop) // fine)
+    _, rotations, pairs = _root_factors(n, mults, 0,
+                                        -(-stop // width) * per * fine,
+                                        fine, scale)
+    part = np.empty(rotations.shape[:2] + (per, 2))
+    run = np.empty((part.shape[0], 2 * per, fine))
+    tables = run.reshape(part.shape[0], 2, per * fine)
+    for k, first in enumerate(range(0, stop, width)):
+        part[...] = rotations[:, :, k * per:(k + 1) * per]
+        _rotated(part, pairs, run)
+        rows = min(width, stop - first)
+        yield tables[:, 0, :rows].T, tables[:, 1, :rows].T
+
+
+def _split_residues(n: int, mults, start: int, stop: int, width: int):
+    """(first, coarse, fine) of rows i = q * width + s in [start, stop):
+    q from first = start // width, the int64 residues q * width * m mod n
+    as (q, column) and s * m mod n, s < width, as (s, column)."""
+    mults = np.asarray(mults, dtype=np.int64)
+    q = np.arange(start // width, (stop - 1) // width + 1, dtype=np.int64)
+    return (start // width, (q * width)[:, None] * mults % n,
+            np.arange(width)[:, None] * mults % n)
+
+
+def _quarter_roots(residues: np.ndarray, n: int):
+    """cos and sin of 2 pi r / n at residues 0 <= r < n, turned by t
+    quarter turns from the angle pi u / (2n), with t = round(4r / n) and
+    the rest u = 4r - t n, |u| <= n/2, taken exactly in integers: the
+    angle left is at most pi/4, so it carries about a quarter of the
+    rounding of 2 pi r / n.  A multiple of i is exact in either part."""
+    turns = (8 * residues + n) // (2 * n)
+    angle = 0.5 * np.pi / n * (4 * residues - turns * n)
+    roots = np.empty(angle.shape, np.complex128)
+    np.cos(angle, out=roots.real)
+    np.sin(angle, out=roots.imag)
+    roots *= _QUARTER_TURNS[turns]
+    return roots.real, roots.imag
+
+
+def _rotations(coarse: np.ndarray, n: int, scale) -> np.ndarray:
+    """The (column, 2, q, 2) rotations of :func:`_rotated` by the angles
+    of the (q, column) residues ``coarse``, times ``scale``: per column
+    the rows [cos a, -sin a] over q, then [sin a, cos a]."""
+    cos, sin = _quarter_roots(coarse, n)
+    scale = np.asarray(scale)[..., None]
+    rotations = np.empty((coarse.shape[1], 2, coarse.shape[0], 2))
+    np.multiply(cos.T, scale, out=rotations[:, 0, :, 0])
+    np.multiply(sin.T, scale, out=rotations[:, 1, :, 0])
+    rotations[:, 1, :, 1] = rotations[:, 0, :, 0]
+    np.negative(rotations[:, 1, :, 0], out=rotations[:, 0, :, 1])
+    return rotations
+
+
+def _root_factors(n: int, mults, start: int, stop: int, width: int,
+                  scale):
+    """(first, rotations, pairs) of rows i = q * width + s, start <= i <
+    stop, for :func:`_rotated`: the rotations of :func:`_rotations` by
+    the coarse residues from q = first = start // width on, and the cos
+    and sin of the fine angles as (column, 2, s)."""
+    first, coarse, fine = _split_residues(n, mults, start, stop, width)
+    pairs = np.empty((fine.shape[1], 2, width))
+    for out, part in zip((pairs[:, 0], pairs[:, 1]), _quarter_roots(fine, n)):
+        out[...] = part.T
+    return first, _rotations(coarse, n, scale), pairs
+
+
+def _rotated(rotations: np.ndarray, pairs: np.ndarray,
+             out: np.ndarray | None = None) -> np.ndarray:
+    """cos(a + b) = [cos a, -sin a] . [cos b, sin b] and sin(a + b) =
+    [sin a, cos a] . [cos b, sin b]: one batched real product of K = 2
+    per column of the contiguous (column, 2, q, 2) rotations by the
+    (column, 2, s) roots, written into ``out`` (column, 2q, s) if given;
+    returns the rows q * s_count + s of the cos and sin tables as
+    (column, 2, row)."""
+    columns, _, q, _ = rotations.shape
+    tables = np.matmul(rotations.reshape(columns, 2 * q, 2), pairs, out=out)
+    return tables.reshape(columns, 2, q * pairs.shape[2])
 
 
 def lattice_from_line(line: str) -> Rank1Lattice:

@@ -26,13 +26,16 @@ Each map takes one of two routes to the slots it uses, by the rule of
   is two real BLAS matrix products over 0 <= b <= h, with the cos and
   with the sin factors over (b, slot), and a weighting by the cos and sin
   factors over (a, slot), all of exact integer residues.  Its cost is
-  about m * slots / 2 multiply-adds per product.  The factor tables, about
-  3 sqrt(m) entries per slot, are made for one block of slots at a time,
-  so a map holds one block's tables besides its m folded values or
-  products: with 8n the bytes of the n-vector, at n = 1,000,003 and
-  2 sqrt(n) slot pairs synthesis peaks at 1.5 x 8n, its output included,
-  and the forward map at 1.3 x 8n (tracemalloc), against 5.9 x and
-  6.8 x 8n with the tables of all slots at once.
+  about m * slots / 2 multiply-adds per product.  A map works on one block
+  of slots at a time and, within it, on one run of rows a at a time: the
+  (b, slot) tables are made once per block, the (a, slot) tables and the
+  products once per run.  Neither map keeps an array of the m points
+  beside its input and output: synthesis sums its products in scratch
+  inside its output buffer, the forward map folds one run of input rows
+  into a run buffer.  With 8n the bytes of the n-vector, at n = 1,000,003
+  and 2 sqrt(n) slot pairs synthesis peaks at 1.47 x 8n, its output
+  included, and the forward map at 0.81 x 8n (tracemalloc), against 5.9 x
+  and 6.8 x 8n with the tables of all slots at once.
 
 Fourier maps always take the FFT.
 """
@@ -48,24 +51,26 @@ from . import kernels
 from . import lattice as lattice_module
 from .cbc import _PLAN_CODE, PLANS, slot_residues
 from .indexset import IndexSet
-from .lattice import Rank1Lattice, TransformKind, angle_sums
+from .lattice import Rank1Lattice, TransformKind, angle_sums, root_runs
 
 _log = logging.getLogger(__name__)
 
-# slots per block of the blocked direct DFT.  A block's factor tables take
-# about 3 sqrt(m) entries per slot.  Each synthesis block adds its
-# products into the m/2 even and odd sums, and each forward block reads
-# the m folded values once more.  At n = 1,000,003 with 2,000 slot pairs
-# synthesis peaks at 1.5 / 1.9 / 2.2 x 8n for blocks of 256 / 384 / 512,
-# and the forward map at 1.3 x 8n for 256.  On the recon-large-n maps
-# (n = 1,939,901, 1,921 and 504 slot pairs), synthesis in blocks of 256
-# took 122 ms against 123 ms for all slots at once in isolated calls
-# (medians of 21), and forward blocks of 128 / 168 slots took 6 / 4 ms
-# more than one block in whole operations alternated with the parent's
-# maps; the benchmark reads a few per cent of recon-large-n's operation
-# time lost to the blocks (BENCH_slot_blocks.json).
+# slots per block of the blocked direct DFT, and table entries per run of
+# rows a: a block's (b, slot) tables take about sqrt(m) entries per slot,
+# and each run makes (a, slot) tables of RUN_ENTRIES // block rows,
+# rounded down to a power of two (see _run_rows).  At n = 1,000,003 with 2,000 slot pairs synthesis peaks at
+# 1.47 / 1.50 / 1.65 x 8n for blocks of 256 / 384 / 512 slots, and the
+# forward map at 0.76 / 0.66 / 0.81 x 8n.  Each forward block folds the
+# input rows once more: on the recon-large-n forward map (n = 1,939,901,
+# 504 slot pairs) one block of 512 took 24.7 ms against 26.8 ms for two of
+# 256.  Synthesis there (1,921 slot pairs) took 77.5 ms in blocks of 256
+# with runs of 256 rows, 76 ms in blocks of 512 with runs of 128 (over the
+# memory above) and 81-83 ms in blocks of 384 (CPU time, medians of 15,
+# BLAS at one thread).  Shorter runs repack the (b, slot) tables in more
+# and smaller BLAS products.
 SYNTHESIS_SLOTS = 256
-FORWARD_SLOTS = 256
+FORWARD_SLOTS = 512
+RUN_ENTRIES = 1 << 16
 
 
 class AliasingDetected(RuntimeError):
@@ -134,17 +139,53 @@ def _split(m: int) -> tuple[int, int]:
     return -(-(m + half) // (2 * half + 1)), half
 
 
-def _twiddles(count: int, step: int, slots: np.ndarray, n: int,
-              scale=1.0) -> tuple[np.ndarray, np.ndarray]:
+def _run_rows(block: int, height: int) -> int:
+    """Rows a of the centred blocks per run of theta tables and products
+    for blocks of ``block`` slots: the largest power of two at most
+    RUN_ENTRIES // block (one at least), or A if that is fewer."""
+    return min(height, 1 << max(0, (RUN_ENTRIES // block).bit_length() - 1))
+
+
+def _twiddles(slots: np.ndarray, step: int, n: int, count: int,
+              scale=1.0) -> list[np.ndarray]:
     """``scale`` times cos and sin of 2 pi r / n for r = k * step * kappa
     mod n, one row per k < count and one column per kappa in ``slots``, as
-    two contiguous real arrays, by :func:`lattice_recon.lattice.angle_sums`
-    with k split at about sqrt(count): the synthesis factors of
-    recon-large-n (1,921 slot pairs, in blocks of SYNTHESIS_SLOTS) take
-    25-36 ms in all, against 36-51 ms for the tables of all slots at once
-    (10th to 90th percentile of 15 calls each)."""
+    the two (row, slot) views of :func:`lattice_recon.lattice.angle_sums`
+    with k split at about sqrt(count), which BLAS products read without a
+    copy.  With the runs of (a, slot) tables of
+    :func:`lattice_recon.lattice.root_runs`, a synthesis block's tables of
+    256 slot pairs take 1.2 ms at n = 1,939,901 and at n = 200,003,
+    against 4.8 and 1.8 ms for full-height tables by elementwise complex
+    products of the split roots (isolated calls, medians of 100)."""
     return angle_sums(n, step * slots % n, 0, count,
                       (count - 1).bit_length() // 2, "roots", scale)
+
+
+def _fold_rows(values: np.ndarray, n: int, first: int,
+               out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The even and odd folds x[a, b] + x[a, -b] over 0 <= b <= h and
+    x[a, b] - x[a, -b] over 1 <= b <= h of the centred block rows first <=
+    a < first + len(out) of x_j = f_j + f_(n-j) (f_j alone at j = 0 and
+    n/2, zero outside 0 <= j <= n/2), x[a, b] = x_(a*W + b), written into
+    ``out`` (rows, W) as its first h + 1 and last h columns."""
+    rows, width = out.shape
+    half = width // 2
+    lo = first * width - half
+    x = np.empty(rows * width)
+    # f_j at 0 <= j < m, then f_(n-j) added at 0 < j < n - j
+    head, tail = max(lo, 0), min(lo + x.size, n // 2 + 1)
+    x[:head - lo] = 0
+    x[tail - lo:] = 0
+    x[head - lo:tail - lo] = values[head:tail]
+    head, tail = max(lo, 1), min(lo + x.size, (n + 1) // 2)
+    if head < tail:
+        x[head - lo:tail - lo] += values[n - tail + 1:n - head + 1][::-1]
+    x = x.reshape(rows, width)
+    plus, minus = x[:, half + 1:], x[:, :half][:, ::-1]
+    out[:, 0] = x[:, half]
+    np.add(plus, minus, out=out[:, 1:half + 1])
+    np.subtract(plus, minus, out=out[:, half + 1:])
+    return out[:, :half + 1], out[:, half + 1:]
 
 
 def _spectrum_direct(values: np.ndarray, slots: np.ndarray,
@@ -159,59 +200,37 @@ def _spectrum_direct(values: np.ndarray, slots: np.ndarray,
     b*kappa, cos(theta + phi) = cos theta cos phi - sin theta sin phi, and
     cos phi is even, sin phi odd in b: two real matrix products, of the
     even fold x[a, b] + x[a, -b] with cos phi and of the odd fold
-    x[a, b] - x[a, -b] with sin phi over 0 <= b <= h, sum the block rows,
-    then a sum over a weighted by cos theta and sin theta.  Both folds
-    overwrite the blocks, the odd one at b = -1 ... -h; the factor tables
-    and products are made FORWARD_SLOTS slots at a time."""
-    m = n // 2 + 1
-    height, half = _split(m)
-    blocks = np.zeros(height * (2 * half + 1))
-    blocks[half:half + m] = values[:m]
-    blocks[half + 1:half + (n + 1) // 2] += values[n - 1:n // 2:-1]
-    blocks = blocks.reshape(height, 2 * half + 1)
-    # the folds in place: x[a, b] + x[a, -b] over b >= 0, then x[a, b] -
-    # x[a, -b] = (x[a, b] + x[a, -b]) - 2 x[a, -b] over b < 0
-    minus = blocks[:, :half][:, ::-1]
-    blocks[:, half + 1:] += minus
-    minus *= -2
-    minus += blocks[:, half + 1:]
-    even, odd = blocks[:, half:], blocks[:, :half]
+    x[a, b] - x[a, -b] with sin phi over 0 <= b <= h, then a sum over a
+    weighted by cos theta and sin theta, FORWARD_SLOTS slots at a time
+    (:func:`_block_spectrum`)."""
+    height, half = _split(n // 2 + 1)
+    folds = np.empty((_run_rows(FORWARD_SLOTS, height), 2 * half + 1))
     spectrum = np.empty(slots.size)
     for lo in range(0, slots.size, FORWARD_SLOTS):
         part = slice(lo, lo + FORWARD_SLOTS)
-        left_cos, left_sin = _twiddles(height, 2 * half + 1, slots[part], n)
-        right_cos, right_sin = _twiddles(half + 1, 1, slots[part], n)
-        spectrum[part] = (np.einsum("as,as->s", left_cos, even @ right_cos)
-                          - np.einsum("as,as->s", left_sin,
-                                      odd @ right_sin[:0:-1]))
-        del left_cos, left_sin, right_cos, right_sin
+        spectrum[part] = _block_spectrum(values, slots[part], n, height,
+                                         folds)
     return spectrum / n
 
 
-def _synthesis_products(amps: np.ndarray, slots: np.ndarray, n: int,
-                        height: int, half: int):
-    """The products C = (amps cos theta) cos phi^T and S = (amps sin theta)
-    sin phi^T of :func:`_values_direct`, summed over blocks of
-    SYNTHESIS_SLOTS slots, each block's tables freed before the next's."""
-    even = odd = product = None
-    # one block at least: no slots give zero products
-    for lo in range(0, max(slots.size, 1), SYNTHESIS_SLOTS):
-        part = slice(lo, lo + SYNTHESIS_SLOTS)
-        left_cos, left_sin = _twiddles(height, 2 * half + 1, slots[part], n,
-                                       amps[part])
-        right_cos, right_sin = _twiddles(half + 1, 1, slots[part], n)
-        if even is None:
-            even = left_cos @ right_cos.T
-            odd = left_sin @ right_sin[1:].T
-        else:
-            if product is None:
-                product = np.empty(even.size)
-            even += np.matmul(left_cos, right_cos.T,
-                              out=product.reshape(even.shape))
-            odd += np.matmul(left_sin, right_sin[1:].T,
-                             out=product[:odd.size].reshape(odd.shape))
-        del left_cos, left_sin, right_cos, right_sin
-    return even, odd
+def _block_spectrum(values: np.ndarray, slots: np.ndarray, n: int,
+                    height: int, folds: np.ndarray) -> np.ndarray:
+    """n times the spectrum of :func:`_spectrum_direct` at one block of
+    slots: the cos and sin phi tables made once, then a run of rows of
+    ``folds`` at a time, :func:`_fold_rows` folds the block rows into it,
+    and their cos and sin theta tables and products are made and summed."""
+    rows, width = folds.shape
+    half = width // 2
+    right_cos, right_sin = _twiddles(slots, 1, n, half + 1)
+    runs = root_runs(n, width * slots % n, height, rows)
+    spectrum = np.zeros(slots.size)
+    for first, (left_cos, left_sin) in zip(range(0, height, rows), runs):
+        even, odd = _fold_rows(values, n, first, folds[:left_cos.shape[0]])
+        # (slot, row) products and tables: both unit stride along rows
+        spectrum += np.einsum("sa,sa->s", left_cos.T, right_cos.T @ even.T)
+        spectrum -= np.einsum("sa,sa->s", left_sin.T,
+                              right_sin[1:].T @ odd.T)
+    return spectrum
 
 
 def _values_direct(amps: np.ndarray, slots: np.ndarray,
@@ -220,20 +239,53 @@ def _values_direct(amps: np.ndarray, slots: np.ndarray,
     for real ``amps``: in the centred blocks of :func:`_split` over j <= n/2,
     x[a, +-b] = C[a, b] -+ S[a, b] for the real products C = (amps cos
     theta) cos phi^T and S = (amps sin theta) sin phi^T over 0 <= b <= h
-    (see :func:`_spectrum_direct`), summed over slot blocks by
-    :func:`_synthesis_products` and written at offset -h into a buffer of
-    which the n-vector is a view, then f_(n-j) = f_j."""
+    (see :func:`_spectrum_direct`), then f_(n-j) = f_j.
+
+    The n-vector is a view at offset -h of a buffer of 2 A W entries, of
+    which the A x W blocks are the first half; C and S are summed in the
+    second, SYNTHESIS_SLOTS slots at a time (:func:`_add_products`).  The
+    blocks are then written from C and S, and the mirror overwrites the
+    sums.  No slots give zero products."""
     m = n // 2 + 1
     height, half = _split(m)
-    even, odd = _synthesis_products(amps, slots, n, height, half)
-    buffer = np.empty(max(height * (2 * half + 1), half + n))
-    blocks = buffer[:height * (2 * half + 1)].reshape(height, -1)
+    size = height * (2 * half + 1)
+    buffer = np.empty(2 * size)
+    even = buffer[size:size + height * (half + 1)].reshape(height, -1)
+    odd = buffer[size + height * (half + 1):].reshape(height, half)
+    for lo in range(0, max(slots.size, 1), SYNTHESIS_SLOTS):
+        part = slice(lo, lo + SYNTHESIS_SLOTS)
+        _add_products(even, odd, amps[part], slots[part], n, lo == 0)
+    blocks = buffer[:size].reshape(height, -1)
     blocks[:, half] = even[:, 0]
     np.subtract(even[:, 1:], odd, out=blocks[:, half + 1:])
     np.add(even[:, 1:], odd, out=blocks[:, :half][:, ::-1])
     values = buffer[half:half + n]
     values[m:] = values[1:n - m + 1][::-1]
     return values
+
+
+def _add_products(even: np.ndarray, odd: np.ndarray, amps: np.ndarray,
+                  slots: np.ndarray, n: int, fresh: bool) -> None:
+    """Add the products C and S of :func:`_values_direct` at one block of
+    slots into ``even`` (A, h + 1) and ``odd`` (A, h), or write them there
+    when ``fresh``: the cos and sin phi tables made once, then a run of
+    rows at a time (:func:`_run_rows`) the amps cos and sin theta tables
+    and the products, each added while it is in cache."""
+    height, half = odd.shape
+    rows = _run_rows(SYNTHESIS_SLOTS, height)
+    right_cos, right_sin = _twiddles(slots, 1, n, half + 1)
+    runs = root_runs(n, (2 * half + 1) * slots % n, height, rows, amps)
+    product = None if fresh else np.empty((rows, half + 1))
+    for first, (left_cos, left_sin) in zip(range(0, height, rows), runs):
+        part = slice(first, first + left_cos.shape[0])
+        for left, right, sums in ((left_cos, right_cos, even[part]),
+                                  (left_sin, right_sin[1:], odd[part])):
+            if fresh:
+                np.matmul(left, right.T, out=sums)
+            else:
+                sums += np.matmul(left, right.T,
+                                  out=product[:sums.shape[0],
+                                              :sums.shape[1]])
 
 
 def _spectrum_at(values: np.ndarray, slots: np.ndarray, n: int,

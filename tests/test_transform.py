@@ -605,16 +605,9 @@ def test_direct_dft_matches_the_fft_at_a_large_prime(rng):
     assert np.max(np.abs(got[1] - want[1])) < tol * np.abs(amps).sum()
 
 
-@pytest.mark.parametrize("block", (1, 2, 3))
-def test_direct_dft_matches_the_fft_in_small_slot_blocks(block,
-                                                          monkeypatch):
-    # blocks of 1-3 slots: every n crosses block boundaries and the random
-    # slot counts fall at, just below and just above multiples of the
-    # block; the counts of 0 to 3 blocks and one slot more, distinct slot
-    # pairs each, include the empty slot set
-    monkeypatch.setattr(transform_module, "SYNTHESIS_SLOTS", block)
-    monkeypatch.setattr(transform_module, "FORWARD_SLOTS", block)
-    test_direct_dft_matches_the_fft()
+def _direct_dft_slot_counts(block):
+    # the counts of 0 to 3 blocks and one slot more, distinct slot pairs
+    # each, the empty slot set included
     for n in (1, 5, 97, 2003):
         rng = np.random.default_rng(n)
         for count in range(min(3 * block + 2, n // 2 + 2)):
@@ -624,6 +617,47 @@ def test_direct_dft_matches_the_fft_in_small_slot_blocks(block,
             got, want = _direct_and_fft(values, amps, pairs, n)
             assert np.max(np.abs(got[0] - want[0]), initial=0) < 1e-12
             assert np.max(np.abs(got[1] - want[1])) < 1e-12
+
+
+@pytest.mark.parametrize("block", (1, 2, 3))
+def test_direct_dft_matches_the_fft_in_small_slot_blocks(block,
+                                                          monkeypatch):
+    # blocks of 1-3 slots: every n crosses block boundaries and the random
+    # slot counts fall at, just below and just above multiples of the
+    # block
+    monkeypatch.setattr(transform_module, "SYNTHESIS_SLOTS", block)
+    monkeypatch.setattr(transform_module, "FORWARD_SLOTS", block)
+    test_direct_dft_matches_the_fft()
+    _direct_dft_slot_counts(block)
+
+
+@pytest.mark.parametrize("rows", (1, 2, 3))
+def test_direct_dft_matches_the_fft_in_small_row_runs(rows, monkeypatch):
+    # runs of 1-3 block rows: the first run starts on the padded row
+    # (j < 0), the last ends past m, one holds the point n/2, and runs of
+    # row tables and products cross every block row boundary; the slot
+    # counts of the small slot blocks and the empty slot set as well
+    monkeypatch.setattr(transform_module, "_run_rows",
+                        lambda block, height: min(rows, height))
+    test_direct_dft_matches_the_fft()
+    _direct_dft_slot_counts(3)
+    folded = []
+    monkeypatch.setattr(transform_module, "_fold_rows",
+                        lambda values, n, first, out, _f=
+                        transform_module._fold_rows:
+                        folded.append((first, len(out))) or
+                        _f(values, n, first, out))
+    for n in (2002, 2003):
+        height, half = transform_module._split(n // 2 + 1)
+        width = 2 * half + 1
+        folded.clear()
+        _direct_and_fft(np.ones(n), np.ones(5), np.arange(5), n)
+        spans = [(first * width - half, (first + k) * width - half)
+                 for first, k in folded]
+        assert spans[0][0] < 0 and spans[-1][1] > n // 2 + 1
+        assert [lo for lo, _ in spans[1:]] == [hi for _, hi in spans[:-1]]
+        assert any(lo <= n // 2 < hi for lo, hi in spans)
+        assert {k for _, k in folded[:-1]} == {rows}
 
 
 def test_direct_maps_hold_a_few_n_vectors():
@@ -646,6 +680,27 @@ def test_direct_maps_hold_a_few_n_vectors():
         finally:
             tracemalloc.stop()
     assert peaks[0] <= 2 and peaks[1] <= 1.5, peaks
+
+
+def test_direct_maps_hold_their_row_runs_and_one_slot_block():
+    # at n = 1,000,003 and 2 sqrt(n) slot pairs the forward map allocates
+    # at most one n-vector's bytes at once (a grid of the m folded values
+    # took 1.29) and synthesis, its output included, at most 1.54
+    n = 1_000_003
+    rng = np.random.default_rng(5)
+    slots = rng.choice(n // 2 + 1, size=2 * math.isqrt(n), replace=False)
+    peaks = []
+    for direct, data in ((transform_module._values_direct,
+                          rng.standard_normal(slots.size)),
+                         (transform_module._spectrum_direct,
+                          rng.standard_normal(n))):
+        tracemalloc.start()
+        try:
+            direct(data, slots, n)
+            peaks.append(tracemalloc.get_traced_memory()[1] / (8 * n))
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= 1.54 and peaks[1] <= 1.0, peaks
 
 
 @pytest.mark.parametrize("space", ["cosine", "chebyshev"])
