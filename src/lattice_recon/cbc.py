@@ -340,8 +340,10 @@ class _Condition:
     ``oracle(lattice)`` the naive check, which returns (ok, c_table or
     None).  The CBC steps walk the step chain (:func:`_step_chain`) of the
     set ``rows()`` in ``space``, named ``chain``: the base set L under
-    the task's own condition, or an auxiliary set A on which the condition
-    is the nonzero one, h.z != 0 mod n for the nonzero h of A.  With
+    the task's own condition (for Fourier integration of a centrally
+    symmetric L, the half of L whose first nonzero component is positive),
+    or an auxiliary set A on which the condition is the nonzero one,
+    h.z != 0 mod n for the nonzero h of A.  With
     ``odd_n`` the chain stands for the condition at odd n only.  The
     verifier reads the last step's slot residues (:func:`slot_residues`)
     of L in the task's space.
@@ -417,6 +419,12 @@ def _condition(task: CbcTask) -> _Condition:
         if task.space == "fourier":
             size, kappa = len(L), (2 if negated(L) == L else 1)
             oracle = _dual_oracle(L)
+            if kappa == 2:
+                # h.z and -h.z are 0 together, so the steps chain one of
+                # each pair +-h: the rows after 0 in L's lexicographic
+                # order, whose first nonzero component is positive
+                own = partial(own, chain="half of L", rows=lambda: IndexSet(
+                    L.as_array()[len(L) - len(L) // 2:], L.dimension))
         else:
             # sign orbits of distinct nonnegative indices are disjoint, so
             # |M(L)| is the sum of 2^|k|_0 over L; M(L) is centrally
@@ -538,8 +546,9 @@ class _Builder:
     """Holds the step chain of one task; reused across n escalations.
 
     Step s reads the rows of the projection A_s of the set the condition
-    chains (:class:`_Condition`: the base set L, or the auxiliary set A of
-    plans A, B and C) in the chain's space: the step-s rows of
+    chains (:class:`_Condition`: the base set L or, for Fourier
+    integration of a centrally symmetric L, its half, or the auxiliary set
+    A of plans A, B and C) in the chain's space: the step-s rows of
     :func:`_step_chain`, A_s for Fourier, M(A_s) grouped by sign orbit
     otherwise, without the zero row under the nonzero condition.  A
     cosine or Chebyshev chain under the nonzero condition keeps one row of

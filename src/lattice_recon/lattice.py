@@ -94,7 +94,7 @@ class Rank1Lattice:
     def residue_matrix(self, start: int = 0, stop: int | None = None):
         """Integer residues (i * z mod n) for i in [start, stop)."""
         return angle_sums(self.n, self.z, start,
-                          self.n if stop is None else stop, POINT_BITS)
+                          self.n if stop is None else stop)
 
     def points(self, kind: TransformKind = TransformKind.IDENTITY,
                start: int = 0, stop: int | None = None) -> np.ndarray:
@@ -103,7 +103,7 @@ class Rank1Lattice:
         if kind == TransformKind.COSINE_OF_TENT:
             # cos(pi * tent(i z / n)) equals cos(2 pi i z / n)
             return angle_sums(n, self.z, start, n if stop is None else stop,
-                              POINT_BITS, "cos")
+                              "cos")
         res = self.residue_matrix(start, stop)
         if kind == TransformKind.TENT:
             # tent(r/n) = (n - |2r - n|) / n: r and n - r give equal floats
@@ -263,47 +263,31 @@ def _orbit_residues(arr: np.ndarray, terms: np.ndarray, n: int):
     return orbit, owner
 
 
-def angle_sums(n: int, mults, start: int, stop: int, bits: int,
-               part: str = "residues", scale=1.0):
+def angle_sums(n: int, mults, start: int, stop: int, part: str = "residues"):
     """Rows start <= i < stop of r = i * m mod n, one column per m in
     ``mults`` (each in [0, n)): int64 residues ("residues") or the real
-    part ("cos") of the roots e^(2 pi i r / n), C-ordered, or both parts
-    ("roots") times ``scale`` (a number or one per column), as the
-    transposed views of two C-ordered (column, row) tables, which BLAS
-    products read without a copy.
+    part ("cos") of the roots e^(2 pi i r / n), C-ordered.
 
-    By angle addition over i = q * 2^bits + s, from exact int64 coarse
-    residues q * 2^bits * m mod n and fine residues s * m mod n (products
-    below 2^62 for rows and n below 2^31): a residue is their sum less n
-    where it reaches n, a root the product of their roots; no entry takes
-    a division, cos or exp.  "residues" and "cos" make every entry in one
-    numpy loop over table entries whatever the run, so every split of
-    [start, stop) gives the same numbers bit for bit; runs of about
-    ANGLE_CHUNK entries keep the one temporary in cache.  "roots" makes
-    each column's tables by one batched real product of K = 2 (see
-    :func:`_rotated`), whose last bit may differ between splits of
-    [start, stop), and takes its coarse and fine roots from angles
-    reduced to at most a quarter turn (:func:`_quarter_roots`): entries
-    lie within 1e-15 of scale * e^(2 pi i r / n).  "cos" takes them at
-    the centred residues |r| <= n/2, as the points always have.
+    By angle addition over i = q * 2^POINT_BITS + s, from exact int64
+    coarse residues q * 2^POINT_BITS * m mod n and fine residues s * m mod
+    n (products below 2^62 for rows and n below 2^31): a residue is their
+    sum less n where it reaches n, a root the product of their roots
+    (:func:`_quarter_roots`); no entry takes a division, cos or exp.  Every
+    entry is made in one numpy loop over table entries whatever the run,
+    so every split of [start, stop) gives the same numbers bit for bit;
+    runs of about ANGLE_CHUNK entries keep the one temporary in cache.
     """
-    if part == "roots":
-        first, rotations, pairs = _root_factors(n, mults, start, stop,
-                                                1 << bits, scale)
-        skip = start - (first << bits)
-        tables = _rotated(rotations, pairs)[:, :, skip:skip + stop - start]
-        return [tables[:, 0].T, tables[:, 1].T]
-    first, coarse, fine = _split_residues(n, mults, start, stop, 1 << bits)
+    first, coarse, fine = _split_residues(n, mults, start, stop,
+                                          1 << POINT_BITS)
     width, fine = fine.shape[0], fine.ravel()
     if part == "cos":
-        coarse, fine = (np.exp(2j * np.pi / n * np.where(2 * t > n, t - n, t))
-                        for t in (coarse, fine))
+        coarse, fine = _quarter_roots(coarse, n), _quarter_roots(fine, n)
     out = np.empty((coarse.shape[0] * width, coarse.shape[1]),
                    coarse.real.dtype)
     step = max(1, ANGLE_CHUNK // max(1, fine.size))
     for lo in range(0, coarse.shape[0], step):
         k = min(step, coarse.shape[0] - lo)
-        # rows q * 2^bits + s as (q, s * len(mults) + column)
+        # rows q * 2^POINT_BITS + s as (q, s * len(mults) + column)
         run = out[lo * width:(lo + k) * width].reshape(k, fine.size)
         tiled = np.repeat(coarse[lo:lo + k], width, 0).reshape(run.shape)
         if part == "residues":
@@ -319,28 +303,46 @@ def angle_sums(n: int, mults, start: int, stop: int, bits: int,
 
 
 def root_runs(n: int, mults, stop: int, width: int, scale=1.0):
-    """The "roots" tables of :func:`angle_sums` over rows 0 <= i < stop,
-    in runs of ``width`` rows (any width >= 1): yields the cos and sin of
-    rows k * width <= i < min((k + 1) * width, stop) for k = 0, 1, ...,
-    split as i = q * s_count + s with s_count a power of two about
-    sqrt(stop), the largest that divides width if there are several
-    runs.  The rotations of all q and the roots of all s are made at
-    once, each run is one product of its rotations by those roots, and
-    every run is written into one buffer, so a run's views hold until
-    the next is asked for."""
+    """``scale`` (a number or one per column) times the cos and sin of
+    2 pi r / n, r = i * m mod n, one column per m in ``mults`` (each in
+    [0, n)), over rows 0 <= i < stop in runs of ``width`` rows (any width
+    >= 1; width >= stop gives one run of all rows): yields the tables of
+    rows k * width <= i < min((k + 1) * width, stop) for k = 0, 1, ..., as
+    the transposed views of C-ordered (column, row) tables, which BLAS
+    products read without a copy.  Entries lie within 1e-15 of scale *
+    e^(2 pi i r / n).
+
+    By angle addition over i = q * s_count + s, with s_count a power of
+    two about sqrt(stop), the largest that divides width if there are
+    several runs, from the exact residues of :func:`_split_residues`:
+    cos(a + b) = [cos a, -sin a] . [cos b, sin b] and sin(a + b) =
+    [sin a, cos a] . [cos b, sin b].  The rotations of all q and the roots
+    of all s are made at once by :func:`_quarter_roots`, each run is one
+    batched real product of K = 2 per column of its rotations by those
+    roots, and every run is written into one buffer, so a run's views hold
+    until the next is asked for."""
     fine = 1 << ((stop - 1).bit_length() // 2)
     if width < stop:
         fine = math.gcd(width, fine)
     per = -(-min(width, stop) // fine)
-    _, rotations, pairs = _root_factors(n, mults, 0,
-                                        -(-stop // width) * per * fine,
-                                        fine, scale)
+    _, coarse, residues = _split_residues(
+        n, mults, 0, -(-stop // width) * per * fine, fine)
+    # per column the rows [cos a, -sin a] over q, then [sin a, cos a]
+    roots = _quarter_roots(coarse, n).T
+    scale = np.asarray(scale)[..., None]
+    rotations = np.empty((coarse.shape[1], 2, coarse.shape[0], 2))
+    np.multiply(roots.real, scale, out=rotations[:, 0, :, 0])
+    np.multiply(roots.imag, scale, out=rotations[:, 1, :, 0])
+    rotations[:, 1, :, 1] = rotations[:, 0, :, 0]
+    np.negative(rotations[:, 1, :, 0], out=rotations[:, 0, :, 1])
+    roots = _quarter_roots(residues, n).T
+    pairs = np.stack((roots.real, roots.imag), 1)  # (column, 2, s)
     part = np.empty(rotations.shape[:2] + (per, 2))
     run = np.empty((part.shape[0], 2 * per, fine))
     tables = run.reshape(part.shape[0], 2, per * fine)
     for k, first in enumerate(range(0, stop, width)):
         part[...] = rotations[:, :, k * per:(k + 1) * per]
-        _rotated(part, pairs, run)
+        np.matmul(part.reshape(-1, 2 * per, 2), pairs, out=run)
         rows = min(width, stop - first)
         yield tables[:, 0, :rows].T, tables[:, 1, :rows].T
 
@@ -355,59 +357,19 @@ def _split_residues(n: int, mults, start: int, stop: int, width: int):
             np.arange(width)[:, None] * mults % n)
 
 
-def _quarter_roots(residues: np.ndarray, n: int):
-    """cos and sin of 2 pi r / n at residues 0 <= r < n, turned by t
-    quarter turns from the angle pi u / (2n), with t = round(4r / n) and
-    the rest u = 4r - t n, |u| <= n/2, taken exactly in integers: the
-    angle left is at most pi/4, so it carries about a quarter of the
-    rounding of 2 pi r / n.  A multiple of i is exact in either part."""
+def _quarter_roots(residues: np.ndarray, n: int) -> np.ndarray:
+    """e^(2 pi i r / n) at residues 0 <= r < n, turned by t quarter turns
+    from the angle pi u / (2n), with t = round(4r / n) and the rest
+    u = 4r - t n, |u| <= n/2, taken exactly in integers: the angle left is
+    at most pi/4, so it carries about a quarter of the rounding of
+    2 pi r / n.  A multiple of i is exact in either part."""
     turns = (8 * residues + n) // (2 * n)
     angle = 0.5 * np.pi / n * (4 * residues - turns * n)
     roots = np.empty(angle.shape, np.complex128)
     np.cos(angle, out=roots.real)
     np.sin(angle, out=roots.imag)
     roots *= _QUARTER_TURNS[turns]
-    return roots.real, roots.imag
-
-
-def _rotations(coarse: np.ndarray, n: int, scale) -> np.ndarray:
-    """The (column, 2, q, 2) rotations of :func:`_rotated` by the angles
-    of the (q, column) residues ``coarse``, times ``scale``: per column
-    the rows [cos a, -sin a] over q, then [sin a, cos a]."""
-    cos, sin = _quarter_roots(coarse, n)
-    scale = np.asarray(scale)[..., None]
-    rotations = np.empty((coarse.shape[1], 2, coarse.shape[0], 2))
-    np.multiply(cos.T, scale, out=rotations[:, 0, :, 0])
-    np.multiply(sin.T, scale, out=rotations[:, 1, :, 0])
-    rotations[:, 1, :, 1] = rotations[:, 0, :, 0]
-    np.negative(rotations[:, 1, :, 0], out=rotations[:, 0, :, 1])
-    return rotations
-
-
-def _root_factors(n: int, mults, start: int, stop: int, width: int,
-                  scale):
-    """(first, rotations, pairs) of rows i = q * width + s, start <= i <
-    stop, for :func:`_rotated`: the rotations of :func:`_rotations` by
-    the coarse residues from q = first = start // width on, and the cos
-    and sin of the fine angles as (column, 2, s)."""
-    first, coarse, fine = _split_residues(n, mults, start, stop, width)
-    pairs = np.empty((fine.shape[1], 2, width))
-    for out, part in zip((pairs[:, 0], pairs[:, 1]), _quarter_roots(fine, n)):
-        out[...] = part.T
-    return first, _rotations(coarse, n, scale), pairs
-
-
-def _rotated(rotations: np.ndarray, pairs: np.ndarray,
-             out: np.ndarray | None = None) -> np.ndarray:
-    """cos(a + b) = [cos a, -sin a] . [cos b, sin b] and sin(a + b) =
-    [sin a, cos a] . [cos b, sin b]: one batched real product of K = 2
-    per column of the contiguous (column, 2, q, 2) rotations by the
-    (column, 2, s) roots, written into ``out`` (column, 2q, s) if given;
-    returns the rows q * s_count + s of the cos and sin tables as
-    (column, 2, row)."""
-    columns, _, q, _ = rotations.shape
-    tables = np.matmul(rotations.reshape(columns, 2 * q, 2), pairs, out=out)
-    return tables.reshape(columns, 2, q * pairs.shape[2])
+    return roots
 
 
 def lattice_from_line(line: str) -> Rank1Lattice:

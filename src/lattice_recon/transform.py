@@ -29,13 +29,15 @@ Each map takes one of two routes to the slots it uses, by the rule of
   about m * slots / 2 multiply-adds per product.  A map works on one block
   of slots at a time and, within it, on one run of rows a at a time: the
   (b, slot) tables are made once per block, the (a, slot) tables and the
-  products once per run.  Neither map keeps an array of the m points
-  beside its input and output: synthesis sums its products in scratch
-  inside its output buffer, the forward map folds one run of input rows
-  into a run buffer.  With 8n the bytes of the n-vector, at n = 1,000,003
-  and 2 sqrt(n) slot pairs synthesis peaks at 1.47 x 8n, its output
-  included, and the forward map at 0.81 x 8n (tracemalloc), against 5.9 x
-  and 6.8 x 8n with the tables of all slots at once.
+  products once per run, all by :func:`lattice_recon.lattice.root_runs`
+  (the (b, slot) tables as its one run of all h + 1 rows).  Neither map
+  keeps an array of the m points beside its input and output: synthesis
+  sums its products in scratch inside its output buffer, the forward map
+  folds one run of input rows into a run buffer.  With 8n the bytes of
+  the n-vector, at n = 1,000,003 and 2 sqrt(n) slot pairs synthesis peaks
+  at 1.47 x 8n, its output included, and the forward map at 0.81 x 8n
+  (tracemalloc), against 5.9 x and 6.8 x 8n with the tables of all slots
+  at once.
 
 Fourier maps always take the FFT.
 """
@@ -51,23 +53,23 @@ from . import kernels
 from . import lattice as lattice_module
 from .cbc import _PLAN_CODE, PLANS, slot_residues
 from .indexset import IndexSet
-from .lattice import Rank1Lattice, TransformKind, angle_sums, root_runs
+from .lattice import Rank1Lattice, TransformKind, root_runs
 
 _log = logging.getLogger(__name__)
 
 # slots per block of the blocked direct DFT, and table entries per run of
 # rows a: a block's (b, slot) tables take about sqrt(m) entries per slot,
 # and each run makes (a, slot) tables of RUN_ENTRIES // block rows,
-# rounded down to a power of two (see _run_rows).  At n = 1,000,003 with 2,000 slot pairs synthesis peaks at
-# 1.47 / 1.50 / 1.65 x 8n for blocks of 256 / 384 / 512 slots, and the
-# forward map at 0.76 / 0.66 / 0.81 x 8n.  Each forward block folds the
-# input rows once more: on the recon-large-n forward map (n = 1,939,901,
-# 504 slot pairs) one block of 512 took 24.7 ms against 26.8 ms for two of
-# 256.  Synthesis there (1,921 slot pairs) took 77.5 ms in blocks of 256
-# with runs of 256 rows, 76 ms in blocks of 512 with runs of 128 (over the
-# memory above) and 81-83 ms in blocks of 384 (CPU time, medians of 15,
-# BLAS at one thread).  Shorter runs repack the (b, slot) tables in more
-# and smaller BLAS products.
+# rounded down to a power of two (see _run_rows).  At n = 1,000,003 with
+# 2,000 slot pairs synthesis peaks at 1.47 / 1.50 / 1.65 x 8n for blocks of
+# 256 / 384 / 512 slots, and the forward map at 0.76 / 0.66 / 0.81 x 8n.
+# Each forward block folds the input rows once more: on the recon-large-n
+# forward map (n = 1,939,901, 504 slot pairs) one block of 512 took
+# 24.7 ms against 26.8 ms for two of 256.  Synthesis there (1,921 slot
+# pairs) took 77.5 ms in blocks of 256 with runs of 256 rows, 76 ms in
+# blocks of 512 with runs of 128 (over the memory above) and 81-83 ms in
+# blocks of 384 (CPU time, medians of 15, BLAS at one thread).  Shorter
+# runs repack the (b, slot) tables in more and smaller BLAS products.
 SYNTHESIS_SLOTS = 256
 FORWARD_SLOTS = 512
 RUN_ENTRIES = 1 << 16
@@ -146,21 +148,6 @@ def _run_rows(block: int, height: int) -> int:
     return min(height, 1 << max(0, (RUN_ENTRIES // block).bit_length() - 1))
 
 
-def _twiddles(slots: np.ndarray, step: int, n: int, count: int,
-              scale=1.0) -> list[np.ndarray]:
-    """``scale`` times cos and sin of 2 pi r / n for r = k * step * kappa
-    mod n, one row per k < count and one column per kappa in ``slots``, as
-    the two (row, slot) views of :func:`lattice_recon.lattice.angle_sums`
-    with k split at about sqrt(count), which BLAS products read without a
-    copy.  With the runs of (a, slot) tables of
-    :func:`lattice_recon.lattice.root_runs`, a synthesis block's tables of
-    256 slot pairs take 1.2 ms at n = 1,939,901 and at n = 200,003,
-    against 4.8 and 1.8 ms for full-height tables by elementwise complex
-    products of the split roots (isolated calls, medians of 100)."""
-    return angle_sums(n, step * slots % n, 0, count,
-                      (count - 1).bit_length() // 2, "roots", scale)
-
-
 def _fold_rows(values: np.ndarray, n: int, first: int,
                out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The even and odd folds x[a, b] + x[a, -b] over 0 <= b <= h and
@@ -221,7 +208,7 @@ def _block_spectrum(values: np.ndarray, slots: np.ndarray, n: int,
     and their cos and sin theta tables and products are made and summed."""
     rows, width = folds.shape
     half = width // 2
-    right_cos, right_sin = _twiddles(slots, 1, n, half + 1)
+    right_cos, right_sin = next(root_runs(n, slots, half + 1, half + 1))
     runs = root_runs(n, width * slots % n, height, rows)
     spectrum = np.zeros(slots.size)
     for first, (left_cos, left_sin) in zip(range(0, height, rows), runs):
@@ -273,7 +260,7 @@ def _add_products(even: np.ndarray, odd: np.ndarray, amps: np.ndarray,
     and the products, each added while it is in cache."""
     height, half = odd.shape
     rows = _run_rows(SYNTHESIS_SLOTS, height)
-    right_cos, right_sin = _twiddles(slots, 1, n, half + 1)
+    right_cos, right_sin = next(root_runs(n, slots, half + 1, half + 1))
     runs = root_runs(n, (2 * half + 1) * slots % n, height, rows, amps)
     product = None if fresh else np.empty((rows, half + 1))
     for first, (left_cos, left_sin) in zip(range(0, height, rows), runs):

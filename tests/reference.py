@@ -63,7 +63,8 @@ def dct_i(x) -> np.ndarray:
 
 def dct_v(x) -> np.ndarray:
     """DCT-V of length m with the lattice normalization for n = 2m-1:
-    F_kappa = (1/(2m-1)) (x_0 + 2 sum_{i=1}^{m-1} x_i cos(2 pi i kappa / (2m-1)))."""
+    F_kappa = (1/(2m-1)) (x_0 + 2 sum_{i=1}^{m-1} x_i
+    cos(2 pi i kappa / (2m-1)))."""
     x = np.asarray(x, dtype=np.float64)
     m = x.shape[0]
     if m < 1:

@@ -18,7 +18,8 @@ from lattice_recon import (CbcTask, IndexSet, InvalidTask, Rank1Lattice,
                            verify_nonzero, verify_plan_a, verify_plan_b,
                            verify_plan_c)
 from lattice_recon.cbc import PLANS, SPACES, STRATEGIES, slot_residues
-from lattice_recon.indexset import is_downward_closed, mirror_expand
+from lattice_recon.indexset import (is_downward_closed, mirror_expand,
+                                    negated)
 from conftest import random_downward, random_nonneg_set, random_signed_set
 from reference import lookup_check
 
@@ -630,8 +631,9 @@ def test_integration_step_rows_are_the_projected_auxiliary_set(
         seed, d, size, downward):
     # the step rows the chain implies are the nonzero rows of the
     # projected auxiliary set: all of L_s for Fourier, and one of each pair
-    # +-r of M(L)_s, the one whose first nonzero component is positive, for
-    # cosine and Chebyshev; the switching threshold is |L_s| or |M(L_s)|
+    # +-r, the one whose first nonzero component is positive, of M(L)_s
+    # for cosine and Chebyshev and of L_s for Fourier on a centrally
+    # symmetric L; the switching threshold is |L_s| or |M(L_s)|
     rng = np.random.default_rng(seed)
     L = random_downward(rng, d, size)
     signed = random_signed_set(rng, d, size, 3)
@@ -639,16 +641,21 @@ def test_integration_step_rows_are_the_projected_auxiliary_set(
     for space in SPACES:
         bases = ([L] if downward else
                  [signed, nonneg] if space == "fourier" else [nonneg])
+        if space == "fourier":
+            bases += [mirrored(bases[-1]), difference_set(bases[0])]
         for base in bases:
             builder = _builder(CbcTask(space, "integration", base))
             A = base if space == "fourier" else mirrored(base)
+            half = space != "fourier" or negated(base) == base
+            assert builder.condition.chain == (
+                "half of L" if half and space == "fourier" else "L")
             for s in range(1, d + 1):
                 rows = _chain_rows(builder, s)
                 assert rows.shape[1] == s
                 R = set(map(tuple, rows.tolist()))
                 assert rows.shape[0] == len(R)
                 reference = set(project(A, s)) - {(0,) * s}
-                if space == "fourier":
+                if not half:
                     assert R == reference
                 else:
                     minus_R = set(map(tuple, (-rows).tolist()))
@@ -658,6 +665,28 @@ def test_integration_step_rows_are_the_projected_auxiliary_set(
                 Ls = project(base, s)
                 assert builder.thresholds[s] == (
                     len(Ls) if space == "fourier" else Ls.sum_two_pow())
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 4),
+       size=st.integers(1, 30), strategy=st.sampled_from(STRATEGIES))
+def test_fourier_integration_of_symmetric_sets_on_half_the_rows(
+        seed, d, size, strategy):
+    # h.z and -h.z are 0 together, so on a centrally symmetric set the half
+    # chain returns the n, z and statistics of a build that chains all of L
+    rng = np.random.default_rng(seed)
+    for L in (mirrored(random_downward(rng, d, size)),
+              difference_set(random_signed_set(rng, d, size, 3))):
+        task = CbcTask("fourier", "integration", L, strategy=strategy)
+        condition = cbc_module._condition
+        assert condition(task).chain == "half of L"
+        half = cbc_construct(task)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cbc_module, "_condition", lambda t: replace(
+                condition(t), chain="L", rows=lambda: t.base_set))
+            whole = cbc_construct(task)
+        assert (half.n, half.z, half.c_table, half.stats.to_dict()) == (
+            whole.n, whole.z, whole.c_table, whole.stats.to_dict())
 
 
 @settings(max_examples=60, deadline=None, database=None)

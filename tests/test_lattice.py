@@ -82,59 +82,56 @@ def _root(r, n):
 @settings(max_examples=100, deadline=None, database=None)
 @given(n=st.integers(2, 2**31 - 1), data=st.data())
 def test_root_tables_match_exact_residue_roots(n, data):
-    # the "roots" tables of angle_sums (rows [start, stop), any split) and
-    # of root_runs (rows [0, stop) in runs of ``width``) at n up to
-    # 2^31 - 1, with row counts and run widths just below, at and above
-    # powers of two and one scale per column, lie within 1e-15 times the
-    # scale of the scale times e^(2 pi i r / n), r = i * m mod n
+    # the tables of root_runs (rows [0, stop) in runs of ``width``) at n up
+    # to 2^31 - 1, with row counts and run widths just below, at and above
+    # powers of two, in one run of all rows (width >= stop, as the direct
+    # DFT's (b, slot) tables take them) or in several, and one scale per
+    # column, lie within 1e-15 times the scale of the scale times
+    # e^(2 pi i r / n), r = i * m mod n
     def near_a_power_of_two():
-        return max(1, (1 << data.draw(st.integers(0, 7)))
+        return max(1, (1 << data.draw(st.integers(0, 8)))
                    + data.draw(st.sampled_from((-1, 0, 1))))
 
     mults = data.draw(st.lists(st.integers(0, n - 1), max_size=4))
     scale = np.asarray(data.draw(st.lists(
         st.floats(0.5, 2.0) | st.floats(-2.0, -0.5),
         min_size=len(mults), max_size=len(mults))))
-    count = min(n, near_a_power_of_two())
-    start = data.draw(st.integers(0, n - count))
-    bits = data.draw(st.integers(0, count.bit_length()))
-    width, stop = near_a_power_of_two(), data.draw(st.integers(1, 200))
-    tables = [(start, lattice_module.angle_sums(
-        n, mults, start, start + count, bits, "roots", scale))]
+    stop = near_a_power_of_two()
+    width = (data.draw(st.integers(stop, stop + 2))
+             if data.draw(st.booleans()) else near_a_power_of_two())
     first = 0
     for cos, sin in lattice_module.root_runs(n, mults, stop, width, scale):
         assert cos.shape == sin.shape == (min(width, stop - first),
                                           len(mults))
-        tables.append((first, (cos.copy(), sin.copy())))
-        first += width
-    assert first >= stop
-    for first, (cos, sin) in tables:
         for i in range(cos.shape[0]):
             for j, m in enumerate(mults):
                 want = scale[j] * _root((first + i) * m % n, n)
                 assert abs(complex(cos[i, j], sin[i, j]) - want) \
                     < 1e-15 * abs(scale[j])
+        first += width
+    assert first >= stop > first - width
 
 
 def test_angle_sums_near_the_int32_limit():
     # at n close to 2^31 - 1 the coarse residues times slots near n come
     # near 2^62: residues of a few rows and slots, also rows just below n,
-    # equal Python-integer ones, and their roots lie within 1e-15 of
-    # e^(2 pi i r / n)
+    # equal Python-integer ones, and so do the residues behind the root
+    # tables of root_runs at those slots, in one run and in runs of 3: the
+    # tables lie within 1e-15 of e^(2 pi i r / n)
     n = 2_147_483_629
     slots = [1, 2, 46_341, n // 2, n - 2, n - 1]
-    for start, stop, bits in ((0, 7, 1), (n - 9, n, 2), (n - 300, n - 290, 7)):
-        res = lattice_module.angle_sums(n, slots, start, stop, bits)
-        cos, sin = lattice_module.angle_sums(n, slots, start, stop, bits,
-                                             "roots")
-        for i in range(start, stop):
-            for j, m in enumerate(slots):
-                r = i * m % n
-                assert res[i - start, j] == r
-                root = cmath.exp(2j * math.pi * ((r - n if 2 * r > n else r)
-                                                 / n))
-                assert abs(complex(cos[i - start, j], sin[i - start, j])
-                           - root) < 1e-15
+    for start, stop in ((0, 7), (n - 9, n), (n - 300, n - 290)):
+        res = lattice_module.angle_sums(n, slots, start, stop)
+        assert res.tolist() == [[i * m % n for m in slots]
+                                for i in range(start, stop)]
+    for width in (3, 40):
+        first = 0
+        for cos, sin in lattice_module.root_runs(n, slots, 40, width):
+            for i in range(cos.shape[0]):
+                for j, m in enumerate(slots):
+                    assert abs(complex(cos[i, j], sin[i, j])
+                               - _root((first + i) * m % n, n)) < 1e-15
+            first += width
 
 
 @pytest.mark.parametrize("kind", list(TransformKind))
