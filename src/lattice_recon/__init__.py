@@ -3,7 +3,7 @@ finite index sets in the Fourier, half-period cosine and Chebyshev settings,
 with component-by-component construction of the generating vectors and fast
 FFT coefficient maps."""
 
-from .approx import (ErrorReport, MissingReference, SizeLimit,
+from .approx import (ErrorReport, MissingCTable, MissingReference, SizeLimit,
                      StabilityReport, TestFunction, approx_coeffs,
                      basis_matrix, discrete_seminorm, error_decomposition,
                      plan_a_least_squares_check, stability_constant)
@@ -20,7 +20,7 @@ from .lattice import (Rank1Lattice, TransformKind, lattice_from_line,
 from .testfunctions import (builtin_test_function, geometric_decay,
                             random_series, series_function, smooth_function,
                             with_reference)
-from .transform import (AliasingDetected, CoefficientTable, MissingCTable,
+from .transform import (AliasingDetected, CoefficientTable,
                         chebyshev_coeffs_from_values,
                         chebyshev_values_from_coeffs,
                         coeffs_from_values, cosine_coeffs_from_values,

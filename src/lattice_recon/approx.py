@@ -10,9 +10,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .indexset import IndexSet, zero_count
+from .cbc import verify_plan_c
+from .indexset import IndexSet
 from .lattice import Rank1Lattice, TransformKind
-from .transform import (CoefficientTable, MissingCTable, coeffs_from_values,
+from .transform import (CoefficientTable, _coeff_vector, coeffs_from_values,
                         sample_values, values_from_coeffs)
 
 KIND_FOR_SPACE = {
@@ -28,6 +29,10 @@ class MissingReference(ValueError):
 
 class SizeLimit(ValueError):
     """The dense least-squares oracle is restricted to desk scale."""
+
+
+class MissingCTable(ValueError):
+    """Plan C stability needs the self-aliasing counts c_k."""
 
 
 @dataclass
@@ -51,12 +56,11 @@ class TestFunction:
 
 
 def approx_coeffs(f, lattice: Rank1Lattice, L: IndexSet, space: str,
-                  plan: str | None = None,
-                  c_table: dict | None = None) -> CoefficientTable:
+                  plan: str | None = None) -> CoefficientTable:
     """Approximate coefficients on L by sampling f at the transformed
     lattice points and applying the fast transform of the space/plan."""
     values = sample_values(f, lattice, KIND_FOR_SPACE[space])
-    return coeffs_from_values(space, lattice, L, values, plan, c_table)
+    return coeffs_from_values(space, lattice, L, values, plan)
 
 
 # ---------------------------------------------------------------------------
@@ -85,19 +89,11 @@ def stability_constant(L: IndexSet, plan: str,
         return StabilityReport(1.0, plan, {k: 1.0 for k in L})
     if plan == "C" and c_table is None:
         raise MissingCTable("plan C stability needs the c_k table")
-    terms = {}
-    candidates = []
-    zero = (0,) * L.dimension
-    for k in L:
-        if k == zero:
-            terms[k] = 1.0
-            candidates.append(1.0)
-            continue
-        ck = c_table[k] if plan == "C" else 1
-        term = 2.0 ** (zero_count(k) - 1) / ck**2
-        terms[k] = term
-        candidates.append(term)
-    return StabilityReport(max(candidates), plan, terms)
+    c = np.asarray([c_table[k] for k in L]) if plan == "C" else 1
+    nonzero = np.count_nonzero(L.as_array(), axis=1)
+    terms = np.where(nonzero > 0, 2.0 ** (nonzero - 1) / c**2, 1.0)
+    return StabilityReport(float(terms.max()), plan,
+                           dict(zip(L, terms.tolist())))
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +120,6 @@ class ErrorReport:
 
 def error_decomposition(f: TestFunction, lattice: Rank1Lattice, L: IndexSet,
                         space: str, plan: str | None = None,
-                        c_table: dict | None = None,
                         tolerance: float = 1e-12) -> ErrorReport:
     """Split the L2 error of the computed approximation on L into the
     truncation part (tail of the reference coefficients outside L) and the
@@ -132,24 +127,26 @@ def error_decomposition(f: TestFunction, lattice: Rank1Lattice, L: IndexSet,
     seminorm bound approximation_err^2 <= rho * ||f - f_L||_n^2 + tolerance.
 
     ``loose_bound`` reports sqrt(1 + rho) * max_i |f - f_L| over the
-    lattice sample points; it is informational only.
+    lattice sample points; it is informational only.  Under plan C, rho
+    reads the counts c_k of :func:`lattice_recon.cbc.verify_plan_c` on the
+    lattice, the counts the forward map divides by.
     """
     if f.reference_coeffs is None:
         raise MissingReference(f"{f.name or 'function'} has no reference "
                                "coefficients")
     truth = f.reference_coeffs
     values = sample_values(f, lattice, KIND_FOR_SPACE[space])
-    computed = coeffs_from_values(space, lattice, L, values, plan, c_table)
+    computed = coeffs_from_values(space, lattice, L, values, plan)
 
-    items = list(truth.items())
-    rows = np.asarray([k for k, _ in items], dtype=np.int64)
-    inside = L.contains_rows(rows.reshape(len(items), truth.dimension))
-    truncation_sq = sum(abs(v) ** 2
-                        for (_, v), hit in zip(items, inside) if not hit)
-    approx_sq = sum(abs(truth.get(k, 0.0) - computed[k]) ** 2 for k in L)
-    total_sq = 0.0
-    for k in set(truth.entries) | set(computed.entries):
-        total_sq += abs(truth.get(k, 0.0) - computed.get(k, 0.0)) ** 2
+    rows = np.asarray(list(truth.entries), dtype=np.int64)
+    outside = ~L.contains_rows(rows.reshape(len(truth), truth.dimension))
+    tail = np.asarray(list(truth.entries.values()), np.complex128)[outside]
+    truncation_sq = float(np.sum(np.abs(tail) ** 2))
+    approx_sq = float(np.sum(np.abs(
+        _coeff_vector(L, truth, np.complex128)
+        - _coeff_vector(L, computed, np.complex128)) ** 2))
+    # computed is supported on L: the tail and the error on L split it
+    total_sq = truncation_sq + approx_sq
 
     # f_L at the transformed lattice points, synthesized exactly
     fl_values = values_from_coeffs(space, lattice, L, truth)
@@ -157,7 +154,9 @@ def error_decomposition(f: TestFunction, lattice: Rank1Lattice, L: IndexSet,
     seminorm_sq = float(np.mean(np.abs(residual) ** 2))
 
     plan_label = plan if plan is not None else "A"
-    rho = stability_constant(L, plan_label, c_table).rho
+    counts = verify_plan_c(lattice.z, lattice.n, L).c_table \
+        if plan == "C" else None
+    rho = stability_constant(L, plan_label, counts).rho
     slack = rho * seminorm_sq + tolerance - approx_sq
     loose = math.sqrt(1.0 + rho) * float(np.max(np.abs(residual))) \
         if residual.size else 0.0

@@ -258,6 +258,8 @@ def slot_residues(space: str, L: IndexSet, z, n: int):
                          f"set dimension {L.dimension}")
     if L.max_abs() >= _INT32_LIMIT:
         raise ValueError("index components must fit in 32 bits")
+    if space != "fourier" and L.as_array().min(initial=0) < 0:
+        raise ValueError(f"{space} indices must be nonnegative")
     n = int(n)
     full = np.zeros(1, dtype=np.int64)
     for zs, (parent, codes, values, groups) in zip(z, _step_chain(space, L)):

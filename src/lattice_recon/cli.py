@@ -148,7 +148,7 @@ def cmd_verify(args) -> int:
 
 def cmd_reconstruct(args) -> int:
     base_set = indexset.read_indexset(args.input)
-    lat, file_c_table = latmod.read_lattice(args.lattice)
+    lat, _ = latmod.read_lattice(args.lattice)
     if lat.dimension != base_set.dimension:
         # --function samples before the map could report it
         raise UsageError(f"lattice dimension {lat.dimension} differs from "
@@ -176,11 +176,7 @@ def cmd_reconstruct(args) -> int:
     else:
         raise UsageError("need --values FILE or --function NAME")
 
-    c_table = file_c_table
-    if plan == "C" and c_table is None:
-        raise UsageError("plan C needs the c: table in the lattice file")
-    table = transform.coeffs_from_values(space, lat, base_set, values, plan,
-                                         c_table)
+    table = transform.coeffs_from_values(space, lat, base_set, values, plan)
     transform.write_coefficients(table, args.output)
     payload = {"coefficients": len(table), "output": args.output}
     status = EXIT_OK
@@ -258,8 +254,8 @@ def cmd_experiment(args) -> int:
                                                 ref_degree)
             ref_set = indexset.make_weighted_set(ref_rule, d)
             f = with_reference(f, ref_set, result.n)
-        report = approx.error_decomposition(
-            f, result.lattice(), L, space, plan, result.c_table)
+        report = approx.error_decomposition(f, result.lattice(), L, space,
+                                            plan)
         rows.append({
             "d": d,
             "size": len(L),
@@ -393,9 +389,9 @@ def main(argv=None) -> int:
         try:
             return args.func(args)
         except (ValueError, FileNotFoundError, json.JSONDecodeError) as exc:
-            # covers UsageError, InvalidTask, MissingCTable and the
-            # file-format and rule validation errors: all user input
-            # problems
+            # covers UsageError, InvalidTask and the file-format (a
+            # header without one of its keys included) and rule
+            # validation errors: all user input problems
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_USAGE
         except cbc.RetryLimitExceeded as exc:

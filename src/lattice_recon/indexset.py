@@ -564,12 +564,19 @@ def write_indexset(L: IndexSet, path) -> None:
             fh.write(" ".join(str(kj) for kj in k) + "\n")
 
 
+def header_fields(line: str, *keys: str) -> list[str]:
+    """The values of ``keys`` in a ``key=value ...`` header line of a file;
+    ValueError names the first key the line lacks or leaves empty."""
+    fields = dict(item.partition("=")[::2] for item in line.split())
+    for key in keys:
+        if not fields.get(key):
+            raise ValueError(f"header {line.strip()!r} lacks key {key!r}")
+    return [fields[key] for key in keys]
+
+
 def read_indexset(path) -> IndexSet:
     with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().split()
-        fields = dict(item.split("=", 1) for item in header)
-        d = int(fields["dim"])
-        domain = fields["domain"]
+        d, domain = header_fields(fh.readline(), "dim", "domain")
         rows = [tuple(int(v) for v in line.split())
                 for line in fh if line.strip()]
-    return IndexSet(rows, dimension=d, domain=domain)
+    return IndexSet(rows, dimension=int(d), domain=domain)

@@ -19,7 +19,7 @@ from enum import Enum
 
 import numpy as np
 
-from .indexset import IndexSet
+from .indexset import IndexSet, header_fields
 
 _INT32_LIMIT = 2**31
 # rows of the auxiliary set checked at once by the dual-lattice oracle, sign
@@ -373,14 +373,14 @@ def _quarter_roots(residues: np.ndarray, n: int) -> np.ndarray:
 
 
 def lattice_from_line(line: str) -> Rank1Lattice:
-    fields = dict(item.split("=", 1) for item in line.split())
-    return Rank1Lattice(int(fields["n"]),
-                        [int(v) for v in fields["z"].split(",")])
+    n, z = header_fields(line, "n", "z")
+    return Rank1Lattice(int(n), [int(v) for v in z.split(",")])
 
 
 def write_lattice(L: Rank1Lattice, path, c_table: dict | None = None) -> None:
     """Single-line lattice format, optionally followed by plan-C ``c:``
-    lines ``c: <index components> <c_k>``."""
+    lines ``c: <index components> <c_k>``, which show the counts; the maps
+    count them on the slots and read no table."""
     with open(path, "w", encoding="ascii") as fh:
         fh.write(L.to_line() + "\n")
         if c_table:

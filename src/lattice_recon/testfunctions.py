@@ -126,8 +126,7 @@ def with_reference(f: TestFunction, ref_set: IndexSet,
         n_ref = next_prime(n_factor * working_n)
     task = CbcTask(f.space, "reconstruction", ref_set, plan=plan, n=n_ref)
     result = cbc_construct(task)
-    table = approx_coeffs(f, result.lattice(), ref_set, f.space,
-                          task.plan, result.c_table)
+    table = approx_coeffs(f, result.lattice(), ref_set, f.space, task.plan)
     return TestFunction(
         evaluator=f.evaluator,
         space=f.space,

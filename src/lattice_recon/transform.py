@@ -52,7 +52,7 @@ import numpy as np
 from . import kernels
 from . import lattice as lattice_module
 from .cbc import _PLAN_CODE, PLANS, slot_residues
-from .indexset import IndexSet
+from .indexset import IndexSet, header_fields
 from .lattice import Rank1Lattice, TransformKind, root_runs
 
 _log = logging.getLogger(__name__)
@@ -77,10 +77,6 @@ RUN_ENTRIES = 1 << 16
 
 class AliasingDetected(RuntimeError):
     """The lattice fails the reconstruction condition for this index set."""
-
-
-class MissingCTable(ValueError):
-    """Plan C needs the self-aliasing counts c_k."""
 
 
 # ---------------------------------------------------------------------------
@@ -380,22 +376,26 @@ def _weights(rows: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # the two maps, one body each for the three spaces
 
-def _coeffs_from_values(space, lattice, L, values, plan, c_table, unsafe):
-    """The forward map of every space; ``unsafe`` skips the aliasing check."""
+def _coeffs_from_values(space, lattice, L, values, plan, unsafe):
+    """The forward map of every space; ``unsafe`` skips the aliasing check,
+    but plan C still runs it for the counts c_k it divides by."""
     slots, groups = slot_residues(space, L, lattice.z, lattice.n)
     fourier = space == "fourier"
-    if not fourier:
-        if plan not in PLANS:
-            raise ValueError(f"unknown plan {plan!r}")
-        if len(L) and L.as_array().min() < 0:
-            raise ValueError(f"{space} indices must be nonnegative")
-    values = np.asarray(values, np.complex128 if fourier else np.float64)
+    if not fourier and plan not in PLANS:
+        raise ValueError(f"unknown plan {plan!r}")
+    values = np.asarray(values)
+    if not fourier and np.iscomplexobj(values) and np.any(values.imag):
+        raise ValueError(f"{space} values must be real")
+    values = np.asarray(values if fourier else values.real,
+                        np.complex128 if fourier else np.float64)
     if values.shape[0] != lattice.n:
         raise ValueError("value vector length differs from n")
-    if plan == "C" and c_table is None:
-        raise MissingCTable("plan C needs the c_k table")
-    if not unsafe and not kernels.check_condition(slots, groups,
-                                                  _PLAN_CODE[plan]):
+    if plan == "C":
+        ok, counts = kernels.check_plan_c(slots, groups)
+    else:
+        ok = unsafe or kernels.check_condition(slots, groups,
+                                               _PLAN_CODE[plan])
+    if not (ok or unsafe):
         raise AliasingDetected(
             "two indices share a residue slot" if fourier else
             f"lattice fails the plan {plan} reconstruction condition")
@@ -415,22 +415,18 @@ def _coeffs_from_values(space, lattice, L, values, plan, c_table, unsafe):
     if not fourier:
         coeffs = _weights(L.as_array()) * coeffs
     if plan == "C":
-        try:
-            coeffs /= np.asarray([c_table[k] for k in L], dtype=np.float64)
-        except KeyError as exc:
-            raise MissingCTable(f"no c entry for index {exc.args[0]}") \
-                from None
+        coeffs /= counts
     return CoefficientTable(space, L.dimension, dict(zip(L, coeffs.tolist())))
 
 
 def coeffs_from_values(space: str, lattice: Rank1Lattice, L: IndexSet,
-                       values, plan: str | None = None,
-                       c_table: dict | None = None) -> CoefficientTable:
+                       values, plan: str | None = None) -> CoefficientTable:
     """Coefficients on L from samples at the points of ``space`` (see
-    :func:`sample_values`); ``plan`` and ``c_table`` apply to the cosine
-    and Chebyshev spaces only, where coefficient k is sqrt(2)^|k|_0
-    Re F_(k.z mod n), divided by c_k under plan C, and plan A averages
-    over the orbit slots.
+    :func:`sample_values`); ``plan`` applies to the cosine and Chebyshev
+    spaces only, which take real values: coefficient k is sqrt(2)^|k|_0
+    Re F_(k.z mod n), plan A averages over the orbit slots, and plan C
+    divides by c_k, the rows of k's sign orbit in k's slot, which its
+    aliasing check counts on the slots (so no table is passed in).
 
     After the aliasing check, only the slots read are used: |L| of them
     (all orbit slots under plan A).  The FFT computes them, or outside
@@ -438,7 +434,7 @@ def coeffs_from_values(space: str, lattice: Rank1Lattice, L: IndexSet,
     evaluates just those slots, folded to slot pairs."""
     return _coeffs_from_values(space, lattice, L, values,
                                None if space == "fourier" else plan,
-                               c_table, unsafe=False)
+                               unsafe=False)
 
 
 def values_from_coeffs(space: str, lattice: Rank1Lattice, L: IndexSet,
@@ -464,16 +460,15 @@ def values_from_coeffs(space: str, lattice: Rank1Lattice, L: IndexSet,
 def fourier_coeffs_from_values(lattice: Rank1Lattice, L: IndexSet, values,
                                unsafe: bool = False) -> CoefficientTable:
     """Fourier coefficients on L from samples at the raw lattice points."""
-    return _coeffs_from_values("fourier", lattice, L, values, None, None,
-                               unsafe)
+    return _coeffs_from_values("fourier", lattice, L, values, None, unsafe)
 
 
 def cosine_coeffs_from_values(lattice: Rank1Lattice, L: IndexSet, plan: str,
                               values, c_table: dict | None = None,
                               unsafe: bool = False) -> CoefficientTable:
-    """Cosine coefficients on L from samples at tent-transformed points."""
-    return _coeffs_from_values("cosine", lattice, L, values, plan, c_table,
-                               unsafe)
+    """Cosine coefficients on L from samples at tent-transformed points;
+    ``c_table`` is not read."""
+    return _coeffs_from_values("cosine", lattice, L, values, plan, unsafe)
 
 
 def chebyshev_coeffs_from_values(lattice: Rank1Lattice, L: IndexSet,
@@ -481,9 +476,9 @@ def chebyshev_coeffs_from_values(lattice: Rank1Lattice, L: IndexSet,
                                  c_table: dict | None = None,
                                  unsafe: bool = False) -> CoefficientTable:
     """Chebyshev coefficients on L from samples at the cosine-of-tent
-    points; numerically identical to the cosine map."""
+    points, numerically the cosine map's; ``c_table`` is not read."""
     return _coeffs_from_values("chebyshev", lattice, L, values, plan,
-                               c_table, unsafe)
+                               unsafe)
 
 
 def fourier_values_from_coeffs(lattice: Rank1Lattice, L: IndexSet,
@@ -521,8 +516,7 @@ def write_values(values, path) -> None:
 
 def read_values(path) -> np.ndarray:
     with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().split()
-        n = int(dict(item.split("=", 1) for item in header)["n"])
+        n = int(header_fields(fh.readline(), "n")[0])
         rows = [line.split() for line in fh if line.strip()]
     if len(rows) != n:
         raise ValueError(f"value file announces n={n} but holds {len(rows)}")
@@ -547,9 +541,8 @@ def write_coefficients(table: CoefficientTable, path) -> None:
 
 def read_coefficients(path) -> CoefficientTable:
     with open(path, "r", encoding="ascii") as fh:
-        header = dict(item.split("=", 1) for item in fh.readline().split())
-        d = int(header["dim"])
-        space = header["space"]
+        d, space = header_fields(fh.readline(), "dim", "space")
+        d = int(d)
         entries = {}
         for line in fh:
             parts = line.split()

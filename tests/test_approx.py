@@ -38,9 +38,9 @@ def test_exact_recovery_of_supported_functions(space, plan, rng):
     for _ in range(5):
         d = int(rng.integers(1, 4))
         L = random_downward(rng, d, int(rng.integers(2, 12)))
-        lat, c_table = _build(space, plan, L)
+        lat, _ = _build(space, plan, L)
         f = random_series(space, L, rng)
-        table = approx_coeffs(f, lat, L, space, plan, c_table)
+        table = approx_coeffs(f, lat, L, space, plan)
         truth = f.reference_coeffs
         worst = max(abs(table[k] - truth[k]) for k in L)
         assert worst < 1e-11
@@ -48,10 +48,10 @@ def test_exact_recovery_of_supported_functions(space, plan, rng):
 
 def test_zero_function_gives_zero_table(rng):
     L = random_downward(rng, 2, 6)
-    lat, c_table = _build("cosine", "B", L)
+    lat, _ = _build("cosine", "B", L)
     f = series_function("cosine",
                         CoefficientTable("cosine", 2, {k: 0.0 for k in L}))
-    table = approx_coeffs(f, lat, L, "cosine", "B", c_table)
+    table = approx_coeffs(f, lat, L, "cosine", "B")
     assert all(abs(v) < 1e-13 for _, v in table.items())
 
 
@@ -128,7 +128,7 @@ def test_seminorm_constant_and_unimodular():
 
 def test_seminorm_matches_direct_sum(rng):
     L = random_downward(rng, 2, 8)
-    lat, c_table = _build("cosine", "B", L)
+    lat, _ = _build("cosine", "B", L)
     f = geometric_decay("cosine", 2, rng, ratio=0.3, degree=6)
     truth = f.reference_coeffs
     kept = {k: truth.get(k, 0.0) for k in L}
@@ -153,9 +153,9 @@ def test_seminorm_matches_direct_sum(rng):
 @pytest.mark.parametrize("space,plan", SETTINGS)
 def test_error_decomposition_supported_function(space, plan, rng):
     L = random_downward(rng, 2, 8)
-    lat, c_table = _build(space, plan, L)
+    lat, _ = _build(space, plan, L)
     f = random_series(space, L, rng)
-    report = error_decomposition(f, lat, L, space, plan, c_table)
+    report = error_decomposition(f, lat, L, space, plan)
     assert report.truncation_err == 0.0
     assert report.approximation_err < 1e-11
     assert report.bound_ok
@@ -166,9 +166,9 @@ def test_error_decomposition_with_tail(rng):
     L = make_weighted_set(WeightedSetRule("product", (1.0, 1.0), 3), d)
     for space, plan in (("cosine", "B"), ("fourier", None),
                         ("chebyshev", "A")):
-        lat, c_table = _build(space, plan, L)
+        lat, _ = _build(space, plan, L)
         f = geometric_decay(space, d, rng, ratio=0.35, degree=8)
-        report = error_decomposition(f, lat, L, space, plan, c_table)
+        report = error_decomposition(f, lat, L, space, plan)
         assert report.truncation_err > 0
         assert report.approximation_err > 0
         assert report.bound_ok
@@ -181,20 +181,20 @@ def test_error_decomposition_with_tail(rng):
 
 def test_error_decomposition_needs_reference(rng):
     L = random_downward(rng, 2, 5)
-    lat, c_table = _build("cosine", "B", L)
+    lat, _ = _build("cosine", "B", L)
     f = smooth_function("cosine", 2)
     with pytest.raises(MissingReference):
-        error_decomposition(f, lat, L, "cosine", "B", c_table)
+        error_decomposition(f, lat, L, "cosine", "B")
 
 
 def test_with_reference_attaches_high_resolution_truth(rng):
     L = make_weighted_set(WeightedSetRule("product", (1.0, 1.0), 2), 2)
-    lat, c_table = _build("cosine", "B", L)
+    lat, _ = _build("cosine", "B", L)
     ref_set = make_weighted_set(WeightedSetRule("product", (1.0, 1.0), 6), 2)
     f = with_reference(smooth_function("cosine", 2), ref_set, lat.n,
                        n_factor=4)
     assert f.reference_coeffs is not None
-    report = error_decomposition(f, lat, L, "cosine", "B", c_table)
+    report = error_decomposition(f, lat, L, "cosine", "B")
     assert report.bound_ok
     assert report.truncation_err > 0
 
@@ -217,9 +217,8 @@ def test_noise_amplification_bounded_by_rho(space, plan, rng):
         rms = math.sqrt(np.mean(np.abs(noise) ** 2))
         noise *= 1e-3 / rms
 
-        clean = coeffs_from_values(space, lat, L, values, plan, c_table)
-        noisy = coeffs_from_values(space, lat, L, values + noise, plan,
-                                   c_table)
+        clean = coeffs_from_values(space, lat, L, values, plan)
+        noisy = coeffs_from_values(space, lat, L, values + noise, plan)
         shift = math.sqrt(sum(abs(noisy[k] - clean[k]) ** 2 for k in L))
         plan_label = plan if plan is not None else "A"
         rho = stability_constant(L, plan_label, c_table).rho

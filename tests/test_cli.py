@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from lattice_recon import (IndexSet, read_coefficients, read_indexset,
-                           read_lattice, verify_plan_b, write_indexset,
-                           write_lattice, write_values, Rank1Lattice)
+                           read_lattice, values_from_coeffs, verify_plan_b,
+                           write_indexset, write_lattice, write_values,
+                           Rank1Lattice)
 from lattice_recon.cli import main
 
 
@@ -430,3 +431,88 @@ def test_bad_rule_parameters_exit_2(tmp_path):
     bad.write_text("dim=2 domain=weird\n1 2\n")
     assert run("cbc", "--space", "fourier", "--goal", "reconstruction",
                "-i", bad, "-o", tmp_path / "x.lat") == 2
+
+
+@pytest.mark.parametrize("c_lines", ["c: 1 2\n", "c: 1 1\n", ""],
+                         ids=["c=2", "c=1", "no c lines"])
+def test_reconstruct_plan_c_counts_without_the_c_lines(tmp_path, capsys,
+                                                       c_lines):
+    # n = 2, z = 1: both signs of (1,) sit in slot 1, so c = 2 whatever
+    # the file says, and values 1, -1 give 1 / sqrt(2)
+    idx, lat = tmp_path / "s.idx", tmp_path / "s.lat"
+    values, out = tmp_path / "v.txt", tmp_path / "c.txt"
+    write_indexset(IndexSet([(1,)], domain="nonneg"), idx)
+    lat.write_text("n=2 z=1\n" + c_lines, encoding="ascii")
+    write_values(np.array([1.0, -1.0]), values)
+    assert run("reconstruct", "--space", "cosine", "--plan", "C",
+               "--lattice", lat, "-i", idx, "-V", values, "-o", out,
+               "--roundtrip", "--json") == 0
+    assert json.loads(capsys.readouterr().out)["roundtrip_deviation"] == 0
+    assert out.read_text() == "dim=1 space=cosine\n1 0.7071067811865476\n"
+
+
+def test_reconstruct_plan_c_ignores_the_written_counts(tmp_path):
+    # cbc writes the c: lines of a lattice with c_(2,3) = 2; reconstruct
+    # writes the same bytes from the file as written, without its c: lines
+    # and with every count set to 1
+    idx, lat = tmp_path / "s.idx", tmp_path / "s.lat"
+    L = IndexSet([(0, 1), (0, 3), (2, 1), (2, 3)], domain="nonneg")
+    write_indexset(L, idx)
+    assert run("cbc", "--space", "chebyshev", "--plan", "C", "--n", "3",
+               "-i", idx, "-o", lat) == 0
+    lattice, c_table = read_lattice(lat)
+    assert c_table[(2, 3)] == 2
+    line = lat.read_text().splitlines()[0]
+    files = {"written": lat, "bare": tmp_path / "bare.lat",
+             "ones": tmp_path / "ones.lat"}
+    files["bare"].write_text(line + "\n", encoding="ascii")
+    write_lattice(lattice, files["ones"], dict.fromkeys(c_table, 1))
+    rng = np.random.default_rng(4)
+    values = tmp_path / "v.txt"
+    write_values(values_from_coeffs(
+        "chebyshev", lattice, L,
+        {k: float(rng.standard_normal()) for k in L}), values)
+    written = {}
+    for name, path in files.items():
+        out = tmp_path / f"{name}.txt"
+        assert run("reconstruct", "--space", "chebyshev", "--plan", "C",
+                   "--lattice", path, "-i", idx, "-V", values, "-o", out,
+                   "--roundtrip") == 0
+        written[name] = out.read_bytes()
+    assert written["bare"] == written["written"] == written["ones"]
+
+
+def test_malformed_headers_exit_2_naming_the_key(tmp_path, capsys):
+    # a header without one of its keys is an input error, not an
+    # internal one
+    bare_set, lat = tmp_path / "bare.idx", tmp_path / "bare.lat"
+    bare_set.write_text("dim=2\n0 0\n1 0\n", encoding="ascii")
+    lat.write_text("n=7\n", encoding="ascii")
+    assert run("indexset", "--mirror", bare_set,
+               "-o", tmp_path / "m.idx") == 2
+    assert "lacks key 'domain'" in capsys.readouterr().err
+    idx = tmp_path / "s.idx"
+    write_indexset(IndexSet([(0,), (1,)], domain="nonneg"), idx)
+    assert run("verify", "--space", "fourier", "-i", idx,
+               "--lattice", lat) == 2
+    assert "lacks key 'z'" in capsys.readouterr().err
+    write_lattice(Rank1Lattice(3, (1,)), lat)
+    values = tmp_path / "v.txt"
+    values.write_text("x=3\n1.0\n2.0\n3.0\n", encoding="ascii")
+    assert run("reconstruct", "--space", "fourier", "--lattice", lat,
+               "-i", idx, "-V", values, "-o", tmp_path / "c.txt") == 2
+    assert "lacks key 'n'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("space", ["cosine", "chebyshev"])
+def test_reconstruct_complex_values_in_a_real_space_exit_2(tmp_path, capsys,
+                                                           space):
+    idx, lat = tmp_path / "s.idx", tmp_path / "s.lat"
+    write_indexset(IndexSet([(0,), (1,)], domain="nonneg"), idx)
+    write_lattice(Rank1Lattice(5, (1,)), lat)
+    values = tmp_path / "v.txt"
+    write_values(np.arange(5) + 0.5j, values)
+    assert run("reconstruct", "--space", space, "--plan", "B",
+               "--lattice", lat, "-i", idx, "-V", values,
+               "-o", tmp_path / "c.txt") == 2
+    assert f"{space} values must be real" in capsys.readouterr().err

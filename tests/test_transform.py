@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lattice_recon import (AliasingDetected, CbcTask, CoefficientTable,
-                           IndexSet, MissingCTable, Rank1Lattice,
+                           IndexSet, Rank1Lattice,
                            TransformKind, cbc_construct, coeffs_from_values,
                            dft, fourier_coeffs_from_values,
                            fourier_values_from_coeffs, read_coefficients,
@@ -24,7 +24,7 @@ from lattice_recon.transform import (chebyshev_coeffs_from_values,
                                      chebyshev_values_from_coeffs,
                                      cosine_coeffs_from_values,
                                      cosine_values_from_coeffs)
-from conftest import random_downward
+from conftest import random_downward, random_nonneg_set
 from reference import (cosine_values_loop, dct_i, dct_v, dft_direct,
                        fourier_values_loop, unique_sign_changes)
 
@@ -187,24 +187,33 @@ def test_cosine_first_mode_n5():
 
 
 def test_plan_c_normalization_divides_by_c():
+    # at n = 2 both signs of (1,) sit in slot 1: the map counts c = 2 on
+    # the slots, as the verifier does, and divides by it
     L = IndexSet([(1,)], domain="nonneg")
     lat = Rank1Lattice(2, (1,))
-    c_table = verify_plan_c((1,), 2, L).c_table
-    assert c_table == {(1,): 2}
+    assert verify_plan_c((1,), 2, L).c_table == {(1,): 2}
     values = sample_values(lambda x: _phi((1,), x), lat, TransformKind.TENT)
-    table = cosine_coeffs_from_values(lat, L, "C", values, c_table)
+    table = cosine_coeffs_from_values(lat, L, "C", values)
     assert abs(table[(1,)] - 1.0) < 1e-12
+    # the bindings' c_table is not read, so it cannot override the count
+    ones = cosine_coeffs_from_values(lat, L, "C", values, {(1,): 1})
+    assert ones[(1,)] == table[(1,)]
     # without dividing by c the value would be 2
-    raw = cosine_coeffs_from_values(lat, L, "C", values, {(1,): 1},
-                                    unsafe=True)
+    raw = cosine_coeffs_from_values(lat, L, "B", values, unsafe=True)
     assert abs(raw[(1,)] - 2.0) < 1e-12
 
 
 def test_missing_c_table():
+    # plan C needs no table: values 1, -1 at n = 2 give 1 / sqrt(2) in
+    # both spaces, and the round trip is exact
     L = IndexSet([(1,)], domain="nonneg")
     lat = Rank1Lattice(2, (1,))
-    with pytest.raises(MissingCTable):
-        cosine_coeffs_from_values(lat, L, "C", np.zeros(2))
+    values = np.array([1.0, -1.0])
+    for space in ("cosine", "chebyshev"):
+        table = coeffs_from_values(space, lat, L, values, "C")
+        assert abs(table[(1,)] - 1 / math.sqrt(2)) < 1e-15
+        back = values_from_coeffs(space, lat, L, table)
+        assert np.max(np.abs(back - values)) < 1e-15
 
 
 def test_chebyshev_basis_modes():
@@ -276,15 +285,14 @@ def test_roundtrip_every_space_and_plan(space, plan, rng):
             analyze = cosine_coeffs_from_values if space == "cosine" \
                 else chebyshev_coeffs_from_values
             values = synth(lat, L, coeffs)
-            back = analyze(lat, L, plan, values, result.c_table)
+            back = analyze(lat, L, plan, values)
         worst = max(abs(back[k] - coeffs[k]) for k in L)
         scale = max(1.0, max(abs(v) for v in coeffs.values()))
         assert worst < 1e-11 * scale
         # the space dispatch gives the same values and coefficients
         dispatched = values_from_coeffs(space, lat, L, coeffs)
         assert np.array_equal(dispatched, values)
-        again = coeffs_from_values(space, lat, L, dispatched, plan,
-                                   result.c_table)
+        again = coeffs_from_values(space, lat, L, dispatched, plan)
         assert again.space == space
         assert all(again[k] == back[k] for k in L)
 
@@ -364,7 +372,7 @@ def test_forward_map_expands_and_reduces_once(space, plan, monkeypatch):
                             _name=name: calls.append(_name) or _f(*args))
     values = values_from_coeffs(space, lat, L, {k: 1.0 for k in L})
     assert calls == ["_step_chain"]
-    coeffs_from_values(space, lat, L, values, plan, result.c_table)
+    coeffs_from_values(space, lat, L, values, plan)
     assert calls == ["_step_chain"] * 2
 
 
@@ -384,7 +392,7 @@ def test_empty_sets_pass_every_lookup_and_map_to_nothing():
     for space, plan in SPACE_PLANS:
         values = values_from_coeffs(space, lat, empty, {})
         assert values.shape == (lat.n,) and not values.any()
-        table = coeffs_from_values(space, lat, empty, values, plan, {})
+        table = coeffs_from_values(space, lat, empty, values, plan)
         assert (table.space, table.dimension, len(table)) == (space, 3, 0)
 
 
@@ -451,8 +459,7 @@ def test_plan_c_forward_matches_naive_dual_cubature(rng):
     t = lat.points(TransformKind.IDENTITY)
     for values in (cosine_values_from_coeffs(lat, L, coeffs),
                    rng.standard_normal(lat.n)):
-        table = cosine_coeffs_from_values(lat, L, "C", values,
-                                          result.c_table)
+        table = cosine_coeffs_from_values(lat, L, "C", values)
         for k in L:
             scale = math.sqrt(2.0) ** zero_count(k)
             naive = np.mean(values * scale
@@ -470,13 +477,79 @@ def test_plan_c_shared_slot_synthesis_roundtrip(rng):
     assert check.ok
     single = IndexSet([(1,)], domain="nonneg")
     lat2 = Rank1Lattice(2, (1,))
-    c_table = verify_plan_c((1,), 2, single).c_table
     coeffs = {(1,): 1.75}
     values = cosine_values_from_coeffs(lat2, single, coeffs)
     np.testing.assert_allclose(
         values, [1.75 * math.sqrt(2), -1.75 * math.sqrt(2)], atol=1e-14)
-    back = cosine_coeffs_from_values(lat2, single, "C", values, c_table)
+    back = cosine_coeffs_from_values(lat2, single, "C", values)
     assert abs(back[(1,)] - 1.75) < 1e-13
+
+
+def test_plan_c_counts_come_from_the_slots():
+    # on random downward-closed and scattered sets, at the plan-C lattice
+    # the construction returns from n = 3 up, the forward map with no
+    # table recovers random coefficients, and the verifier's counts are
+    # the naive oracle's; scattered sets at such small prime n give
+    # c_k > 1, so the division is exercised
+    seen = []
+
+    @settings(max_examples=100, deadline=None, database=None,
+              derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 3),
+           size=st.integers(1, 9), scattered=st.booleans(),
+           space=st.sampled_from(["cosine", "chebyshev"]))
+    def check(seed, d, size, scattered, space):
+        rng = np.random.default_rng(seed)
+        L = (random_nonneg_set(rng, d, size, 3) if scattered
+             else random_downward(rng, d, size))
+        result = cbc_construct(CbcTask(space, "reconstruction", L,
+                                       plan="C", n=3))
+        lat = result.lattice()
+        counts = verify_plan_c(lat.z, lat.n, L).c_table
+        assert counts == lat.plan_c_check_naive(L)[1] == result.c_table
+        coeffs = {k: float(rng.standard_normal()) for k in L}
+        values = values_from_coeffs(space, lat, L, coeffs)
+        back = coeffs_from_values(space, lat, L, values, "C")
+        assert max(abs(back[k] - coeffs[k]) for k in L) < 1e-12
+        seen.append(max(counts.values()))
+
+    check()
+    assert max(seen) > 1
+
+
+def test_real_space_maps_refuse_complex_values():
+    L = IndexSet([(0,), (1,)], domain="nonneg")
+    lat = Rank1Lattice(5, (1,))
+    for space in ("cosine", "chebyshev"):
+        with pytest.raises(ValueError, match=f"{space} values must be real"):
+            coeffs_from_values(space, lat, L, np.full(5, 1 + 1e-9j), "B")
+        # a zero imaginary part is a real vector
+        real = coeffs_from_values(space, lat, L, np.arange(5.0), "B")
+        same = coeffs_from_values(space, lat, L, np.arange(5) + 0j, "B")
+        assert same.entries == real.entries
+
+
+def test_negative_cosine_index_is_refused_by_every_map_and_verifier():
+    L = IndexSet([(-1,), (0,)])
+    lat = Rank1Lattice(5, (1,))
+    for space in ("cosine", "chebyshev"):
+        with pytest.raises(ValueError, match=f"{space} indices must be "
+                                             "nonnegative"):
+            values_from_coeffs(space, lat, L, {(-1,): 1.0, (0,): 1.0})
+        with pytest.raises(ValueError, match="nonnegative"):
+            coeffs_from_values(space, lat, L, np.ones(5), "B")
+    with pytest.raises(ValueError, match="nonnegative"):
+        verify_plan_b((1,), 5, L)
+    # the Fourier space takes signed indices
+    assert values_from_coeffs("fourier", lat, L, {(-1,): 1.0}).shape == (5,)
+
+
+def test_read_coefficients_names_a_missing_header_key(tmp_path):
+    path = tmp_path / "c.txt"
+    for header, key in (("dim=1", "space"), ("dim 1 space=cosine", "dim")):
+        path.write_text(header + "\n1 0.5\n", encoding="ascii")
+        with pytest.raises(ValueError, match=f"lacks key '{key}'"):
+            read_coefficients(path)
 
 
 def test_large_n_roundtrip_relaxed_tolerance(rng):
@@ -733,9 +806,9 @@ def test_direct_pays_rule():
     assert not rule("forward map", 1_939_901, 1, False)
 
 
-def _maps(space, plan, lat, L, coeffs, c_table):
+def _maps(space, plan, lat, L, coeffs):
     values = values_from_coeffs(space, lat, L, coeffs)
-    return values, coeffs_from_values(space, lat, L, values, plan, c_table)
+    return values, coeffs_from_values(space, lat, L, values, plan)
 
 
 @pytest.mark.parametrize("space,plan", SPACE_PLANS[1:])
@@ -752,13 +825,12 @@ def test_direct_maps_match_the_fft_maps(space, plan, rng, monkeypatch,
     monkeypatch.setattr(transform_module, "dft", lambda *args, _f=dft:
                         ffts.append(1) or _f(*args))
     with caplog.at_level("INFO", logger="lattice_recon.transform"):
-        values, table = _maps(space, plan, lat, L, coeffs, result.c_table)
+        values, table = _maps(space, plan, lat, L, coeffs)
     assert ffts == []
     assert [r.getMessage().endswith("blocked direct DFT")
             for r in caplog.records] == [True, True]
     monkeypatch.setattr(transform_module, "_direct_pays", lambda *args: False)
-    fft_values, fft_table = _maps(space, plan, lat, L, coeffs,
-                                  result.c_table)
+    fft_values, fft_table = _maps(space, plan, lat, L, coeffs)
     assert len(ffts) == 2
     assert np.max(np.abs(values - fft_values)) < 1e-12
     assert max(abs(table[k] - fft_table[k]) for k in L) < 1e-12
@@ -778,7 +850,7 @@ def test_small_n_stays_on_the_fft(space, plan, monkeypatch, caplog):
                         ffts.append(1) or _f(*args))
     coeffs = {k: 1.0 for k in L}
     with caplog.at_level("INFO", logger="lattice_recon.transform"):
-        _, table = _maps(space, plan, result.lattice(), L, coeffs, None)
+        _, table = _maps(space, plan, result.lattice(), L, coeffs)
     assert len(ffts) == 2
     assert [r.getMessage().endswith(", FFT")
             for r in caplog.records] == [True, True]
@@ -807,7 +879,7 @@ def test_fourier_maps_keep_the_fft(rng, monkeypatch, caplog):
     monkeypatch.setattr(transform_module, "dft", lambda *args, _f=dft:
                         ffts.append(1) or _f(*args))
     with caplog.at_level("INFO", logger="lattice_recon.transform"):
-        _, table = _maps("fourier", None, result.lattice(), L, coeffs, None)
+        _, table = _maps("fourier", None, result.lattice(), L, coeffs)
     assert len(ffts) == 2
     assert [r.getMessage() for r in caplog.records] == [
         "synthesis: n=10007, 20 distinct slots, FFT",
