@@ -22,11 +22,10 @@ pair the rows of L or M(L).  Three search strategies:
   exceeds a threshold, and as elimination from that step on.
 
 At a prime n > 2 max|k| the survivors of elimination are exactly the
-candidates the step check accepts.  There brute force tests candidates one
-by one only for a probe that costs about what one elimination costs
-(:func:`_probe_budget`); a step the probe does not settle reads its answer,
-and the failure count the walk would have reached, off the survivors, so
-brute force and mixed return the lattice and statistics of a full walk.
+candidates the step check accepts.  There a brute-force step tests its
+first candidate alone; if it fails, the step reads its answer, and the
+failure count the walk would have reached, off the survivors, so brute
+force and mixed return the lattice and statistics of a full walk.
 Elsewhere brute force walks every candidate.
 
 Every constructed vector is re-validated against the independent oracle
@@ -574,8 +573,8 @@ class _Builder:
     each group leads, and a lead pairs with every row of another group that
     is not a lead at or before it.  On the Fourier chain of the distinct
     condition every group is one row, so every row leads, and plan C keys
-    the rows by orbit.  :meth:`_pairs` counts the pairs, which price one
-    elimination for the brute-force probe.  The mixed switch thresholds
+    the rows by orbit.  At a prime n > 2 max|k| a brute-force step marks
+    only when its first candidate fails.  The mixed switch thresholds
     count the rows of L_s in the task's space whatever the chain
     (:func:`_step_counts`).
     """
@@ -635,17 +634,6 @@ class _Builder:
 
     # -- elimination for one step -----------------------------------------
 
-    def _pairs(self, s: int) -> int:
-        """Pairs one elimination at step s marks from: every row with the
-        zero lead under the nonzero condition; otherwise each pair of
-        leads once, and each lead with every row of another group that
-        does not lead."""
-        R = self.codes[s].shape[0]
-        if self.cond == kernels.COND_NONZERO:
-            return R  # one zero lead, which is no step row
-        G = self.step_groups[s].shape[0] - 1
-        return G * (G - 1) // 2 + (G - 1) * (R - G)
-
     def _marks(self, prefix, n: int, s: int) -> np.ndarray:
         """Length-n mask of the candidates step s rules out, from the
         residues of its rows under the prefix z (prime n); the
@@ -668,27 +656,29 @@ class _Builder:
                 q_keys = np.repeat(p_keys, np.diff(groups))
             p_prefix, p_codes, p_values = prefix[leads], codes[leads], values
         inverses = kernels.inverse_table(p_values, values, int(n))
-        _log.info("step %d at n=%d: %d rows, %d pairs, %d x %d inverses",
-                  s, n, codes.shape[0], self._pairs(s), *inverses.shape)
         bad = np.zeros(n, dtype=bool)
         bad[0] = True
-        kernels.mark_bad_pairs(p_prefix, p_codes, prefix, codes, inverses,
-                               int(n), bad, ranks, p_keys, q_keys)
+        marked = kernels.mark_bad_pairs(p_prefix, p_codes, prefix, codes,
+                                        inverses, int(n), bad, ranks,
+                                        p_keys, q_keys)
+        _log.info("step %d at n=%d: %d rows, %d x %d inverses, %d marking "
+                  "pairs", s, n, codes.shape[0], *inverses.shape, marked)
         return bad
 
     # -- one full pass at a fixed n ---------------------------------------
 
     def construct_at(self, n: int):
-        """One CBC pass at n; brute-force steps stop after the probe and
-        read off the survivors where n is prime and n > 2 max|k|."""
+        """One CBC pass at n; brute-force steps test one candidate and
+        then read off the survivors where n is prime and n > 2 max|k|."""
         task = self.task
         eliminating = task.strategy == "elimination"
         read_off = is_prime(n) and n > self.two_max
         z = [1]
-        if not self.check_step(z, n, 1):
+        full = self._residues(z, n, 1)
+        if not kernels.check_condition(full[:-1], self.step_groups[1],
+                                       self.cond):
             raise _StepFailed(1, "z_1 = 1 violates the step condition "
                                  "(n too small)")
-        full = self._residues(z, n, 1)
         steps = [StepStats(1, "elimination" if eliminating
                            else "brute_force")]
         switch_step: int | None = None
@@ -702,14 +692,14 @@ class _Builder:
                                    * self.thresholds[s])
                 else:
                     max_fail = n
-                probe = max_fail
-                if read_off:
-                    probe = min(max_fail, _probe_budget(
-                        self._pairs(s), prefix.shape[0], n, self.cond))
+                # one candidate, then elimination: the full walk's
+                # outputs with no tuned probe length; faster on most
+                # measured tasks, slower on large Fourier product sets
+                probe = 0 if read_off else max_fail
                 zs, n_fail = kernels.brute_force_step(
                     prefix, last, self.step_groups[s], int(n),
                     int(z[-1] + 1), int(probe), int(self.cond))
-                if zs < 0 and n_fail > probe and probe < max_fail:
+                if zs < 0 and probe < max_fail:
                     bad = self._marks(prefix, n, s)
                     zs, n_fail = _first_unmarked(bad, z[-1] + 1)
                     if n_fail > max_fail:
@@ -756,45 +746,6 @@ def _first_unmarked(bad: np.ndarray, start: int):
         if bad[zs]:
             return -1, n - 1
     return zs, (zs - start) % (n - 1)
-
-
-# Cost model of the brute-force probe, in units of one candidate residue of
-# one step row.  A candidate costs its residues and, under every condition
-# but the nonzero one, a sort of them, about one more residue per row.
-# One elimination pair (a gather from the table of inverses, the prefix
-# difference, the masks and one multiply-mod for its mark) took up to 4
-# residues, 1.6 in the median, at 28 steps with 10^4 to 4.5 10^6 pairs of
-# Fourier reconstruction (|L| 80 to 3,000) and of plan C on sets that are
-# not downward closed (|L| 36 to 342), against each step's own candidates
-# (numpy 2.4, one core of a Xeon VM).  A probe that stops shortly before
-# its walk would have ended pays for the probe and the elimination both.
-# Fourier reconstruction steps at the required n end their walks within a
-# few hundred candidates, so a pair of the distinct condition is priced at
-# 8: whole constructions of 11 such sets at prices 2 to 32, and of 8 more
-# at 1 to 8, took about the same time at every price, except one
-# 1,432-index product set, 40 % slower at 2.
-# Plan C steps walk longer: 8 plan-C constructions on scattered sets
-# (|L| 28 to 460) took 0.21, 0.26, 0.32 and 0.61 s in sum at prices 1, 2,
-# 4 and 8 (best of 5), so a keyed pair is priced at its measured cost, 2,
-# where a probe costs about what the elimination does.  The nonzero
-# condition keeps 8: its probes stay a few candidates long at any of these
-# prices.  Elimination also allocates and scans an n-byte mark array, 8
-# bytes per residue.
-SORT_RESIDUES = 1
-PAIR_RESIDUES = 8
-PLAN_C_PAIR_RESIDUES = 2
-MARK_BYTES_PER_RESIDUE = 8
-
-
-def _probe_budget(pairs: int, rows: int, n: int, cond: int) -> int:
-    """Candidates a brute-force step over ``rows`` rows tests before it has
-    spent what one elimination over ``pairs`` pairs at n costs."""
-    candidate = max(1, rows) * (
-        1 if cond == kernels.COND_NONZERO else 1 + SORT_RESIDUES)
-    price = PLAN_C_PAIR_RESIDUES if cond == kernels.COND_PLAN_C \
-        else PAIR_RESIDUES
-    return (pairs * price // candidate
-            + n // (MARK_BYTES_PER_RESIDUE * candidate) + 1)
 
 
 def cbc_construct(task: CbcTask) -> CbcResult:

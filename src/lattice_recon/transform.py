@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import logging
 import math
+from itertools import chain
 
 import numpy as np
 
@@ -307,7 +308,7 @@ class CoefficientTable:
     """Map from multi-index to a series coefficient.
 
     ``space`` is one of fourier/cosine/chebyshev; Fourier entries are
-    complex, the others real.
+    complex, the others real.  Every key has ``dimension`` components.
     """
 
     __slots__ = ("space", "dimension", "entries")
@@ -316,9 +317,12 @@ class CoefficientTable:
         if space not in ("fourier", "cosine", "chebyshev"):
             raise ValueError(f"unknown space {space!r}")
         self.space = space
-        self.dimension = int(dimension)
-        self.entries = {tuple(int(c) for c in k): v
-                        for k, v in entries.items()}
+        self.dimension = d = int(dimension)
+        if set(map(len, entries)) - {d}:
+            raise ValueError(f"every key needs {d} components")
+        keys = np.fromiter(chain.from_iterable(entries), np.int64,
+                           len(entries) * d).reshape(-1, d)
+        self.entries = dict(zip(map(tuple, keys.tolist()), entries.values()))
 
     def __getitem__(self, k):
         return self.entries[tuple(k)]
@@ -520,6 +524,10 @@ def read_values(path) -> np.ndarray:
         rows = [line.split() for line in fh if line.strip()]
     if len(rows) != n:
         raise ValueError(f"value file announces n={n} but holds {len(rows)}")
+    for i, r in enumerate(rows):
+        if len(r) != len(rows[0]):
+            raise ValueError(f"value row {i + 1} has {len(r)} columns, "
+                             f"the first {len(rows[0])}")
     if rows and len(rows[0]) == 2:
         return np.asarray([complex(float(a), float(b)) for a, b in rows])
     return np.asarray([float(r[0]) for r in rows])

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import pathlib
 from dataclasses import replace
 
@@ -521,44 +522,6 @@ def _survivors(builder, z, n, s):
     return np.flatnonzero(~builder._marks(prefix, n, s))
 
 
-def _rule_pairs(builder, s):
-    # the pairs one elimination at step s marks from, counted one by one:
-    # under the nonzero condition each step row with the zero row, which is
-    # no step row; otherwise each lead, the first row of its group, with
-    # every row of another group that is not a lead at or before it
-    rows = range(builder.codes[s].shape[0])
-    groups = builder.step_groups[s]
-    if groups is None:
-        return len(rows)
-    group = np.repeat(np.arange(groups.shape[0] - 1), np.diff(groups))
-    leads = groups[:-1].tolist()
-    return sum(1 for p in leads for q in rows
-               if group[q] != group[p] and not (q in leads and q <= p))
-
-
-@settings(max_examples=40, deadline=None, database=None)
-@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 4),
-       size=st.integers(1, 12))
-def test_pair_count_is_the_pairing_rule(seed, d, size):
-    # the count that prices one elimination for the brute-force probe: on
-    # the Fourier reconstruction chain, on the plan-C chains of scattered
-    # sets (plan B's chain on a downward-closed draw) and under the nonzero
-    # condition of integration
-    rng = np.random.default_rng(seed)
-    signed = random_signed_set(rng, d, size, 3)
-    nonneg = random_nonneg_set(rng, d, size, 3)
-    tasks = [CbcTask("fourier", "reconstruction", signed)] + [
-        CbcTask(space, "reconstruction", nonneg, plan="C")
-        for space in ("cosine", "chebyshev")] + [
-        CbcTask(space, "integration",
-                signed if space == "fourier" else nonneg)
-        for space in SPACES]
-    for task in tasks:
-        builder = _builder(task)
-        for s in range(1, d + 1):
-            assert builder._pairs(s) == _rule_pairs(builder, s)
-
-
 def test_eliminate_step_bootstrap_no_elimination():
     # with an empty prefix every residue is 0 and nothing is eliminated
     survivors = _survivors(_integration_builder([(1,)]), [], 5, 1)
@@ -848,11 +811,17 @@ WALKS = (("brute_force", 1.0), ("mixed", 1.0), ("mixed", 0.0),
          ("mixed", 0.3))
 
 
-def _outcome(task, budget):
-    # the probe budget 0 reads every step with a failing first candidate
-    # off the survivors; an unbounded one walks every candidate
+class _WalkingBuilder(cbc_module._Builder):
+    # a read-off bound above every n: brute force walks every candidate
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.two_max = math.inf
+
+
+def _outcome(task, walk=False):
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cbc_module, "_probe_budget", lambda *args: budget)
+        if walk:
+            mp.setattr(cbc_module, "_Builder", _WalkingBuilder)
         try:
             r = cbc_construct(task)
         except RetryLimitExceeded as exc:
@@ -880,7 +849,36 @@ def test_survivor_read_off_matches_the_full_walk(seed, d, size, kind,
             task = CbcTask(space, goal, base, plan=plan, n=n,
                            strategy=strategy, mixed_switch_factor=factor,
                            reduce_n=larger)
-            assert _outcome(task, 0) == _outcome(task, 2**62)
+            assert _outcome(task) == _outcome(task, walk=True)
+
+
+@settings(max_examples=20, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 4),
+       size=st.integers(2, 12))
+def test_read_off_steps_test_one_candidate(seed, d, size):
+    # at a prime n > 2 max|k| every brute-force or mixed step tests its
+    # first candidate alone before it reads the survivors
+    rng = np.random.default_rng(seed)
+    L = random_nonneg_set(rng, d, size, 3)
+    probes = []
+    step = kernels.brute_force_step
+
+    def spy(prefix, last, groups, n, start, max_fail, cond):
+        if is_prime(n) and n > 2 * L.max_abs():
+            probes.append(max_fail)
+        return step(prefix, last, groups, n, start, max_fail, cond)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "brute_force_step", spy)
+        for space, goal, plan in EVERY_TASK:
+            for strategy, factor in WALKS:
+                try:
+                    cbc_construct(CbcTask(space, goal, L, plan=plan,
+                                          strategy=strategy,
+                                          mixed_switch_factor=factor))
+                except RetryLimitExceeded:
+                    pass
+    assert probes and set(probes) == {0}
 
 
 @settings(max_examples=200, deadline=None, database=None)

@@ -1,4 +1,7 @@
 import json
+import pathlib
+import re
+import shlex
 
 import numpy as np
 import pytest
@@ -7,7 +10,7 @@ from lattice_recon import (IndexSet, read_coefficients, read_indexset,
                            read_lattice, values_from_coeffs, verify_plan_b,
                            write_indexset, write_lattice, write_values,
                            Rank1Lattice)
-from lattice_recon.cli import main
+from lattice_recon.cli import build_parser, main
 
 
 def run(*argv):
@@ -190,10 +193,13 @@ def test_verbose_reports_the_lattice_and_the_map_routes(tmp_path, capsys):
                "-o", lat, "-v") == 0
     lattice, _ = read_lattice(lat)
     # plan C on a downward-closed set steps over the 15 nonzero indices of
-    # L (+) M(L), plan B's auxiliary set
+    # L (+) M(L), plan B's auxiliary set; step 2's first candidate, 2,
+    # fails, so the step reads its answer off the 6 pairs that mark
     assert capsys.readouterr().err.splitlines() == [
         "lattice_recon.cbc: cosine plan C: steps chain L (+) M(L) in the "
         "fourier space, 15 rows at step 2",
+        f"lattice_recon.cbc: step 2 at n={lattice.n}: 15 rows, 1 x 4 "
+        "inverses, 6 marking pairs",
         f"lattice_recon.cbc: cosine plan C: n={lattice.n} "
         f"z={','.join(map(str, lattice.z))} after 0 restarts"]
     from lattice_recon.transform import cosine_values_from_coeffs
@@ -216,7 +222,9 @@ def test_verbose_reports_each_elimination_step(tmp_path, capsys):
     # cosine integration chains one row of each +-r of M(L_2) \ {0}:
     # (1, 0), (2, 0) and (0, 1), each paired with the zero row, whose
     # inverses come from a 1 x 4 table over the signed components -1, 0, 0
-    # and 1 of the second coordinate
+    # and 1 of the second coordinate; no pair marks a candidate, as the
+    # rows with last component 0 have no inverse and (0, 1) meets the zero
+    # row only at z_2 = 0
     idx = tmp_path / "s.idx"
     lat = tmp_path / "s.lat"
     write_indexset(IndexSet([(0, 0), (1, 0), (0, 1), (2, 0)],
@@ -227,8 +235,8 @@ def test_verbose_reports_each_elimination_step(tmp_path, capsys):
     assert capsys.readouterr().err.splitlines() == [
         "lattice_recon.cbc: cosine integration: steps chain L in the cosine "
         "space, 3 rows at step 2",
-        f"lattice_recon.cbc: step 2 at n={lattice.n}: 3 rows, 3 pairs, "
-        "1 x 4 inverses",
+        f"lattice_recon.cbc: step 2 at n={lattice.n}: 3 rows, 1 x 4 "
+        "inverses, 0 marking pairs",
         f"lattice_recon.cbc: cosine integration: n={lattice.n} "
         f"z={','.join(map(str, lattice.z))} after 0 restarts"]
 
@@ -267,6 +275,19 @@ def test_reconstruct_wrong_length_exits_2(tmp_path):
     assert run("reconstruct", "--space", "cosine", "--plan", "B",
                "--lattice", lat, "-i", idx, "-V", values,
                "-o", tmp_path / "c.txt") == 2
+
+
+def test_reconstruct_ragged_value_file_exits_2(tmp_path, capsys):
+    idx = tmp_path / "s.idx"
+    lat = tmp_path / "s.lat"
+    values = tmp_path / "v.txt"
+    write_indexset(IndexSet([(0,), (1,)], domain="nonneg"), idx)
+    write_lattice(Rank1Lattice(3, (1,)), lat)
+    values.write_text("n=3\n1.0\n2.0 3.0\n4.0 5.0 6.0\n")
+    assert run("reconstruct", "--space", "cosine", "--plan", "B",
+               "--lattice", lat, "-i", idx, "-V", values,
+               "-o", tmp_path / "c.txt") == 2
+    assert "value row 2 has 2 columns" in capsys.readouterr().err
 
 
 def test_reconstruct_aliasing_exits_4(tmp_path):
@@ -516,3 +537,17 @@ def test_reconstruct_complex_values_in_a_real_space_exit_2(tmp_path, capsys,
                "--lattice", lat, "-i", idx, "-V", values,
                "-o", tmp_path / "c.txt") == 2
     assert f"{space} values must be real" in capsys.readouterr().err
+
+
+def test_readme_commands_parse():
+    # every lattice-recon command in README's sh blocks, its continuation
+    # lines joined, parses: a removed flag cannot stay in the docs
+    readme = pathlib.Path(__file__).parents[1] / "README.md"
+    blocks = re.findall(r"```sh\n(.*?)```", readme.read_text(), re.S)
+    commands = [shlex.split(line, comments=True)
+                for block in blocks
+                for line in block.replace("\\\n", " ").splitlines()]
+    commands = [c[1:] for c in commands if c[:1] == ["lattice-recon"]]
+    assert len(commands) >= 5
+    for argv in commands:
+        build_parser().parse_args(argv)

@@ -430,6 +430,24 @@ def test_value_file_length_check(tmp_path):
         read_values(path)
 
 
+def test_value_file_rejects_ragged_rows(tmp_path):
+    # the columns past each row's first would vanish without a word
+    path = tmp_path / "v.txt"
+    path.write_text("n=3\n1.0\n2.0 3.0\n4.0 5.0 6.0\n")
+    with pytest.raises(ValueError, match="value row 2 has 2 columns"):
+        read_values(path)
+
+
+def test_coefficient_table_checks_its_key_length(tmp_path):
+    # a short key would reach a file that read_coefficients cannot read
+    with pytest.raises(ValueError, match="every key needs 2 components"):
+        CoefficientTable("cosine", 2, {(1,): 1.0, (0, 2): 0.5})
+    table = CoefficientTable("cosine", 2, {(np.int64(1), 2): 0.5})
+    assert [type(c) for c in next(iter(table))] == [int, int]
+    write_coefficients(table, tmp_path / "c.txt")
+    assert read_coefficients(tmp_path / "c.txt").entries == {(1, 2): 0.5}
+
+
 def test_coefficient_file_roundtrip(tmp_path, rng):
     path = tmp_path / "c.txt"
     table = CoefficientTable("fourier", 2, {
